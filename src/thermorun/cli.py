@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import cycles, loci, model, simulate, steady
 from .errors import (CalibrationError, ConvergenceError, IntegrationFailure,
@@ -128,6 +128,7 @@ def _kelvin_header(res: Resolved, name: str) -> list[str]:
 
 
 def cmd_rates(args) -> int:
+    man = ManifestWriter("rates", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
     if args.T_window:
@@ -139,7 +140,6 @@ def cmd_rates(args) -> int:
     d = model.rate_diagram(p, u_lo, u_hi, args.n)
     crossings = model.rate_crossings(d)
 
-    man = ManifestWriter("rates", resolve_outdir(args.out))
     man.set_params(p, res.dim, res.temp_scale, res.preset)
     header = ["u"] + _kelvin_header(res, "T_kelvin") + ["r_g", "r_l"]
     rows = ([u] + _maybe_kelvin_row(res, u) + [g, l]
@@ -169,12 +169,12 @@ def _steady_range(args, res: Resolved) -> tuple[float, float]:
 
 
 def cmd_steady_branch(args) -> int:
+    man = ManifestWriter("steady-branch", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
     prange = _steady_range(args, res)
     branch = steady.continue_branch(p, args.active, prange, ds0=args.ds0)
 
-    man = ManifestWriter("steady-branch", resolve_outdir(args.out))
     man.set_params(p, res.dim, res.temp_scale, res.preset)
     kelvin = _kelvin_header(res, "T_kelvin")
     header = ["param", "x", "u"] + kelvin + ["trace", "det", "stability", "special"]
@@ -221,6 +221,7 @@ def cmd_steady_branch(args) -> int:
 
 
 def cmd_cycle_branch(args) -> int:
+    man = ManifestWriter("cycle-branch", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
     prange = _steady_range(args, res)
@@ -232,7 +233,6 @@ def cmd_cycle_branch(args) -> int:
     cb = cycles.continue_cycles(p, hopfs[0], prange, m=args.segments,
                                 max_orbits=args.max_orbits)
 
-    man = ManifestWriter("cycle-branch", resolve_outdir(args.out))
     man.set_params(p, res.dim, res.temp_scale, res.preset)
     header = (["param"] + _kelvin_header(res, "param_T_kelvin")
               + ["period", "amplitude", "min_u", "max_u", "multiplier",
@@ -269,6 +269,7 @@ def _verify_slice(payload):
 
 
 def cmd_loci(args) -> int:
+    man = ManifestWriter("loci", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
     if args.Ta_window:
@@ -285,7 +286,6 @@ def cmd_loci(args) -> int:
     fold = loci.continue_fold_locus(p, window=window)
     loci_map = {"hopf": hopf, "fold": fold}
 
-    man = ManifestWriter("loci", resolve_outdir(args.out))
     man.set_params(p, res.dim, res.temp_scale, res.preset)
     kelvin = _kelvin_header(res, "T_a_kelvin")
 
@@ -337,6 +337,7 @@ def cmd_loci(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    man = ManifestWriter("simulate", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
     x0 = args.x0
@@ -346,7 +347,6 @@ def cmd_simulate(args) -> int:
                               n_samples=args.samples)
     runaway = simulate.detect_runaway(traj, p.u_boil)
 
-    man = ManifestWriter("simulate", resolve_outdir(args.out))
     man.set_params(p, res.dim, res.temp_scale, res.preset)
     man.set("tolerances", {"tol_rel": args.tol_rel, "tol_abs": args.tol_abs})
     kelvin = _kelvin_header(res, "T_kelvin")
@@ -376,6 +376,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    man = ManifestWriter("calibrate", resolve_outdir(args.out))
     res = resolve_inputs(args)
     if res.temp_scale is None:
         raise ValidationError("temp_scale", "calibration targets are in Kelvin; "
@@ -385,7 +386,6 @@ def cmd_calibrate(args) -> int:
                                   temp_scale=res.temp_scale)
     calibrated = res.params.with_(sigma=sigma)
 
-    man = ManifestWriter("calibrate", resolve_outdir(args.out))
     man.set_params(calibrated, res.dim, res.temp_scale, res.preset)
     man.set("summary", {
         "sigma": sigma,
@@ -394,9 +394,7 @@ def cmd_calibrate(args) -> int:
         "target_T_hopf": args.target_hopf,
     })
     man.add_json("calibrated_params.json", {
-        "params": {"f": calibrated.f, "ell": calibrated.ell,
-                   "eps": calibrated.eps, "u_a": calibrated.u_a,
-                   "sigma": calibrated.sigma, "u_boil": calibrated.u_boil},
+        "params": asdict(calibrated),
         "temp_scale_K": res.temp_scale,
     })
     man.finish()
@@ -417,8 +415,6 @@ def _add_common(sub):
     for name in PARAM_FLAGS:
         sub.add_argument(f"--{name.replace('_', '-')}", dest=f"param_{name}",
                          type=float, help=f"override dimensionless {name}")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for independent slices/sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--grid", default="50x50", help="region map grid, e.g. 60x40")
     lc.add_argument("--verify-slices", type=int, default=0,
                     help="re-verify N locus points by one-parameter branches")
+    lc.add_argument("--jobs", type=int, default=1,
+                    help="parallel workers for --verify-slices")
     lc.set_defaults(func=cmd_loci)
 
     sim = sp.add_parser("simulate", help="time integration with event detection")

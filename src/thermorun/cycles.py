@@ -24,7 +24,8 @@ from scipy.linalg import block_diag
 from . import model
 from .errors import ConvergenceError, GermError, NotAHopfError
 from .model import ModelParams
-from .steady import SpecialPoint, solve_steady
+from .solvers import _tangent
+from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
 TRIVIAL_MULT_TOL = 1e-4
@@ -422,6 +423,23 @@ def _finalize_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
 # Seeds
 
 
+def _hopf_crossing(p: ModelParams, hopf: SpecialPoint) -> tuple[float, float]:
+    """First Lyapunov coefficient and eigenvalue crossing speed d(Re lambda)/dp.
+
+    ``l1`` is taken from the special point when it carries one; the crossing
+    speed is a central difference of the steady-state trace along the branch.
+    """
+    name = hopf.param_name
+    l1 = hopf.l1
+    if l1 is None:
+        l1 = lyapunov_first_coeff(p.with_(**{name: hopf.param_value}), hopf)
+    dp = 1e-7 * max(abs(hopf.param_value), 1e-3)
+    s_h = (hopf.state.x, hopf.state.u)
+    tr_p, tr_m = (solve_steady(p.with_(**{name: hopf.param_value + sgn * dp}),
+                               s_h, param_name=name).trace for sgn in (+1, -1))
+    return l1, (tr_p - tr_m) / (4 * dp)
+
+
 def hopf_germ(p: ModelParams, hopf: SpecialPoint, delta: float,
               n_samples: int = 64) -> tuple[ModelParams, CycleSeed]:
     """Small-amplitude elliptic seed near a Hopf point, offset by ``delta``.
@@ -436,22 +454,11 @@ def hopf_germ(p: ModelParams, hopf: SpecialPoint, delta: float,
     if delta <= 0:
         raise GermError("germ offset must be positive")
     p = p.with_(u_boil=math.inf)
-    from .steady import lyapunov_first_coeff, _complex_pair
-
     name = hopf.param_name
     p_h = p.with_(**{name: hopf.param_value})
     s_h = (hopf.state.x, hopf.state.u)
     omega = math.sqrt(hopf.det)
-    l1 = hopf.l1 if hopf.l1 is not None else lyapunov_first_coeff(p_h, hopf)
-
-    # Eigenvalue crossing speed d(Re lambda)/d(param) along the branch.
-    dp = 1e-7 * max(abs(hopf.param_value), 1e-3)
-    tr = {}
-    for sgn in (+1, -1):
-        q = p.with_(**{name: hopf.param_value + sgn * dp})
-        pt = solve_steady(q, s_h, param_name=name)
-        tr[sgn] = pt.trace
-    re_lam_prime = (tr[+1] - tr[-1]) / (4 * dp)
+    l1, re_lam_prime = _hopf_crossing(p, hopf)
     if re_lam_prime == 0:
         raise GermError("eigenvalues do not cross transversally")
 
@@ -558,22 +565,8 @@ def _cycle_tangent(p: ModelParams, starts: np.ndarray, T: float, active: str,
                    ref_states: np.ndarray, ref_fields: np.ndarray,
                    scales: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     ends, Ms, zetas = _shoot(p, starts, T, param=active)
-    J = _bvp_jacobian(p, starts, T, ends, Ms, zetas, ref_fields)
-    n = J.shape[1]
-    border = prev if prev is not None else np.eye(n)[-1]
-    A = np.vstack([J, border])
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        t = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        _, _, vh = np.linalg.svd(J)
-        t = vh[-1]
-    t = t / scales
-    t /= np.linalg.norm(t)
-    if prev is not None and float(np.dot(t, prev)) < 0:
-        t = -t
-    return t
+    return _tangent(_bvp_jacobian(p, starts, T, ends, Ms, zetas, ref_fields),
+                    scales, prev)
 
 
 def _correct_cycle_arclength(p0: ModelParams, active: str, Y_pred: np.ndarray,
@@ -663,18 +656,8 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     m = max(10, m)
 
     # Germ offset sized so the first orbit has a workable radius.
-    p_h = p.with_(**{active: from_hopf.param_value})
     omega = math.sqrt(from_hopf.det)
-    l1 = from_hopf.l1
-    if l1 is None:
-        from .steady import lyapunov_first_coeff
-        l1 = lyapunov_first_coeff(p_h, from_hopf)
-    dp = 1e-7 * max(abs(from_hopf.param_value), 1e-3)
-    tr_p = solve_steady(p.with_(**{active: from_hopf.param_value + dp}),
-                        (from_hopf.state.x, from_hopf.state.u), active).trace
-    tr_m = solve_steady(p.with_(**{active: from_hopf.param_value - dp}),
-                        (from_hopf.state.x, from_hopf.state.u), active).trace
-    re_lam_prime = (tr_p - tr_m) / (4 * dp)
+    l1, re_lam_prime = _hopf_crossing(p, from_hopf)
     delta0 = germ_radius ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
 
     orbits: list[Orbit] = []

@@ -20,7 +20,7 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, ValidationError
 from .model import ModelParams
-from .solvers import ContinuationProblem, bisect_root, continue_curve
+from .solvers import ContinuationProblem, bracket_roots, continue_curve
 from .steady import SpecialPoint, continue_branch
 
 LOCUS_TOL = 1e-10
@@ -258,9 +258,13 @@ def _auto_hopf_seed(p: ModelParams, window: Window) -> SpecialPoint | None:
 # Fold seeds
 
 
-def _fold_condition(p: ModelParams, u: float) -> float:
-    """u-derivative of the reduced balance; zero at a steady-state fold."""
-    r, d1, _, _ = model.rho_derivs(p, u)
+def _fold_condition(p: ModelParams, u):
+    """u-derivative of the reduced balance; zero at a steady-state fold.
+
+    ``u`` may be an array; raises :class:`DomainError` unless u > 0.
+    """
+    r = model.rho(p, u)
+    d1 = r / (u * u)
     return p.f ** 2 * d1 / (p.f + r) ** 2 - p.loss
 
 
@@ -268,20 +272,15 @@ def _fold_roots_at_f(p: ModelParams, f: float, window: Window,
                      n: int = 2000) -> list[np.ndarray]:
     """Fold points (x, u, u_a, ln f) at a fixed flow rate, inside the window."""
     q = p.with_(f=f, u_boil=math.inf)
-    u_lo = window.u_a[0]
-    u_hi = window.u_a[1] + f / q.loss
-    grid = np.linspace(u_lo, u_hi, n)
-    vals = np.array([_fold_condition(q, u) for u in grid])
+    grid = np.linspace(window.u_a[0], window.u_a[1] + f / q.loss, n)
     out = []
-    for i in range(n - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            u = bisect_root(lambda v: _fold_condition(q, v), grid[i], grid[i + 1])
-            r = model.rho(q, u)
-            r_g = q.f * r / (q.f + r)
-            u_a = u - r_g / q.loss
-            if window.u_a[0] <= u_a <= window.u_a[1]:
-                x = q.f / (q.f + r)
-                out.append(np.array([x, u, u_a, math.log(f)]))
+    for u in bracket_roots(lambda v: _fold_condition(q, v), grid):
+        r = model.rho(q, u)
+        r_g = q.f * r / (q.f + r)
+        u_a = u - r_g / q.loss
+        if window.u_a[0] <= u_a <= window.u_a[1]:
+            x = q.f / (q.f + r)
+            out.append(np.array([x, u, u_a, math.log(f)]))
     return out
 
 

@@ -21,12 +21,13 @@ preset registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ValidationError
+from .errors import CalibrationError, ConvergenceError, DomainError, ValidationError
+from .solvers import bracket_roots, damped_newton
 
 R_GAS = 8.314
 """Universal gas constant, J/(mol K). Fixed."""
@@ -405,15 +406,6 @@ def dimensionalize(p: ModelParams, s, dim: DimensionalParams) -> tuple[float, fl
     return x * dim.c_f, u * dim.E / R_GAS
 
 
-def u_from_kelvin(T: float, temp_scale: float) -> float:
-    """Dimensionless temperature for T (K) given the scale E/R."""
-    return T / temp_scale
-
-
-def kelvin_from_u(u: float, temp_scale: float) -> float:
-    return u * temp_scale
-
-
 # ---------------------------------------------------------------------------
 # Rate-prefactor calibration
 
@@ -441,20 +433,11 @@ def _marginal_sigma_candidates(template: ModelParams,
     candidates (determinant positive, sigma in the admissible range) are
     returned.
     """
-    from .solvers import bisect_root, damped_newton
-
     width = template.f / template.loss
     grid = np.linspace(u_a_hopf + 1e-4 * width, u_a_hopf + (1.0 - 1e-9) * width, 4001)
-    vals = np.array([_marginal_gap(template, u, u_a_hopf) for u in grid])
 
     out: list[tuple[float, float]] = []
-    for i in range(len(grid) - 1):
-        if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
-            continue
-        if not (vals[i] == 0.0 or vals[i] * vals[i + 1] < 0):
-            continue
-        u_root = bisect_root(lambda u: _marginal_gap(template, u, u_a_hopf),
-                             grid[i], grid[i + 1])
+    for u_root in bracket_roots(lambda u: _marginal_gap(template, u, u_a_hopf), grid):
         c = template.loss * (u_root - u_a_hopf)
         rho_star = c * template.f / (template.f - c)
         if rho_star <= 0:
@@ -473,8 +456,10 @@ def _marginal_sigma_candidates(template: ModelParams,
             z = damped_newton(system, np.array([u_root, ln_sigma]),
                               tol=1e-12, fd_step=1e-8)
             u_root, ln_sigma = float(z[0]), float(z[1])
-        except Exception:
-            pass  # bisection root is already accurate
+        except (ConvergenceError, DomainError, OverflowError):
+            # The bisection root is already accurate; an overflow means
+            # sigma lies far outside the admissible range checked below.
+            pass
         if not (0.0 < ln_sigma < SIGMA_MAX_LN):
             continue
         sigma = math.exp(ln_sigma)
@@ -525,21 +510,8 @@ def calibrate_sigma(template: ModelParams, target_T_steady: float,
 
 def _reduced_roots(p: ModelParams, n: int = 20000) -> list[float]:
     """All roots of the reduced balance in the window [u_a, u_a + f/loss]."""
-    from .solvers import bisect_root
-
     lo, hi = p.u_a, p.u_a + p.f / p.loss * (1.0 + 1e-12)
-    grid = np.linspace(lo, hi, n)
-    h = reduced_balance(p, grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        if h[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif h[i] * h[i + 1] < 0:
-            roots.append(bisect_root(lambda u: float(reduced_balance(p, u)),
-                                     grid[i], grid[i + 1]))
-    if h[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    return bracket_roots(lambda u: reduced_balance(p, u), np.linspace(lo, hi, n))
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +541,11 @@ class Preset:
 
     def to_config(self) -> dict:
         """Serialize to the CLI's JSON config schema."""
-        cfg: dict = {
-            "params": {
-                "f": self.model.f, "ell": self.model.ell, "eps": self.model.eps,
-                "u_a": self.model.u_a, "sigma": self.model.sigma,
-                "u_boil": self.model.u_boil,
-            },
-        }
+        cfg: dict = {"params": asdict(self.model)}
         if self.temp_scale is not None:
             cfg["temp_scale_K"] = self.temp_scale
         if self.dim is not None:
-            cfg["dimensional"] = {
-                "V": self.dim.V, "F": self.dim.F, "c_f": self.dim.c_f,
-                "Cbar": self.dim.Cbar, "dH": self.dim.dH, "L": self.dim.L,
-                "T_a": self.dim.T_a, "A": self.dim.A, "E": self.dim.E,
-            }
+            cfg["dimensional"] = asdict(self.dim)
         return cfg
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +58,6 @@ def resolve_outdir(explicit: str | None) -> Path:
     return Path("thermorun_out")
 
 
-def params_dict(p: ModelParams) -> dict:
-    return {"f": p.f, "ell": p.ell, "eps": p.eps, "u_a": p.u_a,
-            "sigma": p.sigma, "u_boil": p.u_boil}
-
-
-def dim_dict(d: DimensionalParams) -> dict:
-    return {"V": d.V, "F": d.F, "c_f": d.c_f, "Cbar": d.Cbar, "dH": d.dH,
-            "L": d.L, "T_a": d.T_a, "A": d.A, "E": d.E}
-
-
 class ManifestWriter:
     """Collects outputs and settings for one command run."""
 
@@ -83,9 +74,9 @@ class ManifestWriter:
 
     def set_params(self, p: ModelParams, dim: DimensionalParams | None = None,
                    temp_scale: float | None = None, preset: str | None = None):
-        self.data["resolved_params"] = params_dict(p)
+        self.data["resolved_params"] = asdict(p)
         if dim is not None:
-            self.data["dimensional_params"] = dim_dict(dim)
+            self.data["dimensional_params"] = asdict(dim)
         if temp_scale is not None:
             self.data["temp_scale_K"] = temp_scale
         if preset is not None:

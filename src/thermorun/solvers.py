@@ -1,4 +1,5 @@
-"""Shared numerical machinery: damped Newton, bisection, pseudo-arclength."""
+"""Shared numerical machinery: root bracketing and bisection, damped Newton,
+pseudo-arclength continuation."""
 
 from __future__ import annotations
 
@@ -32,6 +33,22 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def bracket_roots(fn: Callable, grid) -> list[float]:
+    """All roots of ``fn`` on an ascending grid, in ascending order.
+
+    ``fn`` is evaluated once on the whole grid array.  Grid points where it
+    is exactly zero are roots; every sign change between two finite
+    neighbours is bisected to machine precision with scalar calls of ``fn``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(fn(grid), dtype=float)
+    finite = np.isfinite(vals)
+    change = finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0)
+    hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
+    return [float(grid[i]) if vals[i] == 0.0
+            else float(bisect_root(fn, grid[i], grid[i + 1])) for i in hits]
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -114,11 +131,11 @@ class ContinuationRun:
     stop_reason: str = ""
 
 
-def _tangent(prob: ContinuationProblem, y: np.ndarray,
+def _tangent(J: np.ndarray, scales: np.ndarray,
              prev: np.ndarray | None) -> np.ndarray:
-    """Unit null vector of the Jacobian, oriented along ``prev`` if given."""
-    J = prob.jacobian(y)
-    n = y.size
+    """Unit null vector of the Jacobian ``J`` in the metric scaled by
+    ``scales``, oriented along ``prev`` if given."""
+    n = J.shape[1]
     border = prev if prev is not None else np.eye(n)[-1]
     A = np.vstack([J, border])
     rhs = np.zeros(n)
@@ -129,7 +146,7 @@ def _tangent(prob: ContinuationProblem, y: np.ndarray,
         # Fall back to SVD null space.
         _, _, vh = np.linalg.svd(J)
         t = vh[-1]
-    t = t / prob.scales
+    t = t / scales
     t /= np.linalg.norm(t)
     if prev is not None and float(np.dot(t, prev)) < 0:
         t = -t
@@ -169,7 +186,7 @@ def continue_curve(prob: ContinuationProblem, y0: np.ndarray,
     """
     run = ContinuationRun()
     y = np.asarray(y0, dtype=float).copy()
-    t = _tangent(prob, y, None)
+    t = _tangent(prob.jacobian(y), prob.scales, None)
     if float(np.dot(t, initial_direction / prob.scales)) < 0:
         t = -t
     run.points.append(y.copy())
@@ -190,7 +207,7 @@ def continue_curve(prob: ContinuationProblem, y0: np.ndarray,
                     run.stop_reason = "corrector failure"
                     return run
                 ds = max(ds_min, ds / 2)
-        t_new = _tangent(prob, y_new, t)
+        t_new = _tangent(prob.jacobian(y_new), prob.scales, t)
         y = y_new
         t = t_new
         run.points.append(y.copy())

@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
-from .solvers import ContinuationProblem, bisect_root, continue_curve, damped_newton
+from .solvers import ContinuationProblem, bracket_roots, continue_curve, damped_newton
 
 STEADY_TOL = 1e-12
 BRANCH_TOL = 1e-10
@@ -125,23 +125,10 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
     """
     if u_lo >= u_hi:
         raise ValidationError("u_lo", "window must satisfy u_lo < u_hi")
-    grid = np.linspace(u_lo, u_hi, n)
-    h = np.asarray(model.reduced_balance(p, grid))
-    out = []
-    for i in range(n - 1):
-        root = None
-        if h[i] == 0.0:
-            root = float(grid[i])
-        elif h[i] * h[i + 1] < 0:
-            root = bisect_root(lambda u: float(model.reduced_balance(p, u)),
-                               float(grid[i]), float(grid[i + 1]))
-        if root is not None:
-            x = float(model.quasi_steady_x(p, root))
-            out.append(_make_point(p, x, root, param_name))
-    if h[-1] == 0.0:
-        x = float(model.quasi_steady_x(p, float(grid[-1])))
-        out.append(_make_point(p, x, float(grid[-1]), param_name))
-    return out
+    roots = bracket_roots(lambda u: model.reduced_balance(p, u),
+                          np.linspace(u_lo, u_hi, n))
+    return [_make_point(p, float(model.quasi_steady_x(p, u)), u, param_name)
+            for u in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -363,50 +350,6 @@ def planar_lyapunov_coefficient(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     g11 = np.vdot(pv, _apply2(B, q, qb))
     g21 = np.vdot(pv, _apply3(C, q, q, qb))
     return float(np.real(1j * g20 * g11 + omega * g21) / (2.0 * omega ** 2))
-
-
-def numerical_tensors(fun, x0: np.ndarray, step: float = 1e-3,
-                      scales: np.ndarray | None = None):
-    """(A, B, C) derivative tensors of a planar field by central differences.
-
-    High-order finite differences with per-coordinate steps ``step * scale``;
-    pass ``scales`` when a coordinate's natural variation scale differs from
-    max(1, |x0_j|), e.g. for sharply temperature-sensitive rate laws.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    if scales is None:
-        scales = np.array([max(1.0, abs(x0[j])) for j in range(n)])
-    h = step * np.asarray(scales, dtype=float)
-
-    def f(dx):
-        return np.asarray(fun(x0 + dx), dtype=float)
-
-    e = np.eye(n)
-    A = np.empty((n, n))
-    B = np.empty((n, n, n))
-    C = np.empty((n, n, n, n))
-    f0 = f(np.zeros(n))
-    for j in range(n):
-        A[:, j] = (f(h[j] * e[j]) - f(-h[j] * e[j])) / (2 * h[j])
-        B[:, j, j] = (f(h[j] * e[j]) - 2 * f0 + f(-h[j] * e[j])) / h[j] ** 2
-        C[:, j, j, j] = (f(2 * h[j] * e[j]) - 2 * f(h[j] * e[j])
-                         + 2 * f(-h[j] * e[j]) - f(-2 * h[j] * e[j])) / (2 * h[j] ** 3)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            B[:, j, k] = (f(h[j] * e[j] + h[k] * e[k]) - f(h[j] * e[j] - h[k] * e[k])
-                          - f(-h[j] * e[j] + h[k] * e[k])
-                          + f(-h[j] * e[j] - h[k] * e[k])) / (4 * h[j] * h[k])
-            # d^3 f / dx_j^2 dx_k as a centered difference of d^2/dx_j^2.
-            bjj_p = (f(h[j] * e[j] + h[k] * e[k]) - 2 * f(h[k] * e[k])
-                     + f(-h[j] * e[j] + h[k] * e[k])) / h[j] ** 2
-            bjj_m = (f(h[j] * e[j] - h[k] * e[k]) - 2 * f(-h[k] * e[k])
-                     + f(-h[j] * e[j] - h[k] * e[k])) / h[j] ** 2
-            d3 = (bjj_p - bjj_m) / (2 * h[k])
-            C[:, j, j, k] = C[:, j, k, j] = C[:, k, j, j] = d3
-    return A, B, C
 
 
 def lyapunov_first_coeff(p: ModelParams, h: SpecialPoint) -> float:

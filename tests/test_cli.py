@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from thermorun import cli
+from thermorun import cli, steady
 
 
 def run(args: list[str]) -> int:
@@ -124,6 +125,34 @@ class TestCycleBranchCommand:
         assert lines[0].startswith("param,param_T_kelvin,period,amplitude")
         assert len(lines) >= 4
         assert ",unstable," in lines[1]
+
+
+class TestManifest:
+    def test_wall_time_covers_computation(self, tmp_path, monkeypatch):
+        original = steady.continue_branch
+
+        def slow_branch(*args, **kwargs):
+            time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(steady, "continue_branch", slow_branch)
+        out = tmp_path / "b"
+        assert run(["steady-branch", "--preset", "mic-tank610",
+                    "--Ta", "288:292", "-o", str(out)]) == 0
+        man = json.loads(read(out / "manifest.json"))
+        assert man["wall_time_s"] >= 0.2
+
+
+class TestJobsOption:
+    def test_rejected_outside_loci(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["rates", "--preset", "mic-tank610", "--jobs", "2",
+                 "-o", str(tmp_path / "r")])
+        assert exc.value.code == 2
+
+    def test_accepted_by_loci(self):
+        args = cli.build_parser().parse_args(["loci", "--jobs", "2"])
+        assert args.jobs == 2
 
 
 class TestExitCodes:

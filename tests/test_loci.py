@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermorun import loci, model, simulate, steady
+from thermorun.errors import DomainError
 from thermorun.loci import Window, classify_point, continue_fold_locus, \
     continue_hopf_locus
 from thermorun.model import ModelParams
@@ -91,6 +92,18 @@ class TestFoldLocus:
         fold = loci_map["fold"]
         for row in range(0, len(fold), max(1, len(fold) // 40)):
             assert augmented_residual(mic.model, fold, row) < 1e-10
+
+    def test_fold_condition_is_reduced_balance_slope(self, mic):
+        p = mic.model.with_(f=10.0)
+        u = np.linspace(0.9 * p.u_a, 1.6 * p.u_a, 9)
+        h = 1e-7 * u
+        slope = (model.reduced_balance(p, u + h)
+                 - model.reduced_balance(p, u - h)) / (2 * h)
+        vals = loci._fold_condition(p, u)
+        assert vals.shape == u.shape
+        assert np.allclose(vals, slope, rtol=0.0, atol=1e-5 * p.loss)
+        with pytest.raises(DomainError):
+            loci._fold_condition(p, np.array([p.u_a, 0.0]))
 
     def test_reaction_off_empty(self):
         p = ModelParams(f=1.7, ell=700.0, eps=10.0, u_a=0.0379, sigma=0.0)

@@ -9,8 +9,52 @@ from thermorun import model, simulate, steady
 from thermorun.errors import ConvergenceError, NotAHopfError, ValidationError
 from thermorun.model import ModelParams
 from thermorun.steady import (continue_branch, lyapunov_first_coeff,
-                              numerical_tensors, planar_lyapunov_coefficient,
-                              reduced_scan, solve_steady)
+                              planar_lyapunov_coefficient, reduced_scan,
+                              solve_steady)
+
+
+def numerical_tensors(fun, x0: np.ndarray, step: float = 1e-3,
+                      scales: np.ndarray | None = None):
+    """(A, B, C) derivative tensors of a planar field by central differences.
+
+    High-order finite differences with per-coordinate steps ``step * scale``;
+    pass ``scales`` when a coordinate's natural variation scale differs from
+    max(1, |x0_j|), e.g. for sharply temperature-sensitive rate laws.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    if scales is None:
+        scales = np.array([max(1.0, abs(x0[j])) for j in range(n)])
+    h = step * np.asarray(scales, dtype=float)
+
+    def f(dx):
+        return np.asarray(fun(x0 + dx), dtype=float)
+
+    e = np.eye(n)
+    A = np.empty((n, n))
+    B = np.empty((n, n, n))
+    C = np.empty((n, n, n, n))
+    f0 = f(np.zeros(n))
+    for j in range(n):
+        A[:, j] = (f(h[j] * e[j]) - f(-h[j] * e[j])) / (2 * h[j])
+        B[:, j, j] = (f(h[j] * e[j]) - 2 * f0 + f(-h[j] * e[j])) / h[j] ** 2
+        C[:, j, j, j] = (f(2 * h[j] * e[j]) - 2 * f(h[j] * e[j])
+                         + 2 * f(-h[j] * e[j]) - f(-2 * h[j] * e[j])) / (2 * h[j] ** 3)
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            B[:, j, k] = (f(h[j] * e[j] + h[k] * e[k]) - f(h[j] * e[j] - h[k] * e[k])
+                          - f(-h[j] * e[j] + h[k] * e[k])
+                          + f(-h[j] * e[j] - h[k] * e[k])) / (4 * h[j] * h[k])
+            # d^3 f / dx_j^2 dx_k as a centered difference of d^2/dx_j^2.
+            bjj_p = (f(h[j] * e[j] + h[k] * e[k]) - 2 * f(h[k] * e[k])
+                     + f(-h[j] * e[j] + h[k] * e[k])) / h[j] ** 2
+            bjj_m = (f(h[j] * e[j] - h[k] * e[k]) - 2 * f(-h[k] * e[k])
+                     + f(-h[j] * e[j] - h[k] * e[k])) / h[j] ** 2
+            d3 = (bjj_p - bjj_m) / (2 * h[k])
+            C[:, j, j, k] = C[:, j, k, j] = C[:, k, j, j] = d3
+    return A, B, C
 
 
 def random_params(rng) -> ModelParams:
