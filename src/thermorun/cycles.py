@@ -7,24 +7,27 @@ parameter sensitivities obtained from one stacked variational integration
 per Newton iteration.  Floquet multipliers come from the monodromy matrix
 accumulated in chunks around the orbit, with the determinant identity
 against exp(integral of the Jacobian trace) kept as a consistency defect.
-The cycle branch emerging from a Hopf point is traced by pseudo-arclength
-continuation in (orbit, period, parameter); cycle folds are flagged by a
-reversal of the parameter tangent and refined by bisection.
+The cycle branch emerging from a Hopf point is traced by the shared
+pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period,
+parameter), with the phase condition re-anchored on every accepted orbit;
+cycle folds are flagged by a reversal of the parameter tangent and refined
+by bisection with ``solvers.solve_pinned``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from . import model
-from .errors import ConvergenceError, GermError, NotAHopfError
+from .errors import ConvergenceError, GermError, NotAHopfError, ValidationError
 from .model import ModelParams
-from .solvers import _tangent
+from .solvers import ContinuationProblem, _tangent, continue_curve, solve_pinned
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
@@ -554,84 +557,49 @@ def find_cycle(p: ModelParams, seed: CycleSeed | Orbit, m: int = 12,
 
 
 def _params_at(p0: ModelParams, active: str, alpha: float) -> ModelParams:
-    from .errors import ValidationError
     try:
         return p0.with_(**{active: float(alpha)})
     except ValidationError as exc:
         raise ConvergenceError(f"trial parameter rejected: {exc}") from None
 
 
-def _cycle_tangent(p: ModelParams, starts: np.ndarray, T: float, active: str,
-                   ref_states: np.ndarray, ref_fields: np.ndarray,
-                   scales: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    ends, Ms, zetas = _shoot(p, starts, T, param=active)
-    return _tangent(_bvp_jacobian(p, starts, T, ends, Ms, zetas, ref_fields),
-                    scales, prev)
+def _cycle_problem(p0: ModelParams, active: str, m: int,
+                   scales: np.ndarray) -> ContinuationProblem:
+    """The shooting BVP over Y = (segment starts, T, parameter).
 
+    Residual and Jacobian at one Y share a single variational shoot: the
+    last one is cached, so the tangent at an accepted point reuses the
+    corrector's final integration.  ``rebase`` re-anchors the integral
+    phase condition on the orbit at Y.
+    """
+    last: dict = {}
+    ref: dict = {}
 
-def _correct_cycle_arclength(p0: ModelParams, active: str, Y_pred: np.ndarray,
-                             t_hat: np.ndarray, scales: np.ndarray,
-                             ref_states: np.ndarray, ref_fields: np.ndarray,
-                             m: int, tol: float = CYCLE_TOL,
-                             max_iter: int = 12) -> np.ndarray:
-    """Newton on (shooting system, arclength constraint) sharing integrations."""
-    Y = Y_pred.copy()
-    norm = np.inf
-    for _ in range(max_iter):
-        starts = Y[:2 * m].reshape(m, 2)
-        T, alpha = Y[2 * m], Y[2 * m + 1]
-        if T <= 0:
-            raise ConvergenceError("nonpositive period during correction")
-        p = _params_at(p0, active, alpha)
-        ends, Ms, zetas = _shoot(p, starts, T, param=active)
-        R = _residual(p, starts, T, ends, ref_states, ref_fields)
-        c = float(np.dot(t_hat, (Y - Y_pred) / scales))
-        Rfull = np.append(R, c)
-        norm = float(np.max(np.abs(Rfull)))
-        if not np.isfinite(norm) or norm > 1e6:
-            raise ConvergenceError("cycle corrector diverged", residual=norm)
-        if norm < tol:
-            return Y, norm
-        J = _bvp_jacobian(p, starts, T, ends, Ms, zetas, ref_fields)
-        Jfull = np.vstack([J, t_hat / scales])
-        try:
-            step = np.linalg.solve(Jfull, -Rfull)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular cycle system: {exc}", residual=norm)
-        Y = Y + step
-    raise ConvergenceError("cycle corrector did not converge", residual=norm)
+    def shot(Y):
+        key = Y.tobytes()
+        if last.get("key") != key:
+            starts, T = Y[:2 * m].reshape(m, 2).copy(), Y[2 * m]
+            if T <= 0:
+                raise ConvergenceError("nonpositive period")
+            p = _params_at(p0, active, Y[2 * m + 1])
+            last.update(key=key, shot=(p, starts, T,
+                                       *_shoot(p, starts, T, param=active)))
+        return last["shot"]
 
+    def residual(Y):
+        p, starts, T, ends, _, _ = shot(Y)
+        return _residual(p, starts, T, ends, ref["states"], ref["fields"])
 
-def _pinned_cycle_solve(p0: ModelParams, active: str, Y_guess: np.ndarray,
-                        pivot: int, value: float, ref_states: np.ndarray,
-                        ref_fields: np.ndarray, m: int,
-                        tol: float = CYCLE_TOL, max_iter: int = 15) -> np.ndarray:
-    """Solve the shooting system with one unknown pinned to ``value``."""
-    Y = Y_guess.copy()
-    Y[pivot] = value
-    free = [i for i in range(len(Y)) if i != pivot]
-    norm = np.inf
-    for _ in range(max_iter):
-        starts = Y[:2 * m].reshape(m, 2)
-        T, alpha = Y[2 * m], Y[2 * m + 1]
-        if T <= 0:
-            raise ConvergenceError("nonpositive period during pinned solve")
-        p = _params_at(p0, active, alpha)
-        ends, Ms, zetas = _shoot(p, starts, T, param=active)
-        R = _residual(p, starts, T, ends, ref_states, ref_fields)
-        norm = float(np.max(np.abs(R)))
-        if not np.isfinite(norm) or norm > 1e6:
-            raise ConvergenceError("pinned cycle solve diverged", residual=norm)
-        if norm < tol:
-            return Y
-        J = _bvp_jacobian(p, starts, T, ends, Ms, zetas, ref_fields)
-        try:
-            step = np.linalg.solve(J[:, free], -R)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular pinned cycle system: {exc}",
-                                   residual=norm)
-        Y[free] += step
-    raise ConvergenceError("pinned cycle solve did not converge", residual=norm)
+    def jacobian(Y):
+        p, starts, T, ends, Ms, zetas = shot(Y)
+        return _bvp_jacobian(p, starts, T, ends, Ms, zetas, ref["fields"])
+
+    def rebase(Y):
+        ref["states"] = Y[:2 * m].reshape(m, 2).copy()
+        ref["fields"] = _fields_at(_params_at(p0, active, Y[2 * m + 1]),
+                                   ref["states"])
+
+    return ContinuationProblem(residual, jacobian, scales, rebase)
 
 
 def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
@@ -642,11 +610,12 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     """Continue the periodic-orbit family born at a Hopf point.
 
     Starts from two small germ orbits, then takes pseudo-arclength steps in
-    (segment states, period, parameter).  Cycle folds are detected by a sign
-    reversal of the parameter tangent component and refined by bisection to
-    1e-8 in the parameter; each accepted orbit carries Floquet data, so the
-    stability flip at a fold is explicit.  Continuation stops at the range
-    boundary, on a corrector failure (truncated branch) or at ``max_orbits``.
+    (segment states, period, parameter) with ``solvers.continue_curve``.
+    Cycle folds are detected by a sign reversal of the parameter tangent
+    component and refined by bisection to 1e-8 in the parameter; each
+    accepted orbit carries Floquet data, so the stability flip at a fold is
+    explicit.  Continuation stops at the range boundary, on a corrector
+    failure (truncated branch) or at ``max_orbits``.
     """
     if from_hopf.kind != "hopf":
         raise NotAHopfError("cycle continuation must start from a hopf point")
@@ -660,111 +629,72 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     l1, re_lam_prime = _hopf_crossing(p, from_hopf)
     delta0 = germ_radius ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
 
-    orbits: list[Orbit] = []
-    Ys: list[np.ndarray] = []
+    def germ(delta):
+        p_off, seed = hopf_germ(p, from_hopf, delta)
+        starts, T, res = _solve_cycle_raw(p_off, seed, m)
+        orbit = _finalize_orbit(p_off, starts, T, res, active)
+        return orbit, np.concatenate([starts.ravel(), [T, orbit.param_value]])
 
-    def pack(orbit_starts, T, alpha):
-        return np.concatenate([orbit_starts.ravel(), [T, alpha]])
-
-    first = None
+    no_start = "could not start the cycle branch from the germ"
     for scale in (1.0, 4.0, 16.0, 0.25):
         try:
-            p_off, seed = hopf_germ(p, from_hopf, scale * delta0)
-            starts1, T1, res1 = _solve_cycle_raw(p_off, seed, m)
-            first = _finalize_orbit(p_off, starts1, T1, res1, active)
-            delta_used = scale * delta0
+            first, Y0 = germ(scale * delta0)
             break
         except (GermError, ConvergenceError):
             continue
-    if first is None:
-        raise ConvergenceError("could not start the cycle branch from the germ")
-    orbits.append(first)
-    Ys.append(pack(starts1, T1, first.param_value))
-
-    p_off2, seed2 = hopf_germ(p, from_hopf, 2.0 * delta_used)
-    starts2, T2, res2 = _solve_cycle_raw(p_off2, seed2, m)
-    orbits.append(_finalize_orbit(p_off2, starts2, T2, res2, active))
-    Ys.append(pack(starts2, T2, orbits[-1].param_value))
+    else:
+        raise ConvergenceError(no_start)
+    try:
+        second, Y1 = germ(2.0 * scale * delta0)
+    except (GermError, ConvergenceError):
+        raise ConvergenceError(no_start) from None
 
     seg_w = math.sqrt(2.0 * m)
     scales = np.concatenate([
         np.tile([seg_w, seg_w * 0.02], m),
         [max(first.period, 1.0), max(hi - lo, 1e-6)],
     ])
+    prob = _cycle_problem(p, active, m, scales)
 
-    t_hat = (Ys[1] - Ys[0]) / scales
-    t_hat /= np.linalg.norm(t_hat)
+    def stop(Y):
+        return "window boundary" if Y[-1] < lo or Y[-1] > hi else None
 
-    folds: list[float] = []
-    stop_reason = "max orbits"
-    ds = ds0
-    prev_Y = Ys[0]
-    Y = Ys[1]
-    last_tangent = t_hat
+    run = continue_curve(prob, Y1, Y1 - Y0, ds0=ds0, ds_min=ds_min,
+                         ds_max=ds_max, max_steps=max_orbits - 2, tol=CYCLE_TOL,
+                         growth=1.3, stop=stop)
 
-    while len(orbits) < max_orbits:
-        starts = Y[:2 * m].reshape(m, 2)
-        alpha = Y[2 * m + 1]
-        pa = p.with_(**{active: float(alpha)})
-        ref_states = starts.copy()
-        ref_fields = _fields_at(pa, starts)
-
-        tang = _cycle_tangent(pa, starts, Y[2 * m], active, ref_states,
-                              ref_fields, scales, last_tangent)
-        # Cycle fold: parameter component of the tangent reverses.
-        if last_tangent is not None and len(orbits) >= 3:
-            a_prev = last_tangent[2 * m + 1]
-            a_now = tang[2 * m + 1]
-            if a_prev * a_now < 0:
-                try:
-                    fold_alpha = _refine_cycle_fold(
-                        p, active, prev_Y, Y, last_tangent, tang, scales,
-                        ref_states, ref_fields, m)
-                    folds.append(fold_alpha)
-                except ConvergenceError:
-                    folds.append(float(0.5 * (prev_Y[2 * m + 1] + Y[2 * m + 1])))
-        last_tangent = tang
-
-        stepped = False
-        while not stepped:
-            Y_pred = Y + ds * tang * scales
+    orbits = [first, second] + [
+        _finalize_orbit(_params_at(p, active, Y[-1]), Y[:2 * m].reshape(m, 2),
+                        float(Y[2 * m]), res, active)
+        for Y, res in zip(run.points[1:], run.residuals)]
+    # Cycle fold: parameter component of the tangent reverses.
+    folds = []
+    for (Y_a, t_a), (Y_b, t_b) in pairwise(zip(run.points, run.tangents)):
+        if t_a[-1] * t_b[-1] < 0:
             try:
-                Y_new, res_new = _correct_cycle_arclength(
-                    p, active, Y_pred, tang, scales, ref_states, ref_fields, m)
-                stepped = True
+                folds.append(_refine_cycle_fold(prob, Y_a, Y_b, t_a))
             except ConvergenceError:
-                if ds <= ds_min * (1 + 1e-12):
-                    stop_reason = "corrector failure"
-                    return CycleBranch(active, tuple(orbits), tuple(folds), stop_reason)
-                ds = max(ds_min, ds / 2)
-        ds = min(ds_max, ds * 1.3)
-
-        prev_Y, Y = Y, Y_new
-        starts_new = Y[:2 * m].reshape(m, 2)
-        T_new, alpha_new = float(Y[2 * m]), float(Y[2 * m + 1])
-        p_new = p.with_(**{active: alpha_new})
-        orbits.append(_finalize_orbit(p_new, starts_new, T_new, res_new, active))
-
-        if alpha_new < lo or alpha_new > hi:
-            stop_reason = "window boundary"
-            break
-
+                folds.append(float(0.5 * (Y_a[-1] + Y_b[-1])))
+    stop_reason = "max orbits" if run.stop_reason == "max steps" else run.stop_reason
     return CycleBranch(active, tuple(orbits), tuple(folds), stop_reason)
 
 
-def _refine_cycle_fold(p0: ModelParams, active: str, Y_a: np.ndarray,
-                       Y_b: np.ndarray, t_a: np.ndarray, t_b: np.ndarray,
-                       scales: np.ndarray, ref_states: np.ndarray,
-                       ref_fields: np.ndarray, m: int) -> float:
-    """Bisect the parameter-tangent sign change between two cycle points."""
-    n_alpha = 2 * m + 1
-    diff = np.abs((Y_b - Y_a) / scales)
+def _refine_cycle_fold(prob: ContinuationProblem, Y_a: np.ndarray,
+                       Y_b: np.ndarray, t_a: np.ndarray) -> float:
+    """Bisect the parameter-tangent sign change between two cycle points.
+
+    The phase condition is anchored at ``Y_b``; each probe pins the
+    coordinate that changes fastest between the points and re-solves the
+    BVP, and its tangent reuses the probe's last integration.
+    """
+    prob.rebase(Y_b)
+    n_alpha = len(Y_a) - 1
+    diff = np.abs((Y_b - Y_a) / prob.scales)
     diff[n_alpha] = 0.0  # never pin the parameter at a fold
     pivot = int(np.argmax(diff))
     a, b = float(Y_a[pivot]), float(Y_b[pivot])
-    fa, fb = float(t_a[n_alpha]), float(t_b[n_alpha])
-    Ya, Yb = Y_a.copy(), Y_b.copy()
-    ta = t_a
+    fa = float(t_a[n_alpha])
+    Ya, Yb, ta = Y_a, Y_b, t_a
     alpha_best = float(0.5 * (Y_a[n_alpha] + Y_b[n_alpha]))
     for _ in range(60):
         if abs(Ya[n_alpha] - Yb[n_alpha]) <= FOLD_PARAM_TOL:
@@ -773,15 +703,12 @@ def _refine_cycle_fold(p0: ModelParams, active: str, Y_a: np.ndarray,
         if c == a or c == b:
             break
         w = (c - a) / (b - a)
-        Yc = _pinned_cycle_solve(p0, active, Ya + w * (Yb - Ya), pivot, c,
-                                 ref_states, ref_fields, m)
-        pc = _params_at(p0, active, float(Yc[n_alpha]))
-        tc = _cycle_tangent(pc, Yc[:2 * m].reshape(m, 2), Yc[2 * m], active,
-                            ref_states, ref_fields, scales, ta)
+        Yc = solve_pinned(prob, Ya + w * (Yb - Ya), pivot, c, CYCLE_TOL, 15)
+        tc = _tangent(prob.jacobian(Yc), prob.scales, ta)
         fc = float(tc[n_alpha])
         alpha_best = float(Yc[n_alpha])
         if fa * fc < 0:
-            b, Yb, fb = c, Yc, fc
+            b, Yb = c, Yc
         else:
             a, Ya, fa, ta = c, Yc, fc, tc
     return alpha_best

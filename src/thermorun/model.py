@@ -443,6 +443,10 @@ def _marginal_sigma_candidates(template: ModelParams,
         if rho_star <= 0:
             continue
         ln_sigma = math.log(rho_star) + 1.0 / u_root
+        # Polish only roots near the admissible range (the margin lets the
+        # polish carry a root across an edge; the strict check follows).
+        if not (-1.0 < ln_sigma < SIGMA_MAX_LN + 1.0):
+            continue
 
         # Newton polish on the full two-condition system in (u, ln sigma).
         def system(z):
@@ -457,9 +461,7 @@ def _marginal_sigma_candidates(template: ModelParams,
                               tol=1e-12, fd_step=1e-8)
             u_root, ln_sigma = float(z[0]), float(z[1])
         except (ConvergenceError, DomainError, OverflowError):
-            # The bisection root is already accurate; an overflow means
-            # sigma lies far outside the admissible range checked below.
-            pass
+            pass  # the bisection root is already accurate
         if not (0.0 < ln_sigma < SIGMA_MAX_LN):
             continue
         sigma = math.exp(ln_sigma)

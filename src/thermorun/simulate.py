@@ -21,10 +21,6 @@ from .model import ModelParams, State
 STEADY_VARIATION = 1e-9
 PERIOD_REPEATABILITY = 1e-6
 
-DEFAULT_METHOD = "LSODA"
-"""Stiffness-switching implicit integrator; any scipy solve_ivp method works."""
-
-
 @dataclass(frozen=True)
 class EventSpec:
     """A scalar crossing detector g(tau, x, u) = 0.
@@ -110,8 +106,7 @@ def _scipy_events(events: Sequence[EventSpec]):
 
 def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
            events: Sequence[EventSpec], dense: bool = False,
-           t_eval: np.ndarray | None = None, max_step: float = np.inf,
-           method: str = DEFAULT_METHOD):
+           t_eval: np.ndarray | None = None):
     x0, u0 = model._as_state(s0)
 
     def rhs(t, y):
@@ -120,10 +115,10 @@ def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
     def jac(t, y):
         return model._jac_xu(p, y[0], y[1])
 
-    sol = solve_ivp(rhs, (0.0, tau_end), [x0, u0], method=method,
+    sol = solve_ivp(rhs, (0.0, tau_end), [x0, u0], method="LSODA",
                     rtol=tol_rel, atol=tol_abs, jac=jac,
                     events=_scipy_events(events), dense_output=dense,
-                    t_eval=t_eval, max_step=max_step)
+                    t_eval=t_eval)
     if sol.status == -1:
         last = _clamped_state(sol.y[0, -1], sol.y[1, -1]) if sol.y.size else None
         partial = Trajectory(sol.t.copy(), sol.y.T.copy()) if sol.t.size > 1 else None
@@ -143,7 +138,7 @@ def _collect_events(sol, events: Sequence[EventSpec]) -> list[TrajectoryEvent]:
 
 def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
               tol_abs: float = 1e-10, events: Sequence[EventSpec] | None = None,
-              n_samples: int = 1000, method: str = DEFAULT_METHOD) -> Trajectory:
+              n_samples: int = 1000) -> Trajectory:
     """Integrate the reactor equations with adaptive implicit stepping.
 
     By default a terminal boiling event at ``p.u_boil`` is attached (omitted
@@ -162,8 +157,7 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
         events = list(events)
 
     t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
-    sol = _solve(p, s0, tau_end, tol_rel, tol_abs, events, t_eval=t_eval,
-                 method=method)
+    sol = _solve(p, s0, tau_end, tol_rel, tol_abs, events, t_eval=t_eval)
     recs = _collect_events(sol, events)
 
     times = sol.t.copy()
@@ -203,8 +197,8 @@ def detect_runaway(traj: Trajectory, u_boil: float) -> TrajectoryEvent | None:
 
 
 def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
-           tol_abs: float = 1e-14, section_level: float | None = None,
-           method: str = DEFAULT_METHOD) -> AttractorReport:
+           tol_abs: float = 1e-14,
+           section_level: float | None = None) -> AttractorReport:
     """Classify the long-time attractor reached from a starting state.
 
     Integrates over ``horizon`` and inspects the final 10%%: a runaway is a
@@ -233,8 +227,7 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     events.append(EventSpec("u_max", du, direction=-1))
     events.append(EventSpec("u_min", du, direction=1))
 
-    sol = _solve(p, s0, horizon, tol_rel, tol_abs, events, dense=True,
-                 method=method)
+    sol = _solve(p, s0, horizon, tol_rel, tol_abs, events, dense=True)
     recs = _collect_events(sol, events)
     terminal = _clamped_state(sol.y[0, -1], sol.y[1, -1])
 

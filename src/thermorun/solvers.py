@@ -1,5 +1,6 @@
 """Shared numerical machinery: root bracketing and bisection, damped Newton,
-pseudo-arclength continuation."""
+plain Newton with one coordinate pinned, and the pseudo-arclength
+continuation engine that traces steady, locus and cycle branches alike."""
 
 from __future__ import annotations
 
@@ -116,28 +117,73 @@ class ContinuationProblem:
     ``residual`` and ``jacobian`` act on the full vector y (the last-row
     arclength constraint is appended by the engine).  ``scales`` weights the
     coordinates in the arclength metric; steps are measured in these scaled
-    units.
+    units.  ``rebase``, when given, is called on the start and on every
+    accepted point before its tangent is taken, so a problem can re-anchor
+    itself there (cycle branches move their phase condition).
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     scales: np.ndarray
+    rebase: Callable[[np.ndarray], None] | None = None
 
 
 @dataclass
 class ContinuationRun:
     points: list[np.ndarray] = field(default_factory=list)
     tangents: list[np.ndarray] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)  # of points[1:]
     stop_reason: str = ""
 
 
-def _tangent(J: np.ndarray, scales: np.ndarray,
-             prev: np.ndarray | None) -> np.ndarray:
+def _newton(residual: Callable[[np.ndarray], np.ndarray],
+            jacobian: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
+            tol: float, max_iter: int, free=slice(None)) -> float:
+    """Full Newton steps on the coordinates ``free`` of ``y``, in place.
+
+    Returns the residual infinity norm once it is below ``tol``.  Raises
+    :class:`ConvergenceError` when the norm is non-finite or above 1e6, on a
+    singular Jacobian, when an iterate leaves the domain of ``residual`` or
+    ``jacobian`` (``DomainError``, ``ValidationError``, ``OverflowError``),
+    or when ``max_iter`` residual evaluations pass without convergence.
+    """
+    norm = np.inf
+    for _ in range(max_iter):
+        try:
+            r = residual(y)
+            norm = float(np.max(np.abs(r)))
+            if not np.isfinite(norm) or norm > 1e6:
+                raise ConvergenceError("Newton iteration diverged", y, norm)
+            if norm < tol:
+                return norm
+            y[free] += np.linalg.solve(jacobian(y)[:, free], -r)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Jacobian: {exc}", y, norm) from None
+        except (DomainError, ValidationError, OverflowError) as exc:
+            raise ConvergenceError(f"iterate left the domain: {exc}", y,
+                                   norm) from None
+    raise ConvergenceError(f"no convergence in {max_iter} iterations", y, norm)
+
+
+def solve_pinned(prob: ContinuationProblem, y, pivot: int, value: float,
+                 tol: float, max_iter: int) -> np.ndarray:
+    """Solve ``prob.residual(y) = 0`` with coordinate ``pivot`` held at ``value``.
+
+    Plain Newton from ``y`` on the remaining coordinates; the square system
+    is the problem's Jacobian without column ``pivot``.
+    """
+    y = np.array(y, dtype=float)
+    y[pivot] = value
+    free = [i for i in range(len(y)) if i != pivot]
+    _newton(prob.residual, prob.jacobian, y, tol, max_iter, free)
+    return y
+
+
+def _tangent(J: np.ndarray, scales: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Unit null vector of the Jacobian ``J`` in the metric scaled by
-    ``scales``, oriented along ``prev`` if given."""
+    ``scales``, bordered with and oriented along ``prev``."""
     n = J.shape[1]
-    border = prev if prev is not None else np.eye(n)[-1]
-    A = np.vstack([J, border])
+    A = np.vstack([J, prev])
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
@@ -148,77 +194,73 @@ def _tangent(J: np.ndarray, scales: np.ndarray,
         t = vh[-1]
     t = t / scales
     t /= np.linalg.norm(t)
-    if prev is not None and float(np.dot(t, prev)) < 0:
+    if float(np.dot(t, prev)) < 0:
         t = -t
     return t
 
 
 def _correct(prob: ContinuationProblem, y_pred: np.ndarray, t_hat: np.ndarray,
-             tol: float, max_iter: int = 12) -> np.ndarray:
-    """Newton corrector on the bordered system (orthogonal to the tangent)."""
+             tol: float, max_iter: int = 12) -> tuple[np.ndarray, float]:
+    """Newton corrector on the bordered system (orthogonal to the tangent).
+
+    Returns the corrected point and its residual norm, the arclength row
+    included.
+    """
+    border = t_hat / prob.scales
 
     def full_res(y):
-        r = prob.residual(y)
         c = float(np.dot(t_hat, (y - y_pred) / prob.scales))
-        return np.append(r, c)
+        return np.append(prob.residual(y), c)
 
     def full_jac(y):
-        J = prob.jacobian(y)
-        return np.vstack([J, t_hat / prob.scales])
+        return np.vstack([prob.jacobian(y), border])
 
-    return damped_newton(full_res, y_pred, jac=full_jac, tol=tol, max_iter=max_iter)
+    y = y_pred.copy()
+    norm = _newton(full_res, full_jac, y, tol, max_iter)
+    return y, norm
 
 
 def continue_curve(prob: ContinuationProblem, y0: np.ndarray,
                    initial_direction: np.ndarray, *,
                    ds0: float, ds_min: float, ds_max: float,
-                   max_steps: int, tol: float = 1e-10,
+                   max_steps: int, tol: float = 1e-10, growth: float = 1.4,
                    stop: Callable[[np.ndarray], str | None] | None = None,
-                   on_point: Callable[[np.ndarray, np.ndarray], None] | None = None,
                    ) -> ContinuationRun:
-    """Trace the solution curve by secant-predictor pseudo-arclength steps.
+    """Trace the solution curve by tangent-predictor pseudo-arclength steps.
 
-    ``initial_direction`` orients the first tangent (only its sign pattern
-    matters).  ``stop`` may return a reason string to end the run after a
-    point is accepted.  Step size adapts inside [ds_min, ds_max] based on
-    corrector effort; a corrector failure at the floor truncates the run
-    with ``stop_reason = "corrector failure"``.
+    The first tangent is bordered with and oriented along
+    ``initial_direction`` (in unscaled coordinates).  ``stop`` may return a
+    reason string to end the run after a point is accepted.  The step
+    halves on a corrector failure and grows by ``growth`` after every
+    accepted point, inside [ds_min, ds_max]; a failure at the floor
+    truncates the run with ``stop_reason = "corrector failure"``.
     """
     run = ContinuationRun()
     y = np.asarray(y0, dtype=float).copy()
-    t = _tangent(prob.jacobian(y), prob.scales, None)
-    if float(np.dot(t, initial_direction / prob.scales)) < 0:
-        t = -t
-    run.points.append(y.copy())
-    run.tangents.append(t.copy())
-    if on_point:
-        on_point(y, t)
-
+    t = initial_direction / prob.scales
+    t = t / np.linalg.norm(t)
     ds = ds0
-    while len(run.points) - 1 < max_steps:
-        stepped = False
-        while not stepped:
-            y_pred = y + ds * t * prob.scales
+    while True:
+        if prob.rebase is not None:
+            prob.rebase(y)
+        t = _tangent(prob.jacobian(y), prob.scales, t)
+        run.points.append(y)
+        run.tangents.append(t)
+        if stop is not None and len(run.points) > 1:
+            run.stop_reason = stop(y) or ""
+            if run.stop_reason:
+                return run
+        if len(run.points) > max_steps:
+            run.stop_reason = "max steps"
+            return run
+        while True:
             try:
-                y_new = _correct(prob, y_pred, t, tol)
-                stepped = True
-            except (ConvergenceError, ValidationError, DomainError):
+                y, norm = _correct(prob, y + ds * t * prob.scales, t, tol)
+                break
+            except ConvergenceError:
                 if ds <= ds_min * (1 + 1e-12):
                     run.stop_reason = "corrector failure"
                     return run
                 ds = max(ds_min, ds / 2)
-        t_new = _tangent(prob.jacobian(y_new), prob.scales, t)
-        y = y_new
-        t = t_new
-        run.points.append(y.copy())
-        run.tangents.append(t.copy())
-        if on_point:
-            on_point(y, t)
-        if stop is not None:
-            reason = stop(y)
-            if reason:
-                run.stop_reason = reason
-                return run
-        ds = min(ds_max, ds * 1.4)
-    run.stop_reason = "max steps"
-    return run
+        run.residuals.append(norm)
+        ds = min(ds_max, ds * growth)

@@ -19,7 +19,8 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
-from .solvers import ContinuationProblem, bracket_roots, continue_curve, damped_newton
+from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
+                      damped_newton, solve_pinned)
 
 STEADY_TOL = 1e-12
 BRANCH_TOL = 1e-10
@@ -151,30 +152,6 @@ def _branch_problem(p: ModelParams, active: str,
     return ContinuationProblem(residual, jacobian, scales)
 
 
-def _solve_pinned(prob: ContinuationProblem, y_guess: np.ndarray,
-                  pivot: int, value: float) -> np.ndarray:
-    """Solve the 2-equation system with coordinate ``pivot`` held fixed."""
-    free = [i for i in range(3) if i != pivot]
-
-    def fn(z):
-        y = np.empty(3)
-        y[pivot] = value
-        y[free] = z
-        return prob.residual(y)
-
-    def jac(z):
-        y = np.empty(3)
-        y[pivot] = value
-        y[free] = z
-        return prob.jacobian(y)[:, free]
-
-    z = damped_newton(fn, y_guess[free], jac=jac, tol=1e-13, max_iter=30)
-    y = np.empty(3)
-    y[pivot] = value
-    y[free] = z
-    return y
-
-
 def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
                     test_fn) -> np.ndarray:
     """Bisect a test function between two branch points.
@@ -199,7 +176,7 @@ def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
             break
         w = (c - a) / (b - a) if b != a else 0.5
         y_guess = ya + w * (yb - ya)
-        yc = _solve_pinned(prob, y_guess, pivot, c)
+        yc = solve_pinned(prob, y_guess, pivot, c, 1e-13, 30)
         fc = test_fn(yc)
         if abs(fc) < abs(test_fn(y_best)):
             y_best = yc
@@ -289,7 +266,10 @@ def continue_branch(p: ModelParams, active: str = "u_a",
                 pass
         # Hopf: trace changes sign while the determinant stays positive.
         if pa.trace * pb.trace < 0 and pa.det > 0 and pb.det > 0:
-            yh = _refine_special(prob, ya, yb, trace_of)
+            try:
+                yh = _refine_special(prob, ya, yb, trace_of)
+            except ConvergenceError:
+                continue
             q = p.with_(**{active: float(yh[2])})
             tr, det = model.trace_det(q, (yh[0], yh[1]))
             if det > 0:

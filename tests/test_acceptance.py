@@ -194,8 +194,14 @@ def test_criterion_9_determinism(tmp_path):
                              "-o", str(out)]) == 0
             assert cli.main(["steady-branch", "--preset", "mic-tank610",
                              "--Ta", "288:292", "-o", str(out)]) == 0
+            assert cli.main(["cycle-branch", "--preset", "mic-tank610",
+                             "--Ta", "282:296", "--max-orbits", "6",
+                             "-o", str(out)]) == 0
+            assert cli.main(["loci", "--preset", "mic-tank610",
+                             "--grid", "12x12", "-o", str(out)]) == 0
             outs.append(out)
-        for fname in ("rates.csv", "branch.csv", "specials.csv"):
+        for fname in ("rates.csv", "branch.csv", "specials.csv", "cycles.csv",
+                      "hopf_locus.csv", "fold_locus.csv", "region_map.csv"):
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from thermorun import cycles, model, simulate, steady
 from thermorun.cycles import CycleSeed, find_cycle, floquet, hopf_germ
-from thermorun.errors import GermError
+from thermorun.errors import ConvergenceError, GermError
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +149,50 @@ class TestCycleBranch:
         assert inside.kind == "steady"
         assert outside.kind == "cycle"
         assert inside.kind != outside.kind
+
+    def test_fold_between_the_last_two_orbits(self, mic, mic_h1, mic_window,
+                                              mic_cycle_branch):
+        # The 16th orbit is the first stable one past the cycle fold.
+        cb = cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12,
+                                    max_orbits=16)
+        assert cb.orbits[-2].stability == "unstable"
+        assert cb.orbits[-1].stability == "stable"
+        assert len(cb.cycle_folds) == 1
+        assert (abs(cb.cycle_folds[0] - mic_cycle_branch.cycle_folds[0])
+                <= cycles.FOLD_PARAM_TOL)
+
+    def test_no_shoot_repeated_back_to_back(self, mic, mic_h1, mic_window,
+                                            monkeypatch):
+        # The tangent at an accepted orbit reuses the corrector's last
+        # integration instead of shooting the same orbit again.
+        shoot, keys = cycles._shoot, []
+        sig = inspect.signature(shoot)
+
+        def recording(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            keys.append(tuple(np.asarray(v).tobytes()
+                              if isinstance(v, (np.ndarray, np.floating)) else v
+                              for v in bound.arguments.values()))
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(cycles, "_shoot", recording)
+        cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12, max_orbits=8)
+        assert len(keys) > 8
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+    def test_second_germ_failure_is_a_convergence_error(self, mic, mic_h1,
+                                                        mic_window, monkeypatch):
+        solve, calls = cycles._solve_cycle_raw, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConvergenceError("forced failure")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cycles, "_solve_cycle_raw", second_fails)
+        with pytest.raises(ConvergenceError,
+                           match="could not start the cycle branch from the germ"):
+            cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12)
+        assert len(calls) == 2

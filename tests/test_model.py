@@ -241,6 +241,21 @@ class TestCalibration:
             model.calibrate_sigma(mic.model.with_(sigma=1.0), 600.0, 10.0,
                                   temp_scale=mic.temp_scale)
 
+    def test_out_of_range_roots_not_polished(self, mic, monkeypatch):
+        # Every bracketed root of the unreachable target has ln sigma far
+        # outside (0, SIGMA_MAX_LN), so none is worth a Newton polish.
+        newton, calls = model.damped_newton, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(model, "damped_newton", counting)
+        with pytest.raises(CalibrationError):
+            model.calibrate_sigma(mic.model.with_(sigma=1.0), 600.0, 10.0,
+                                  temp_scale=mic.temp_scale)
+        assert calls == []
+
 
 class TestPresets:
     def test_mic_caption_values(self, mic):

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermorun import loci, model, solvers, steady
+from thermorun.errors import ConvergenceError, DomainError, ValidationError
 from thermorun.model import ModelParams
 from thermorun.solvers import bisect_root, bracket_roots
 
@@ -92,3 +95,72 @@ def test_library_scans_match_per_index_reference(p, log_f_factor):
     assert [pt.state.u for pt in scanned] == calls[1][2]
     for fn, grid, roots in calls:
         assert roots == reference_roots(fn, grid)
+
+
+def sphere_problem(calls: list | None = None) -> solvers.ContinuationProblem:
+    """F(y) = [|y|^2 - 1, y0 - y1] on R^3: a circle, traced by arclength.
+
+    When ``calls`` is given, every Jacobian and rebase call is logged as
+    (kind, y bytes).
+    """
+
+    def residual(y):
+        return np.array([y @ y - 1.0, y[0] - y[1]])
+
+    def jacobian(y):
+        if calls is not None:
+            calls.append(("jacobian", y.tobytes()))
+        return np.array([2.0 * y, [1.0, -1.0, 0.0]])
+
+    def rebase(y):
+        calls.append(("rebase", y.tobytes()))
+
+    return solvers.ContinuationProblem(residual, jacobian, np.ones(3),
+                                       rebase if calls is not None else None)
+
+
+class TestSolvePinned:
+    def test_holds_pivot_and_solves_the_rest(self):
+        y = solvers.solve_pinned(sphere_problem(), [0.5, 0.6, 0.3], 2, 0.0,
+                                 1e-13, 30)
+        assert y[2] == 0.0
+        assert np.allclose(y[:2], math.sqrt(0.5), rtol=0.0, atol=1e-13)
+
+    def test_input_left_untouched(self):
+        guess = np.array([0.5, 0.6, 0.3])
+        solvers.solve_pinned(sphere_problem(), guess, 2, 0.0, 1e-13, 30)
+        assert guess.tolist() == [0.5, 0.6, 0.3]
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(ConvergenceError):
+            solvers.solve_pinned(sphere_problem(), [0.5, 0.6, 0.3], 2, 0.0,
+                                 1e-13, 2)
+
+    @pytest.mark.parametrize("error", [DomainError("u <= 0"),
+                                       ValidationError("u_a", "forced"),
+                                       OverflowError("math range error")])
+    def test_leaving_the_domain_raises_convergence_error(self, error):
+        def residual(y):
+            if y[0] > 0.6:
+                raise error
+            return sphere_problem().residual(y)
+
+        prob = dataclasses.replace(sphere_problem(), residual=residual)
+        with pytest.raises(ConvergenceError, match="left the domain"):
+            solvers.solve_pinned(prob, [0.5, 0.6, 0.3], 2, 0.0, 1e-13, 30)
+
+
+def test_continue_curve_rebases_each_point_before_its_jacobian():
+    calls: list = []
+    run = solvers.continue_curve(
+        sphere_problem(calls), np.array([0.0, 0.0, 1.0]),
+        np.array([1.0, 1.0, 0.0]), ds0=0.05, ds_min=1e-6, ds_max=0.2,
+        max_steps=12)
+    rebased = [key for kind, key in calls if kind == "rebase"]
+    assert rebased == [y.tobytes() for y in run.points]
+    for y in run.points:
+        first = calls.index(("rebase", y.tobytes()))
+        assert ("jacobian", y.tobytes()) not in calls[:first]
+        assert ("jacobian", y.tobytes()) in calls[first:]
+    assert run.stop_reason == "max steps"
+    assert len(run.residuals) == len(run.points) - 1 == 12

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from thermorun import model, simulate, steady
-from thermorun.errors import ConvergenceError, NotAHopfError, ValidationError
+from thermorun.errors import (ConvergenceError, DomainError, NotAHopfError,
+                              ValidationError)
 from thermorun.model import ModelParams
 from thermorun.steady import (continue_branch, lyapunov_first_coeff,
                               planar_lyapunov_coefficient, reduced_scan,
@@ -172,6 +174,29 @@ class TestContinueBranch:
                 assert a.eigenvalues[0].real * b.eigenvalues[0].real < 0
             else:
                 assert abs(sp.det) < 1e-8
+
+    @pytest.mark.parametrize("error", [ConvergenceError("forced failure"),
+                                       DomainError("u <= 0"),
+                                       ValidationError("u_a", "forced")])
+    def test_failed_refinement_keeps_the_branch(self, mic, mic_window,
+                                                mic_branch, monkeypatch, error):
+        # A special point whose refinement fails is dropped; the branch
+        # itself is returned whole.  A probe residual that leaves the
+        # domain fails the refinement like a Newton failure does.
+        real_solve_pinned = steady.solve_pinned
+
+        def failing(prob, *args):
+            def residual(y):
+                raise error
+
+            return real_solve_pinned(
+                dataclasses.replace(prob, residual=residual), *args)
+
+        monkeypatch.setattr(steady, "solve_pinned", failing)
+        br = continue_branch(mic.model, "u_a", mic_window, ds0=1e-3)
+        assert br.points == mic_branch.points
+        assert br.stop_reason == mic_branch.stop_reason
+        assert not br.specials
 
     def test_continuation_matches_scan_roots(self, rng):
         # At a fixed parameter slice the branch must hit the scan roots.

@@ -1,0 +1,111 @@
+"""Compare the CLI outputs of two checkouts of thermorun.
+
+    python tools/compare_outputs.py BASE_DIR CHANGE_DIR
+
+Runs each acceptance command below once against ``BASE_DIR/src`` and once
+against ``CHANGE_DIR/src``, one subprocess at a time, and compares what they
+wrote.  A CSV or JSON output must be byte-identical; ``manifest.json`` must
+be equal apart from ``wall_time_s``.  Prints one line per file and exits 1
+on any difference or when a command exits non-zero on either side, 0
+otherwise.  Edit ``COMMANDS`` for a partial run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESET = ["--preset", "mic-tank610"]
+COMMANDS = {
+    "rates": ["rates"] + PRESET,
+    "steady-branch": ["steady-branch"] + PRESET + ["--Ta", "282:296"],
+    "loci": ["loci"] + PRESET + ["--grid", "40x40"],
+    "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
+                                                    "--max-orbits", "16"],
+    "cycle-branch": ["cycle-branch"] + PRESET + ["--Ta", "282:296"],
+    "calibrate": ["calibrate"] + PRESET,
+}
+VOLATILE = {"wall_time_s"}
+
+
+def run(checkout: Path, argv: list[str], outdir: Path) -> int:
+    env = dict(os.environ)
+    src = str(checkout / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "thermorun.cli", *argv,
+                           "-o", str(outdir)], env=env, cwd=checkout,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+    return proc.returncode
+
+
+def json_diff(a, b, path: str = "") -> list[str]:
+    """Paths where two JSON values differ, with both values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            if key in VOLATILE and not path:
+                continue
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                out.append(f"{sub}: only in {'change' if key in b else 'base'}")
+            else:
+                out += json_diff(a[key], b[key], sub)
+        return out
+    return [] if a == b else [f"{path}: {a!r} -> {b!r}"]
+
+
+def compare(base: Path, change: Path) -> list[tuple[str, str]]:
+    """(file, verdict) for every file either run wrote; verdict '' = same."""
+    rows = []
+    for name in sorted({p.name for p in base.iterdir()}
+                       | {p.name for p in change.iterdir()}):
+        a, b = base / name, change / name
+        if not a.exists() or not b.exists():
+            rows.append((name, f"only in {'change' if b.exists() else 'base'}"))
+        elif name == "manifest.json":
+            diffs = json_diff(json.loads(a.read_text()), json.loads(b.read_text()))
+            rows.append((name, "; ".join(diffs)))
+        else:
+            rows.append((name, "" if a.read_bytes() == b.read_bytes()
+                         else "bytes differ"))
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    for root in (args.base, args.change):
+        if not (root / "src" / "thermorun").is_dir():
+            ap.error(f"{root} has no src/thermorun")
+    work = Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    differs = False
+    for name in COMMANDS:
+        dirs = {side: work / side / name for side in ("base", "change")}
+        codes = {side: run(root.resolve(), COMMANDS[name], dirs[side])
+                 for side, root in (("base", args.base), ("change", args.change))}
+        if any(codes.values()):
+            print(f"{name}: exit code {codes['base']} -> {codes['change']}")
+            differs = True
+            continue
+        for fname, verdict in compare(dirs["base"], dirs["change"]):
+            same = "equal apart from wall_time_s" if fname == "manifest.json" \
+                else "byte-identical"
+            print(f"{name}/{fname}: {verdict or same}")
+            differs |= bool(verdict)
+    print(f"outputs in {work}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
