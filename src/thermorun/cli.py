@@ -2,7 +2,8 @@
 
 Temperatures are accepted in Kelvin and converted through the resolved
 temperature scale (E/R).  Exit codes: 0 success, 2 invalid configuration,
-3 convergence failure, 4 runaway detected under --fail-on-runaway.
+3 convergence failure, 4 runaway detected under --fail-on-runaway.  On exit
+2 or 3 the output directory gets a manifest with ``status: "failed"``.
 """
 
 from __future__ import annotations
@@ -228,8 +229,7 @@ def cmd_cycle_branch(args) -> int:
     branch = steady.continue_branch(p, "u_a", prange, ds0=args.ds0)
     hopfs = [sp for sp in branch.specials if sp.kind == "hopf"]
     if not hopfs:
-        print("cycle-branch: no Hopf point in the range", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        raise ConvergenceError("cycle-branch: no Hopf point in the range")
     cb = cycles.continue_cycles(p, hopfs[0], prange, m=args.segments,
                                 max_orbits=args.max_orbits)
 
@@ -489,17 +489,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    record = ManifestWriter(args.command, resolve_outdir(args.out))
     try:
         return args.func(args)
     except (ValidationError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"configuration error: {exc}"
     except (ConvergenceError, CalibrationError, IntegrationFailure) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        code, error = EXIT_CONVERGENCE, f"convergence failure: {exc}"
     except ThermorunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        code, error = EXIT_CONVERGENCE, f"error: {exc}"
+    print(error, file=sys.stderr)
+    try:
+        record.fail(code, error)
+    except OSError:
+        pass  # the exit code still reports the failure
+    return code
 
 
 if __name__ == "__main__":

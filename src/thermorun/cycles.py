@@ -110,17 +110,25 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
     def rhs(s, Y):
         Z = Y.reshape(m, width)
         x, u = Z[:, 0], Z[:, 1]
+        # The field and J of model._field_xu/_jac_xu on one Arrhenius
+        # evaluation; J M and J zeta as the two-term sums einsum forms.
+        r = p.sigma * model._arrhenius(u)
+        safe = np.where(u > 0, u, 1.0)
+        rp = r / (safe * safe)                           # 0 where r is
+        xr, xrp = x * r, x * rp                          # -(x r) == (-x) r
+        j00, j01 = -(r + p.f), -xrp
+        j10, j11 = r / p.eps, (xrp - p.loss) / p.eps
         out = np.empty_like(Z)
-        fx, fu = model._field_xu(p, x, u)
-        out[:, 0] = h * fx
-        out[:, 1] = h * fu
-        J = model._jac_xu(p, x, u)                       # (m, 2, 2)
-        Mm = Z[:, 2:6].reshape(m, 2, 2)
-        out[:, 2:6] = (h * np.einsum("mij,mjk->mik", J, Mm)).reshape(m, 4)
+        out[:, 0] = h * (-xr + p.f * (1.0 - x))
+        out[:, 1] = h * ((xr - p.loss * (u - p.u_a)) / p.eps)
+        M0, M1 = Z[:, 2:4], Z[:, 4:6]                    # rows of M
+        out[:, 2:4] = h * (j00[:, None] * M0 + j01[:, None] * M1)
+        out[:, 4:6] = h * (j10[:, None] * M0 + j11[:, None] * M1)
         if param:
-            zeta = Z[:, 6:8]
+            z0, z1 = Z[:, 6], Z[:, 7]
             b = model.param_derivative(p, x, u, param)   # (m, 2)
-            out[:, 6:8] = h * (np.einsum("mij,mj->mi", J, zeta) + b)
+            out[:, 6] = h * (j00 * z0 + j01 * z1 + b[:, 0])
+            out[:, 7] = h * (j10 * z0 + j11 * z1 + b[:, 1])
         return out.ravel()
 
     return rhs, width
@@ -310,12 +318,13 @@ def floquet(p: ModelParams, orbit_or_state, period: float | None = None,
 
     # State layout: y (2), M (4), q = int trace, qa = int |trace|.
     def rhs(t, Y):
-        x, u = Y[0], Y[1]
-        fx, fu = model._field_xu(p, x, u)
-        J = model._jac_xu(p, x, u)
-        tr = J[0, 0] + J[1, 1]
-        Mdot = J @ Y[2:6].reshape(2, 2)
-        return np.concatenate([[fx, fu], Mdot.ravel(), [tr, abs(tr)]])
+        x, u = Y[:2].tolist()
+        J = model._jac_scalar(p, x, u)
+        tr = J[0][0] + J[1][1]
+        # Keep the matmul: written-out sums round differently from it and
+        # move the Floquet multipliers.
+        Mdot = np.array(J) @ Y[2:6].reshape(2, 2)
+        return [*model._field_scalar(p, x, u), *Mdot.ravel().tolist(), tr, abs(tr)]
 
     def jac(t, Y):
         x, u = float(Y[0]), float(Y[1])
@@ -382,13 +391,13 @@ def _finalize_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
     mults, defect = floquet(p, starts[0], T)
 
     def rhs(t, y):
-        return model._field_xu(p, y[0], y[1])
+        return model._field_scalar(p, *y.tolist())
 
     def jac(t, y):
-        return model._jac_xu(p, y[0], y[1])
+        return model._jac_scalar(p, *y.tolist())
 
     def du(t, y):
-        return model._field_xu(p, y[0], y[1])[1]
+        return model._field_scalar(p, *y.tolist())[1]
 
     du.direction = 0
     du.terminal = False
@@ -490,10 +499,10 @@ def seed_from_simulation(p: ModelParams, state, period: float,
     x0, u0 = model._as_state(state)
 
     def rhs(t, y):
-        return model._field_xu(p, y[0], y[1])
+        return model._field_scalar(p, *y.tolist())
 
     def jac(t, y):
-        return model._jac_xu(p, y[0], y[1])
+        return model._jac_scalar(p, *y.tolist())
 
     ts = np.linspace(0.0, period, n_samples, endpoint=False)
     sol = solve_ivp(rhs, (0.0, period), [x0, u0], method="LSODA",

@@ -203,6 +203,32 @@ def _field_xu(p: ModelParams, x, u):
     return dx, du
 
 
+def _rates(p: ModelParams, u: float) -> tuple[float, float]:
+    """Scalar rate r = sigma * exp(-1/u) and dr/du, both zero for u <= 0.
+
+    The per-step integrator callbacks use this instead of the array
+    kernels.  ``np.exp`` on a Python float matches the array path bit for
+    bit; ``math.exp`` differs from it by one ulp on some u.  r is exactly 0
+    wherever u * u underflows, so dr/du never divides by zero.
+    """
+    if u > 0:
+        r = p.sigma * float(np.exp(-1.0 / u))
+        return r, (r / (u * u) if r else 0.0)
+    return 0.0, 0.0
+
+
+def _field_scalar(p: ModelParams, x: float, u: float) -> tuple[float, float]:
+    """``_field_xu`` for one state given as Python floats."""
+    r, _ = _rates(p, u)
+    return -x * r + p.f * (1.0 - x), (x * r - p.loss * (u - p.u_a)) / p.eps
+
+
+def _jac_scalar(p: ModelParams, x: float, u: float):
+    """``_jac_xu`` for one state given as Python floats, as nested tuples."""
+    r, rp = _rates(p, u)
+    return ((-(r + p.f), -x * rp), (r / p.eps, (x * rp - p.loss) / p.eps))
+
+
 def vector_field(p: ModelParams, s) -> tuple[float, float]:
     """Time derivatives (dx/dtau, du/dtau) at a state."""
     x, u = _as_state(s)

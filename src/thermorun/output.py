@@ -4,7 +4,7 @@ All floating-point values are written with 17 significant digits through
 the locale-independent format machinery, so identical analyses on one build
 produce byte-identical files.  The manifest lists every file written along
 with the resolved parameters; its wall-time field is the only volatile
-entry.
+entry.  A run that fails leaves a manifest with its exit code and error.
 """
 
 from __future__ import annotations
@@ -103,6 +103,14 @@ class ManifestWriter:
     def finish(self, partial: bool = False) -> Path:
         self.data["outputs"] = self.outputs
         self.data["partial"] = partial
+        return self._write()
+
+    def fail(self, exit_code: int, error: str) -> Path:
+        """Record a failed run: its exit code and the error it printed."""
+        self.data.update(status="failed", exit_code=exit_code, error=error)
+        return self._write()
+
+    def _write(self) -> Path:
         self.data["wall_time_s"] = time.monotonic() - self.t0
         path = self.outdir / "manifest.json"
         path.parent.mkdir(parents=True, exist_ok=True)

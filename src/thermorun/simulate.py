@@ -97,7 +97,7 @@ def _scipy_events(events: Sequence[EventSpec]):
     wrapped = []
     for ev in events:
         def g(t, y, _fn=ev.fn):
-            return _fn(t, y[0], y[1])
+            return _fn(t, *y.tolist())
         g.direction = ev.direction
         g.terminal = ev.terminal
         wrapped.append(g)
@@ -110,12 +110,13 @@ def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
     x0, u0 = model._as_state(s0)
 
     def rhs(t, y):
-        return model._field_xu(p, y[0], y[1])
+        return model._field_scalar(p, *y.tolist())
 
     def jac(t, y):
-        return model._jac_xu(p, y[0], y[1])
+        return model._jac_scalar(p, *y.tolist())
 
-    sol = solve_ivp(rhs, (0.0, tau_end), [x0, u0], method="LSODA",
+    # An array, not a list: solve_ivp hands y0 itself to the events at t0.
+    sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), method="LSODA",
                     rtol=tol_rel, atol=tol_abs, jac=jac,
                     events=_scipy_events(events), dense_output=dense,
                     t_eval=t_eval)
@@ -221,7 +222,7 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     floor = 1000.0 * tol_abs * max(1.0, p.loss / p.eps)
 
     def du(t, x, u):
-        v = model._field_xu(p, x, u)[1]
+        v = model._field_scalar(p, x, u)[1]
         return v if abs(v) > floor else -floor
 
     events.append(EventSpec("u_max", du, direction=-1))

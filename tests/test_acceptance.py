@@ -199,9 +199,13 @@ def test_criterion_9_determinism(tmp_path):
                              "-o", str(out)]) == 0
             assert cli.main(["loci", "--preset", "mic-tank610",
                              "--grid", "12x12", "-o", str(out)]) == 0
+            # A runaway: the boil event is spliced into the samples.
+            assert cli.main(["simulate", "--preset", "mic-tank610",
+                             "--Ta", "292", "-o", str(out)]) == 0
             outs.append(out)
         for fname in ("rates.csv", "branch.csv", "specials.csv", "cycles.csv",
-                      "hopf_locus.csv", "fold_locus.csv", "region_map.csv"):
+                      "hopf_locus.csv", "fold_locus.csv", "region_map.csv",
+                      "trajectory.csv"):
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"

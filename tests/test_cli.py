@@ -155,11 +155,43 @@ class TestJobsOption:
         assert args.jobs == 2
 
 
+def failure_manifest(out: Path, code: int, prefix: str, capsys) -> dict:
+    man = json.loads(read(out / "manifest.json"))
+    assert man["status"] == "failed"
+    assert man["exit_code"] == code
+    assert man["error"].startswith(prefix)
+    assert man["error"] == capsys.readouterr().err.strip()
+    assert man["wall_time_s"] >= 0.0
+    return man
+
+
 class TestExitCodes:
-    def test_no_hopf_in_range_is_convergence_failure(self, tmp_path):
+    def test_no_hopf_in_range_is_convergence_failure(self, tmp_path, capsys):
+        out = tmp_path / "cb"
         code = run(["cycle-branch", "--preset", "mic-tank610",
-                    "--Ta", "283:286", "-o", str(tmp_path / "cb")])
+                    "--Ta", "283:286", "-o", str(out)])
         assert code == 3
+        man = failure_manifest(out, 3, "convergence failure: ", capsys)
+        assert man["command"] == "cycle-branch"
+        assert "no Hopf point" in man["error"]
+
+    def test_config_error_leaves_failure_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["rates", "-o", str(out)]) == 2
+        failure_manifest(out, 2, "configuration error: ", capsys)
+
+    def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert run(["rates", "-o", str(blocker)]) == 2
+        assert read(blocker) == "not a directory"
+
+    def test_success_manifest_has_no_failure_fields(self, tmp_path):
+        out = tmp_path / "r"
+        assert run(["rates", "--preset", "mic-tank610", "--n", "11",
+                    "-o", str(out)]) == 0
+        man = json.loads(read(out / "manifest.json"))
+        assert not {"status", "exit_code", "error"} & set(man)
 
 
 class TestConfigHandling:

@@ -60,6 +60,40 @@ class TestFindCycle:
         assert slope == pytest.approx(0.5, abs=0.05)
 
 
+def stacked_rhs_reference(p, m, h, param, Y):
+    """The stacked RHS on the array kernels: field, J via einsum, b."""
+    width = 8 if param else 6
+    Z = Y.reshape(m, width)
+    x, u = Z[:, 0], Z[:, 1]
+    out = np.empty_like(Z)
+    out[:, 0:2] = h * np.column_stack(model._field_xu(p, x, u))
+    J = model._jac_xu(p, x, u)
+    M = Z[:, 2:6].reshape(m, 2, 2)
+    out[:, 2:6] = (h * np.einsum("mij,mjk->mik", J, M)).reshape(m, 4)
+    if param:
+        out[:, 6:8] = h * (np.einsum("mij,mj->mi", J, Z[:, 6:8])
+                           + model.param_derivative(p, x, u, param))
+    return out.ravel()
+
+
+class TestStackedRhs:
+    @pytest.mark.parametrize("param", (None,) + model.CONTINUABLE_PARAMS)
+    def test_equals_array_kernel_reference(self, mic, rng, param):
+        p = mic.model
+        width = 8 if param else 6
+        for m in (1, 12, 25):
+            h = float(rng.uniform(0.01, 3.0))
+            Z = rng.normal(size=(m, width))
+            Z[:, 0] = rng.uniform(0.0, 1.0, m)
+            Z[:, 1] = rng.uniform(0.02, 0.06, m)
+            Z[0, 1] = -abs(Z[0, 1])     # one segment outside the domain
+            Y = Z.ravel()
+            rhs, w = cycles._stacked_rhs(p, m, h, param)
+            assert w == width
+            assert np.array_equal(rhs(0.0, Y),
+                                  stacked_rhs_reference(p, m, h, param, Y))
+
+
 class TestFloquet:
     def test_unstable_near_onset(self, mic, mic_h1):
         p_off, seed = hopf_germ(mic.model, mic_h1, 1e-7)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermorun import model
 from thermorun.errors import CalibrationError, DomainError, ValidationError
@@ -172,6 +173,35 @@ class TestJacobian:
         x = float(model.quasi_steady_x(p, root))
         tr, det = model.trace_det(p, (x, root))
         assert tr < 0 and det > 0
+
+
+valid_params = st.builds(
+    ModelParams,
+    f=st.floats(0.1, 5.0), ell=st.floats(0.0, 1000.0), eps=st.floats(1.0, 30.0),
+    u_a=st.floats(0.02, 0.06),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 30.0).map(math.exp)))
+
+
+class TestScalarKernels:
+    # Below u ~ 2e-162, u * u underflows to 0 and the array Jacobian
+    # divides 0 by 0 (NaN); the scalar kernel returns the limit 0 there.
+    states = st.lists(st.tuples(
+        st.floats(0.0, 1.0),
+        st.floats(-0.1, 0.3).filter(lambda u: u <= 0 or u * u > 0)),
+        min_size=1, max_size=32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params, states=states)
+    def test_bit_identical_to_array_kernels(self, p, states):
+        x, u = np.array(states).T
+        fx, fu = model._field_xu(p, x, u)
+        J = model._jac_xu(p, x, u)
+        for i, (xi, ui) in enumerate(states):
+            assert model._field_scalar(p, xi, ui) == (fx[i], fu[i])
+            assert np.array_equal(np.array(model._jac_scalar(p, xi, ui)), J[i])
+
+    def test_tiny_u_gives_zero_rate_slope(self, mic):
+        assert model._rates(mic.model, 1e-300) == (0.0, 0.0)
 
 
 class TestRateDiagram:

@@ -29,6 +29,9 @@ COMMANDS = {
                                                     "--max-orbits", "16"],
     "cycle-branch": ["cycle-branch"] + PRESET + ["--Ta", "282:296"],
     "calibrate": ["calibrate"] + PRESET,
+    "simulate-292": ["simulate"] + PRESET + ["--Ta", "292"],   # runaway
+    # Filling from an empty tank to a steady state (x0 = 1 runs away).
+    "simulate-286": ["simulate"] + PRESET + ["--Ta", "286", "--x0", "0"],
 }
 VOLATILE = {"wall_time_s"}
 
