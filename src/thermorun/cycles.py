@@ -113,8 +113,8 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         # The field and J of model._field_xu/_jac_xu on one Arrhenius
         # evaluation; J M and J zeta as the two-term sums einsum forms.
         r = p.sigma * model._arrhenius(u)
-        safe = np.where(u > 0, u, 1.0)
-        rp = r / (safe * safe)                           # 0 where r is
+        uu = u * u
+        rp = r / np.where(uu > 0, uu, 1.0)               # 0 where r is
         xr, xrp = x * r, x * rp                          # -(x r) == (-x) r
         j00, j01 = -(r + p.f), -xrp
         j10, j11 = r / p.eps, (xrp - p.loss) / p.eps

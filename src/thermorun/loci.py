@@ -102,26 +102,23 @@ def _augmented_problem(p: ModelParams, test: str,
     """{F = 0, test fn = 0} over y = (x, u, u_a, ln f)."""
     grad_fn = _trace_grad if test == "trace" else _det_grad
 
-    def params_at(y):
-        return p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
-
     def residual(y):
-        q = params_at(y)
-        fx, fu = model._field_xu(q, y[0], y[1])
-        t, _ = grad_fn(q, y[0], y[1])
+        x, u, u_a, ln_f = y.tolist()
+        q = p.with_(u_a=u_a, f=math.exp(ln_f))
+        fx, fu = model._field_scalar(q, x, u)
+        t, _ = grad_fn(q, x, u)
         return np.array([fx, fu, t])
 
     def jacobian(y):
-        q = params_at(y)
-        x, u = float(y[0]), float(y[1])
-        J = np.zeros((3, 4))
-        J[:2, :2] = model._jac_xu(q, x, u)
-        J[:2, 2] = model.param_derivative(q, x, u, "u_a")
-        J[:2, 3] = q.f * model.param_derivative(q, x, u, "f")
-        t, g = grad_fn(q, x, u)
-        J[2, :3] = g[:3]
-        J[2, 3] = q.f * g[3]
-        return J
+        x, u, u_a, ln_f = y.tolist()
+        q = p.with_(u_a=u_a, f=math.exp(ln_f))
+        (a, b), (c, d) = model._jac_scalar(q, x, u)
+        a0, a1 = model._param_derivative_scalar(q, x, u, "u_a")
+        f0, f1 = model._param_derivative_scalar(q, x, u, "f")
+        _, g = grad_fn(q, x, u)
+        return np.array([[a, b, a0, q.f * f0],
+                         [c, d, a1, q.f * f1],
+                         [g[0], g[1], g[2], q.f * g[3]]])
 
     return ContinuationProblem(residual, jacobian, scales)
 
@@ -328,36 +325,46 @@ def fold_threshold(p: ModelParams, window: Window) -> float | None:
 # Regime classification
 
 
-def _ray_crossings(locus: Locus, u_a: float, f: float) -> int:
-    """Crossings of the downward ray from (u_a, f) with the locus polyline."""
-    if len(locus) < 2:
-        return 0
-    pts = locus.points
-    count = 0
-    for k in range(len(pts) - 1):
-        a1, b1 = pts[k, 0], pts[k, 1]
-        a2, b2 = pts[k + 1, 0], pts[k + 1, 1]
-        if (b1 <= f < b2) or (b2 <= f < b1):
-            a_cross = a1 + (f - b1) / (b2 - b1) * (a2 - a1)
-            if a_cross < u_a:
-                count += 1
-    return count
+def _row_hits(locus: Locus | None, uas: np.ndarray, f: float):
+    """Boundary and parity flags of the points (uas, f) against one locus.
+
+    ``near`` marks points within BOUNDARY_TOL of the polyline, the distance
+    taken with f scaled by max(1, |f|); ``odd`` marks points whose ray
+    towards lower u_a crosses it an odd number of times.  A segment is
+    crossed when f lies in its half-open f-span, so a ray through a vertex
+    counts once.  All of ``uas`` are done at once, so temporaries are
+    len(uas) x segments.
+    """
+    if locus is None or len(locus) < 2:
+        flat = np.zeros(len(uas), dtype=bool)
+        return flat, flat
+    a, b = locus.points[:, 0], locus.points[:, 1]
+    a1, a2, b1, b2 = a[:-1], a[1:], b[:-1], b[1:]
+    span = ((b1 <= f) & (f < b2)) | ((b2 <= f) & (f < b1))
+    a1s, b1s = a1[span], b1[span]
+    a_cross = a1s + (f - b1s) / (b2[span] - b1s) * (a2[span] - a1s)
+    odd = np.count_nonzero(a_cross < uas[:, None], axis=1) % 2 == 1
+
+    scale = max(1.0, abs(f))
+    fs, sb1 = f / scale, b1 / scale
+    da, db = a2 - a1, b2 / scale - sb1
+    denom = da * da + db * db
+    pu, pf = uas[:, None] - a1, fs - sb1
+    t = np.clip((pu * da + pf * db) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
+    du, df = a1 + t * da - uas[:, None], sb1 + t * db - fs
+    near = np.sqrt(du * du + df * df).min(axis=1) < BOUNDARY_TOL
+    return near, odd
 
 
-def _distance_to(locus: Locus, u_a: float, f: float) -> float:
-    if len(locus) < 2:
-        return math.inf
-    pts = locus.points[:, :2].copy()
-    scale = np.array([1.0, max(1.0, abs(f))])
-    q = np.array([u_a, f]) / scale
-    segs_a = pts[:-1] / scale
-    segs_b = pts[1:] / scale
-    d = segs_b - segs_a
-    denom = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", q - segs_a, d) / np.where(denom > 0, denom, 1.0),
-                0.0, 1.0)
-    proj = segs_a + t[:, None] * d
-    return float(np.min(np.linalg.norm(proj - q, axis=1)))
+def _label_row(uas: np.ndarray, f: float, loci: dict[str, Locus]) -> list[str]:
+    """Regime labels of the points (uas, f); see :func:`classify_point`."""
+    hopf_near, hopf_odd = _row_hits(loci.get("hopf"), uas, f)
+    fold_near, fold_odd = _row_hits(loci.get("fold"), uas, f)
+    near = hopf_near | fold_near
+    return [BOUNDARY if on else BISTABLE if in_fold else OSCILLATORY if in_hopf
+            else UNIQUE_STABLE
+            for on, in_fold, in_hopf in zip(near.tolist(), fold_odd.tolist(),
+                                            hopf_odd.tolist())]
 
 
 def classify_point(u_a: float, f: float, loci: dict[str, Locus],
@@ -371,28 +378,21 @@ def classify_point(u_a: float, f: float, loci: dict[str, Locus],
     """
     if window is not None and not window.contains(u_a, f):
         raise ValidationError("point", "outside the computed window")
-    hopf = loci.get("hopf")
-    fold = loci.get("fold")
-    for locus in (hopf, fold):
-        if locus is not None and _distance_to(locus, u_a, f) < BOUNDARY_TOL:
-            return BOUNDARY
-    if fold is not None and _ray_crossings(fold, u_a, f) % 2 == 1:
-        return BISTABLE
-    if hopf is not None and _ray_crossings(hopf, u_a, f) % 2 == 1:
-        return OSCILLATORY
-    return UNIQUE_STABLE
+    return _label_row(np.array([u_a], dtype=float), float(f), loci)[0]
 
 
 def region_map(loci: dict[str, Locus], window: Window,
                n_ua: int = 60, n_f: int = 60) -> list[tuple[float, float, str]]:
-    """Regime labels on a grid over the window (flow rate log-spaced)."""
+    """Regime labels on a grid over the window (flow rate log-spaced).
+
+    Labelled one flow-rate row at a time, which bounds the temporaries.
+    """
     uas = np.linspace(window.u_a[0], window.u_a[1], n_ua)
     fs = np.geomspace(window.f[0], window.f[1], n_f)
     rows = []
-    for f in fs:
-        for ua in uas:
-            rows.append((float(ua), float(f),
-                         classify_point(float(ua), float(f), loci)))
+    for f in fs.tolist():
+        rows += [(ua, f, label) for ua, label
+                 in zip(uas.tolist(), _label_row(uas, f, loci))]
     return rows
 
 

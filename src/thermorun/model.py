@@ -243,8 +243,10 @@ def _jac_xu(p: ModelParams, x, u) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     r = p.sigma * _arrhenius(u)
-    safe = np.where(u > 0, u, 1.0)
-    rp = np.where(u > 0, r / (safe * safe), 0.0)
+    # Guarding on u * u, not u: below u ~ 2e-162 the square underflows and
+    # r / (u * u) would be 0 / 0 instead of its limit 0.
+    uu = u * u
+    rp = np.where(u > 0, r / np.where(uu > 0, uu, 1.0), 0.0)
     J = np.empty(np.broadcast(x, u).shape + (2, 2))
     J[..., 0, 0] = -(r + p.f)
     J[..., 0, 1] = -x * rp
@@ -292,8 +294,11 @@ def third_derivatives(p: ModelParams, s) -> np.ndarray:
 
 def trace_det(p: ModelParams, s) -> tuple[float, float]:
     """Trace and determinant of the Jacobian at a state."""
-    J = jacobian(p, s)
-    return float(J[0, 0] + J[1, 1]), float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+    x, u = _as_state(s)
+    if u <= 0:
+        raise DomainError("trace_det requires u > 0")
+    (a, b), (c, d) = _jac_scalar(p, x, u)
+    return a + d, a * d - b * c
 
 
 CONTINUABLE_PARAMS = ("u_a", "f", "ell", "eps", "sigma")
@@ -326,6 +331,28 @@ def param_derivative(p: ModelParams, x, u, name: str):
         raise ValidationError(
             "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
     return out
+
+
+def _param_derivative_scalar(p: ModelParams, x: float, u: float,
+                             name: str) -> tuple[float, float]:
+    """``param_derivative`` for one state given as Python floats.
+
+    Same expression order, so the same bits: for ``eps`` the rate is
+    (x * sigma) * exp(-1/u), not x * ``_rates``' r.
+    """
+    if name == "u_a":
+        return 0.0, p.loss / p.eps
+    if name == "f":
+        return 1.0 - x, -(u - p.u_a)
+    if name == "ell":
+        return 0.0, -(u - p.u_a) / p.eps
+    expu = float(np.exp(-1.0 / u)) if u > 0 else 0.0
+    if name == "eps":
+        return 0.0, -(x * p.sigma * expu - p.ell * (u - p.u_a)) / p.eps ** 2
+    if name == "sigma":
+        return -x * expu, x * expu / p.eps
+    raise ValidationError(
+        "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
 
 
 def param_derivative_state_jac(p: ModelParams, x: float, u: float,

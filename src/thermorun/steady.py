@@ -90,16 +90,17 @@ def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
 
 def _make_point(p: ModelParams, x: float, u: float,
                 param_name: str = "u_a") -> SteadyPoint:
+    x, u = float(x), float(u)
     tr, det = model.trace_det(p, (x, u))
-    res = float(np.max(np.abs(model.vector_field(p, (x, u)))))
+    fx, fu = model._field_scalar(p, x, u)
     return SteadyPoint(
-        state=State(float(np.clip(x, 0.0, 1.0)), float(u)),
+        state=State(min(max(x, 0.0), 1.0), u),
         param_name=param_name,
         param_value=float(getattr(p, param_name)),
         trace=tr, det=det,
         eigenvalues=_eigenvalues(tr, det),
         stability=classify_stability(tr, det),
-        residual=res,
+        residual=max(abs(fx), abs(fu)),
     )
 
 
@@ -108,10 +109,10 @@ def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
     x0, u0 = model._as_state(guess)
 
     def fn(y):
-        return np.array(model._field_xu(p, y[0], y[1]))
+        return np.array(model._field_scalar(p, *y.tolist()))
 
     def jac(y):
-        return model._jac_xu(p, y[0], y[1])
+        return np.array(model._jac_scalar(p, *y.tolist()))
 
     y = damped_newton(fn, np.array([x0, u0]), jac=jac, tol=STEADY_TOL, max_iter=50)
     return _make_point(p, y[0], y[1], param_name)
@@ -139,15 +140,15 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
 def _branch_problem(p: ModelParams, active: str,
                     scales: np.ndarray) -> ContinuationProblem:
     def residual(y):
-        q = p.with_(**{active: float(y[2])})
-        return np.array(model._field_xu(q, y[0], y[1]))
+        x, u, value = y.tolist()
+        return np.array(model._field_scalar(p.with_(**{active: value}), x, u))
 
     def jacobian(y):
-        q = p.with_(**{active: float(y[2])})
-        J = np.empty((2, 3))
-        J[:, :2] = model._jac_xu(q, y[0], y[1])
-        J[:, 2] = model.param_derivative(q, y[0], y[1], active)
-        return J
+        x, u, value = y.tolist()
+        q = p.with_(**{active: value})
+        (a, b), (c, d) = model._jac_scalar(q, x, u)
+        e, g = model._param_derivative_scalar(q, x, u, active)
+        return np.array([[a, b, e], [c, d, g]])
 
     return ContinuationProblem(residual, jacobian, scales)
 

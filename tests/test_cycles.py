@@ -87,6 +87,8 @@ class TestStackedRhs:
             Z[:, 0] = rng.uniform(0.0, 1.0, m)
             Z[:, 1] = rng.uniform(0.02, 0.06, m)
             Z[0, 1] = -abs(Z[0, 1])     # one segment outside the domain
+            if m > 1:
+                Z[-1, 1] = 1e-170       # and one where u * u underflows to 0
             Y = Z.ravel()
             rhs, w = cycles._stacked_rhs(p, m, h, param)
             assert w == width

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermorun import loci, model, simulate, steady
 from thermorun.errors import DomainError
@@ -112,6 +113,175 @@ class TestFoldLocus:
         assert len(locus) == 0
         assert locus.empty_reason
         assert locus.f_threshold is None
+
+
+def ref_ray_crossings(locus: loci.Locus, u_a: float, f: float) -> int:
+    """Crossings of the ray from (u_a, f) towards lower u_a, per segment."""
+    if len(locus) < 2:
+        return 0
+    pts = locus.points
+    count = 0
+    for k in range(len(pts) - 1):
+        a1, b1 = pts[k, 0], pts[k, 1]
+        a2, b2 = pts[k + 1, 0], pts[k + 1, 1]
+        if (b1 <= f < b2) or (b2 <= f < b1):
+            a_cross = a1 + (f - b1) / (b2 - b1) * (a2 - a1)
+            if a_cross < u_a:
+                count += 1
+    return count
+
+
+def ref_distance_to(locus: loci.Locus, u_a: float, f: float) -> float:
+    if len(locus) < 2:
+        return math.inf
+    pts = locus.points[:, :2].copy()
+    scale = np.array([1.0, max(1.0, abs(f))])
+    q = np.array([u_a, f]) / scale
+    segs_a = pts[:-1] / scale
+    segs_b = pts[1:] / scale
+    d = segs_b - segs_a
+    denom = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", q - segs_a, d) / np.where(denom > 0, denom, 1.0),
+                0.0, 1.0)
+    proj = segs_a + t[:, None] * d
+    return float(np.min(np.linalg.norm(proj - q, axis=1)))
+
+
+def ref_classify(u_a: float, f: float, loci_map: dict) -> str:
+    """The per-point classifier: one Python pass over the segments each."""
+    hopf = loci_map.get("hopf")
+    fold = loci_map.get("fold")
+    for locus in (hopf, fold):
+        if locus is not None and ref_distance_to(locus, u_a, f) < loci.BOUNDARY_TOL:
+            return loci.BOUNDARY
+    if fold is not None and ref_ray_crossings(fold, u_a, f) % 2 == 1:
+        return loci.BISTABLE
+    if hopf is not None and ref_ray_crossings(hopf, u_a, f) % 2 == 1:
+        return loci.OSCILLATORY
+    return loci.UNIQUE_STABLE
+
+
+def assert_row_matches_reference(uas, f: float, loci_map: dict) -> list[str]:
+    uas = np.asarray(uas, dtype=float)
+    labels = loci._label_row(uas, f, loci_map)
+    assert labels == [ref_classify(ua, f, loci_map) for ua in uas.tolist()]
+    return labels
+
+
+class TestRegionMapOracle:
+    def test_grid_40x40(self, mic_loci):
+        window, loci_map = mic_loci
+        rows = loci.region_map(loci_map, window, n_ua=40, n_f=40)
+        uas = np.linspace(window.u_a[0], window.u_a[1], 40)
+        fs = np.geomspace(window.f[0], window.f[1], 40)
+        assert [(ua, f) for ua, f, _ in rows] == [
+            (float(ua), float(f)) for f in fs for ua in uas]
+        labels = [label for _, _, label in rows]
+        assert labels == [ref_classify(ua, f, loci_map) for ua, f, _ in rows]
+        assert {loci.OSCILLATORY, loci.BISTABLE, loci.UNIQUE_STABLE} <= set(labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+    def test_drawn_points(self, mic_loci, s, t):
+        window, loci_map = mic_loci
+        u_a = window.u_a[0] + s * (window.u_a[1] - window.u_a[0])
+        f = min(window.f[0] * (window.f[1] / window.f[0]) ** t, window.f[1])
+        assert classify_point(u_a, f, loci_map, window) == \
+            ref_classify(u_a, f, loci_map)
+
+    def test_vertices_and_vertex_flow_rates(self, mic_loci):
+        # On a vertex the label is boundary; along the row through it, the
+        # half-open f-span decides which of the two segments meeting there
+        # the ray crosses.
+        window, loci_map = mic_loci
+        spread = np.linspace(window.u_a[0], window.u_a[1], 7)
+        for kind in ("hopf", "fold"):
+            for ua, f in loci_map[kind].points[:, :2].tolist():
+                assert classify_point(ua, f, loci_map) == loci.BOUNDARY
+                row = np.concatenate([spread, ua + np.array([-1e-6, -1e-9, 0.0,
+                                                             1e-9, 1e-6])])
+                assert_row_matches_reference(row, f, loci_map)
+
+    def test_points_near_segments(self, mic_loci):
+        # Offsets in u_a of a fraction and a multiple of BOUNDARY_TOL from
+        # points along each segment: both sides of the boundary test.
+        _, loci_map = mic_loci
+        offsets = loci.BOUNDARY_TOL * np.array([-2.0, -1.0, -0.5, 0.0, 0.5,
+                                                0.99, 1.01, 2.0])
+        labels = set()
+        for kind in ("hopf", "fold"):
+            pts = loci_map[kind].points
+            for k in range(0, len(pts) - 1, 2):
+                for w in (0.25, 0.5):
+                    ua = pts[k, 0] + w * (pts[k + 1, 0] - pts[k, 0])
+                    f = float(pts[k, 1] + w * (pts[k + 1, 1] - pts[k, 1]))
+                    labels.update(assert_row_matches_reference(ua + offsets, f,
+                                                               loci_map))
+        assert loci.BOUNDARY in labels and len(labels) > 1
+
+    def test_missing_and_short_loci(self, mic_loci):
+        window, loci_map = mic_loci
+        short = loci.Locus("fold", loci_map["fold"].points[:1], np.ones(1))
+        uas = np.linspace(window.u_a[0], window.u_a[1], 9)
+        for variant in ({"hopf": loci_map["hopf"]}, {"fold": loci_map["fold"]},
+                        {"hopf": loci_map["hopf"], "fold": short}, {}):
+            for f in (0.5, 1.7, 30.0):
+                assert_row_matches_reference(uas, f, variant)
+
+
+def augmented_reference(p: ModelParams, test: str, y: np.ndarray):
+    """Residual and Jacobian of a locus system on the array kernels."""
+    grad_fn = loci._trace_grad if test == "trace" else loci._det_grad
+    q = p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
+    x, u = float(y[0]), float(y[1])
+    t, g = grad_fn(q, x, u)
+    res = np.array([*model._field_xu(q, x, u), t])
+    J = np.zeros((3, 4))
+    J[:2, :2] = model._jac_xu(q, x, u)
+    J[:2, 2] = model.param_derivative(q, x, u, "u_a")
+    J[:2, 3] = q.f * model.param_derivative(q, x, u, "f")
+    J[2, :3] = g[:3]
+    J[2, 3] = q.f * g[3]
+    return res, J
+
+
+locus_states = st.tuples(st.floats(0.0, 1.0), st.floats(0.02, 0.2),
+                         st.floats(0.025, 0.055), st.floats(-2.0, 5.0))
+
+
+class TestLocusSystems:
+    @settings(max_examples=200, deadline=None)
+    @given(y=locus_states, test=st.sampled_from(("trace", "det")))
+    def test_augmented_problem_equals_array_kernels(self, mic, y, test):
+        p = mic.model.with_(u_boil=math.inf)
+        y = np.array(y)
+        prob = loci._augmented_problem(p, test, np.ones(4))
+        res, J = augmented_reference(p, test, y)
+        assert np.array_equal(prob.residual(y), res)
+        assert np.array_equal(prob.jacobian(y), J)
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=locus_states, grad=st.sampled_from(("_trace_grad", "_det_grad")))
+    def test_gradients_match_central_differences(self, mic, y, grad):
+        # Gradient w.r.t. (x, u, u_a, f); the floor bounds the rounding of
+        # the differenced value, whose largest term is about loss * rho/u^2.
+        x, u, u_a, ln_f = y
+        fn = getattr(loci, grad)
+        p = mic.model.with_(u_a=u_a, f=math.exp(ln_f), u_boil=math.inf)
+        _, g = fn(p, x, u)
+        r = p.sigma * math.exp(-1.0 / u)
+        scale = (1.0 + r + p.f + p.loss) * (1.0 + r / u ** 2 + p.loss)
+        z = [x, u, u_a, p.f]
+        for j in range(4):
+            h = 1e-6 * max(abs(z[j]), 1e-3)
+
+            def value(w, j=j):
+                zz = list(z)
+                zz[j] = w
+                return fn(p.with_(u_a=zz[2], f=zz[3]), zz[0], zz[1])[0]
+
+            fd = (value(z[j] + h) - value(z[j] - h)) / ((z[j] + h) - (z[j] - h))
+            assert abs(fd - g[j]) <= 1e-6 * abs(g[j]) + 1e-14 * scale / h
 
 
 class TestClassification:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,25 +184,115 @@ valid_params = st.builds(
 
 
 class TestScalarKernels:
-    # Below u ~ 2e-162, u * u underflows to 0 and the array Jacobian
-    # divides 0 by 0 (NaN); the scalar kernel returns the limit 0 there.
-    states = st.lists(st.tuples(
-        st.floats(0.0, 1.0),
-        st.floats(-0.1, 0.3).filter(lambda u: u <= 0 or u * u > 0)),
-        min_size=1, max_size=32)
+    # u on both sides of 0, subnormal u included.  For u below ~2e-162,
+    # u * u underflows to 0 and every kernel must return the limit 0 for
+    # dr/du; for subnormal u, -1/u overflows to -inf (exp gives the limit 0).
+    states = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.1, 0.3)),
+                      min_size=1, max_size=32)
 
     @settings(max_examples=300, deadline=None)
     @given(p=valid_params, states=states)
     def test_bit_identical_to_array_kernels(self, p, states):
         x, u = np.array(states).T
-        fx, fu = model._field_xu(p, x, u)
-        J = model._jac_xu(p, x, u)
+        with np.errstate(over="ignore"):
+            fx, fu = model._field_xu(p, x, u)
+            J = model._jac_xu(p, x, u)
         for i, (xi, ui) in enumerate(states):
             assert model._field_scalar(p, xi, ui) == (fx[i], fu[i])
             assert np.array_equal(np.array(model._jac_scalar(p, xi, ui)), J[i])
+            if ui > 0:
+                (a, b), (c, d) = J[i]
+                assert model.trace_det(p, (xi, ui)) == (a + d, a * d - b * c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=valid_params, states=states)
+    def test_param_derivative_twin_bit_identical(self, p, states):
+        x, u = np.array(states).T
+        for name in model.CONTINUABLE_PARAMS:
+            with np.errstate(over="ignore"):
+                b = model.param_derivative(p, x, u, name)
+            for i, (xi, ui) in enumerate(states):
+                assert model._param_derivative_scalar(p, xi, ui, name) == tuple(b[i])
+
+    def test_param_derivative_twin_rejects_unknown_name(self, mic):
+        with pytest.raises(ValidationError):
+            model._param_derivative_scalar(mic.model, 0.5, 0.04, "u_boil")
 
     def test_tiny_u_gives_zero_rate_slope(self, mic):
-        assert model._rates(mic.model, 1e-300) == (0.0, 0.0)
+        p = mic.model
+        assert model._rates(p, 1e-300) == (0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no 0 / 0 when u * u underflows
+            J = model._jac_xu(p, 0.5, 1e-170)
+        assert np.array_equal(J, np.array(model._jac_scalar(p, 0.5, 1e-170)))
+        assert J[0, 1] == 0.0 and J[1, 1] == -p.loss / p.eps
+
+
+# Parameters valid on both sides of a central-difference step.
+fd_params = st.builds(
+    ModelParams,
+    f=st.floats(0.1, 5.0), ell=st.floats(1.0, 1000.0), eps=st.floats(1.0, 30.0),
+    u_a=st.floats(0.02, 0.06), sigma=st.floats(0.0, 30.0).map(math.exp))
+# x is 0 or at least 1e-250: a smaller x (normal or not) makes
+# x * exp(-1/u) subnormal (exp(-1/u) >= 2e-22 here), and differences of
+# subnormal values keep only a few bits.
+fd_states = st.tuples(st.one_of(st.just(0.0), st.floats(1e-250, 1.0)),
+                      st.floats(0.02, 0.2))
+
+
+def field_scale(p: ModelParams, x: float, u: float) -> float:
+    """Bound on the magnitude of every term of the field at (x, u) (eps >= 1);
+    an evaluation rounds to within a few ulps of it."""
+    r = p.sigma * math.exp(-1.0 / u)
+    return max(1.0, p.f, x * r, p.loss * abs(u - p.u_a))
+
+
+def param_derivative_scale(p: ModelParams, x: float, u: float, name: str) -> float:
+    """Sum of the magnitudes of the terms of ``param_derivative``."""
+    expu = math.exp(-1.0 / u)
+    du = abs(u - p.u_a)
+    return {"u_a": p.loss / p.eps, "f": 1.0 + x + du, "ell": du / p.eps,
+            "eps": (x * p.sigma * expu + p.ell * du) / p.eps ** 2,
+            "sigma": x * expu * (1.0 + 1.0 / p.eps)}[name]
+
+
+def central_difference(fn, v: float, h: float) -> np.ndarray:
+    return (np.asarray(fn(v + h)) - np.asarray(fn(v - h))) / ((v + h) - (v - h))
+
+
+class TestParamDerivatives:
+    # The field is linear in every parameter but eps, and so is each
+    # derivative in x; those differences carry rounding error only (the
+    # floor term).  The rest add O(h^2) truncation, far below 1e-6.
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=fd_params, s=fd_states,
+           name=st.sampled_from(model.CONTINUABLE_PARAMS))
+    def test_param_derivative_matches_central_differences(self, p, s, name):
+        x, u = s
+        v = getattr(p, name)
+        h = 1e-6 * v
+        fd = central_difference(
+            lambda w: model._field_xu(p.with_(**{name: w}), x, u), v, h)
+        exact = model.param_derivative(p, x, u, name)
+        floor = 1e-14 * field_scale(p, x, u) / h
+        assert np.all(np.abs(fd - exact) <= 1e-6 * np.abs(exact) + floor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=fd_params, s=fd_states,
+           name=st.sampled_from(model.CONTINUABLE_PARAMS))
+    def test_state_jac_matches_central_differences(self, p, s, name):
+        x, u = s
+        J = model.param_derivative_state_jac(p, x, u, name)
+        for j, h in enumerate((1e-6, 1e-6 * u)):
+            def b(w, j=j):
+                state = [x, u]
+                state[j] = w
+                return model.param_derivative(p, *state, name)
+
+            fd = central_difference(b, s[j], h)
+            floor = 1e-14 * param_derivative_scale(p, x, u, name) / h
+            assert np.all(np.abs(fd - J[:, j]) <= 1e-6 * np.abs(J[:, j]) + floor)
 
 
 class TestRateDiagram:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermorun import model, simulate, steady
 from thermorun.errors import (ConvergenceError, DomainError, NotAHopfError,
@@ -129,6 +130,34 @@ class TestReducedScan:
             for r in reduced_scan(p, p.u_a, p.u_a + p.f / p.loss * (1 + 1e-9),
                                   n=4000):
                 assert r.residual < 1e-12
+
+
+def branch_problem_reference(p: ModelParams, active: str, y: np.ndarray):
+    """Residual and Jacobian of the steady branch system on the array kernels."""
+    q = p.with_(**{active: float(y[2])})
+    res = np.array(model._field_xu(q, y[0], y[1]))
+    J = np.empty((2, 3))
+    J[:, :2] = model._jac_xu(q, y[0], y[1])
+    J[:, 2] = model.param_derivative(q, y[0], y[1], active)
+    return res, J
+
+
+class TestBranchProblem:
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.floats(0.3, 4.0), ell=st.floats(50.0, 1500.0),
+           eps=st.floats(2.0, 25.0), u_a=st.floats(0.025, 0.055),
+           ln_sigma=st.floats(20.0, 32.0), x=st.floats(0.0, 1.0),
+           u=st.floats(-0.1, 0.3), active=st.sampled_from(steady.ACTIVE_PARAMS),
+           factor=st.floats(0.5, 2.0))
+    def test_equals_array_kernel_reference(self, f, ell, eps, u_a, ln_sigma,
+                                           x, u, active, factor):
+        p = ModelParams(f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma))
+        y = np.array([x, u, factor * getattr(p, active)])
+        prob = steady._branch_problem(p, active, np.ones(3))
+        with np.errstate(over="ignore"):        # -1/u for subnormal u
+            res, J = branch_problem_reference(p, active, y)
+        assert np.array_equal(prob.residual(y), res)
+        assert np.array_equal(prob.jacobian(y), J)
 
 
 class TestContinueBranch:

@@ -24,6 +24,15 @@ PRESET = ["--preset", "mic-tank610"]
 COMMANDS = {
     "rates": ["rates"] + PRESET,
     "steady-branch": ["steady-branch"] + PRESET + ["--Ta", "282:296"],
+    # The other continuation parameters, one Hopf point in each range.
+    "steady-branch-f": ["steady-branch"] + PRESET + ["--active", "f",
+                                                     "--range", "0.85:3.4"],
+    "steady-branch-ell": ["steady-branch"] + PRESET + ["--active", "ell",
+                                                       "--range", "350:1400"],
+    "steady-branch-eps": ["steady-branch"] + PRESET + ["--active", "eps",
+                                                       "--range", "5:20"],
+    "steady-branch-sigma": ["steady-branch"] + PRESET + [
+        "--active", "sigma", "--range", "1.32e11:1.32e12"],
     "loci": ["loci"] + PRESET + ["--grid", "40x40"],
     "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
                                                     "--max-orbits", "16"],
