@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import cycles, loci, model, simulate, steady
@@ -193,13 +192,16 @@ def cmd_steady_branch(args) -> int:
                    + [pt.trace, pt.det, pt.stability, note])
 
     man.add_csv("branch.csv", header, branch_rows())
-    sp_header = (["kind", "param"] + _kelvin_header(res, "param_T_kelvin")
+    # The parameter is a temperature only when it is the ambient u_a.
+    param_is_u = args.active == "u_a"
+    sp_header = (["kind", "param"]
+                 + (_kelvin_header(res, "param_T_kelvin") if param_is_u else [])
                  + ["x", "u"] + kelvin + ["trace", "det", "l1", "criticality"])
 
     def special_rows():
         for sp in branch.specials:
             yield ([sp.kind, sp.param_value]
-                   + _maybe_kelvin_row(res, sp.param_value)
+                   + (_maybe_kelvin_row(res, sp.param_value) if param_is_u else [])
                    + [sp.state.x, sp.state.u]
                    + _maybe_kelvin_row(res, sp.state.u)
                    + [sp.trace, sp.det, sp.l1, sp.criticality])
@@ -211,7 +213,7 @@ def cmd_steady_branch(args) -> int:
         "specials": [{
             "kind": sp.kind, "param": sp.param_value,
             "param_T_kelvin": res.u_to_kelvin(sp.param_value)
-            if args.active == "u_a" else None,
+            if param_is_u else None,
             "criticality": sp.criticality,
         } for sp in branch.specials],
     })
@@ -312,6 +314,8 @@ def cmd_loci(args) -> int:
                      (float(x), float(u)))
                     for ua, f_val, x, u in targets]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 found = list(pool.map(_verify_slice, payloads))
         else:

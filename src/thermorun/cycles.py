@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag
 
 from . import model
 from .errors import ConvergenceError, GermError, NotAHopfError, ValidationError
 from .model import ModelParams
+from .simulate import solve_ivp
 from .solvers import ContinuationProblem, _tangent, continue_curve, solve_pinned
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
@@ -135,6 +134,8 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
 
 
 def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
+    from scipy.linalg import block_diag
+
     width = 8 if param else 6
 
     def jac(s, Y):
@@ -165,6 +166,8 @@ def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
 def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = None,
            rtol: float = SHOOT_RTOL, atol: float = SHOOT_ATOL, var: bool = True):
     """Flow all segments over T/m; return endpoints and variational data."""
+    from scipy.linalg import block_diag
+
     m = len(starts)
     h = T / m
     if not var:

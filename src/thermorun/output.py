@@ -5,6 +5,8 @@ the locale-independent format machinery, so identical analyses on one build
 produce byte-identical files.  The manifest lists every file written along
 with the resolved parameters; its wall-time field is the only volatile
 entry.  A run that fails leaves a manifest with its exit code and error.
+Every file is written to a temporary name in its directory and renamed
+into place once complete, so no reader ever sees a partial file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,12 +39,35 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows) -> int:
-    """Write rows with fixed formatting; returns the number of data rows."""
+@contextmanager
+def _replacing(path: Path):
+    """Yield a text file that replaces ``path`` only when the block succeeds.
+
+    On an exception the temporary file is removed and ``path`` is left as
+    it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with _replacing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: Path, header: list[str], rows) -> int:
+    """Write rows with fixed formatting; returns the number of data rows."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
@@ -93,10 +119,7 @@ class ManifestWriter:
 
     def add_json(self, name: str, payload: dict) -> Path:
         path = self.outdir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         self.outputs.append({"file": name})
         return path
 
@@ -113,8 +136,5 @@ class ManifestWriter:
     def _write(self) -> Path:
         self.data["wall_time_s"] = time.monotonic() - self.t0
         path = self.outdir / "manifest.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.data)
         return path

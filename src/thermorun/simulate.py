@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import model
 from .errors import IntegrationFailure, ValidationError
@@ -20,6 +19,17 @@ from .model import ModelParams, State
 
 STEADY_VARIATION = 1e-9
 PERIOD_REPEATABILITY = 1e-6
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first integration.
+
+    Commands that never integrate then never import ``scipy.integrate``.
+    ``cycles`` integrates through this same function.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
+
 
 @dataclass(frozen=True)
 class EventSpec:

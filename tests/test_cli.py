@@ -115,6 +115,30 @@ class TestLoci:
         assert (out / "fold_locus.csv").exists()
 
 
+class TestSpecialsKelvinColumn:
+    """param_T_kelvin converts the continuation parameter, so it exists
+    only when that parameter is the ambient temperature u_a."""
+
+    def specials(self, tmp_path, active: str, prange: str) -> list[dict]:
+        out = tmp_path / active
+        assert run(["steady-branch", "--preset", "mic-tank610",
+                    "--active", active, "--range", prange, "-o", str(out)]) == 0
+        header, *lines = read(out / "specials.csv").strip().splitlines()
+        assert lines
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    def test_absent_for_a_dimensionless_parameter(self, tmp_path):
+        rows = self.specials(tmp_path, "f", "0.85:3.4")
+        assert "param_T_kelvin" not in rows[0]
+        assert "T_kelvin" in rows[0]          # the state's u is still a temperature
+
+    def test_kept_for_the_ambient_temperature(self, tmp_path, mic):
+        rows = self.specials(tmp_path, "u_a", "0.0366:0.0385")
+        for row in rows:
+            assert float(row["param_T_kelvin"]) == pytest.approx(
+                float(row["param"]) * mic.temp_scale, rel=1e-12)
+
+
 class TestCycleBranchCommand:
     def test_short_branch(self, tmp_path):
         out = tmp_path / "cb"
@@ -144,6 +168,18 @@ class TestManifest:
 
 
 class TestJobsOption:
+    def test_worker_pool_matches_serial(self, tmp_path):
+        found = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["loci", "--preset", "mic-tank610", "--grid", "12x12",
+                        "--verify-slices", "3", "--jobs", jobs,
+                        "-o", str(out)]) == 0
+            man = json.loads(read(out / "manifest.json"))
+            found[jobs] = man["summary"]["slice_verification"]
+        assert found["1"]
+        assert found["2"] == found["1"]
+
     def test_rejected_outside_loci(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["rates", "--preset", "mic-tank610", "--jobs", "2",
