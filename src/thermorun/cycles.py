@@ -23,9 +23,10 @@ from itertools import pairwise
 import numpy as np
 
 from . import model
-from .errors import ConvergenceError, GermError, NotAHopfError, ValidationError
+from .errors import (ConvergenceError, GermError, IntegrationFailure,
+                     NotAHopfError, ValidationError)
 from .model import ModelParams
-from .simulate import solve_ivp
+from .simulate import lsoda, solve_ivp
 from .solvers import ContinuationProblem, _tangent, continue_curve, solve_pinned
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
@@ -170,7 +171,14 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = Non
 
     m = len(starts)
     h = T / m
-    if not var:
+    if var:
+        rhs, width = _stacked_rhs(p, m, h, param)
+        jac = _stacked_jac(p, m, h, param)
+        Y0 = np.zeros((m, width))
+        Y0[:, 0:2] = starts
+        Y0[:, 2] = 1.0
+        Y0[:, 5] = 1.0
+    else:
         def rhs(s, Y):
             Z = Y.reshape(m, 2)
             fx, fu = model._field_xu(p, Z[:, 0], Z[:, 1])
@@ -180,23 +188,14 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = Non
             Z = Y.reshape(m, 2)
             return block_diag(*(h * model._jac_xu(p, Z[:, 0], Z[:, 1])))
 
-        sol = solve_ivp(rhs, (0.0, 1.0), starts.ravel(), method="LSODA",
-                        rtol=rtol, atol=atol, jac=jac)
-        if not sol.success:
-            raise ConvergenceError(f"segment integration failed: {sol.message}")
-        return sol.y[:, -1].reshape(m, 2), None, None
-
-    rhs, width = _stacked_rhs(p, m, h, param)
-    jac = _stacked_jac(p, m, h, param)
-    Y0 = np.zeros((m, width))
-    Y0[:, 0:2] = starts
-    Y0[:, 2] = 1.0
-    Y0[:, 5] = 1.0
-    sol = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="LSODA",
-                    rtol=rtol, atol=atol, jac=jac)
-    if not sol.success:
-        raise ConvergenceError(f"variational integration failed: {sol.message}")
-    Z = sol.y[:, -1].reshape(m, width)
+        width, Y0 = 2, starts
+    try:
+        Z = lsoda(rhs, jac, Y0.ravel(), [0.0, 1.0], rtol, atol)[-1].reshape(m, width)
+    except IntegrationFailure as exc:
+        kind = "variational" if var else "segment"
+        raise ConvergenceError(f"{kind} integration failed: {exc}") from None
+    if not var:
+        return Z, None, None
     ends = Z[:, 0:2].copy()
     Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
     zetas = Z[:, 6:8].copy() if param else None
@@ -388,11 +387,13 @@ def floquet(p: ModelParams, orbit_or_state, period: float | None = None,
     return (trivial, nontrivial), defect
 
 
-def _finalize_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
-                    param_name: str, n_mesh: int = MESH_SAMPLES) -> Orbit:
-    """Sample the orbit densely, extract extrema exactly, attach Floquet data."""
-    mults, defect = floquet(p, starts[0], T)
+def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
+    """Sample a corrected orbit over one period from ``y0``.
 
+    Returns the uniform mesh times, the mesh (the orbit an :class:`Orbit`
+    carries, and the seed of the next segment doubling) and the u extrema,
+    located exactly by an event on du/dt.
+    """
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
 
@@ -404,8 +405,8 @@ def _finalize_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
 
     du.direction = 0
     du.terminal = False
-    ts = np.linspace(0.0, T, n_mesh, endpoint=False)
-    sol = solve_ivp(rhs, (0.0, T), starts[0], method="LSODA",
+    ts = np.linspace(0.0, T, MESH_SAMPLES, endpoint=False)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="LSODA",
                     rtol=SHOOT_RTOL, atol=SHOOT_ATOL, jac=jac,
                     t_eval=ts, events=[du])
     if not sol.success:
@@ -414,14 +415,20 @@ def _finalize_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
     u_candidates = list(mesh[:, 1])
     if sol.y_events and len(sol.y_events[0]):
         u_candidates.extend(sol.y_events[0][:, 1])
-    max_u = float(np.max(u_candidates))
-    min_u = float(np.min(u_candidates))
+    return ts, mesh, float(np.min(u_candidates)), float(np.max(u_candidates))
+
+
+def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
+                param_name: str) -> Orbit:
+    """The :class:`Orbit` of a corrected solution: mesh, extrema, Floquet data."""
+    mults, defect = floquet(p, starts[0], T)
+    ts, mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
     nontrivial = mults[1]
     return Orbit(
         param_name=param_name,
         param_value=float(getattr(p, param_name)),
         period=float(T),
-        mesh_times=ts.copy(),
+        mesh_times=ts,
         mesh=mesh,
         multipliers=mults,
         stability="stable" if abs(nontrivial) < 1.0 else "unstable",
@@ -499,8 +506,6 @@ def hopf_germ(p: ModelParams, hopf: SpecialPoint, delta: float,
 def seed_from_simulation(p: ModelParams, state, period: float,
                          n_samples: int = 128) -> CycleSeed:
     """Sample one period of the flow from a settled point on a cycle."""
-    x0, u0 = model._as_state(state)
-
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
 
@@ -508,11 +513,11 @@ def seed_from_simulation(p: ModelParams, state, period: float,
         return model._jac_scalar(p, *y.tolist())
 
     ts = np.linspace(0.0, period, n_samples, endpoint=False)
-    sol = solve_ivp(rhs, (0.0, period), [x0, u0], method="LSODA",
-                    rtol=1e-11, atol=1e-13, jac=jac, t_eval=ts)
-    if not sol.success:
-        raise ConvergenceError(f"seed sampling failed: {sol.message}")
-    return CycleSeed(ts.copy(), sol.y.T.copy(), period)
+    try:
+        states = lsoda(rhs, jac, model._as_state(state), ts, 1e-11, 1e-13)
+    except IntegrationFailure as exc:
+        raise ConvergenceError(f"seed sampling failed: {exc}") from None
+    return CycleSeed(ts, states, period)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +539,6 @@ def _solve_cycle_raw(p: ModelParams, seed: CycleSeed, m: int,
     return s, T, res
 
 
-def _solve_cycle(p: ModelParams, seed: CycleSeed, m: int,
-                 param_name: str = "u_a", tol: float = CYCLE_TOL) -> Orbit:
-    s, T, res = _solve_cycle_raw(p, seed, m, tol)
-    return _finalize_orbit(p, s, T, res, param_name)
-
-
 def find_cycle(p: ModelParams, seed: CycleSeed | Orbit, m: int = 12,
                param_name: str = "u_a", tol: float = CYCLE_TOL,
                m_max: int = 96, period_rtol: float = 1e-8) -> Orbit:
@@ -547,21 +546,23 @@ def find_cycle(p: ModelParams, seed: CycleSeed | Orbit, m: int = 12,
 
     The segment count doubles from ``m`` until the period is stable to
     ``period_rtol`` relative, so the returned orbit's discretization is
-    self-validated.  Raises :class:`GermError` for degenerate seeds and
-    :class:`ConvergenceError` when Newton fails (with the final residual).
+    self-validated.  Each coarser level only samples the seed of the next;
+    Floquet data are computed for the returned orbit alone.  Raises
+    :class:`GermError` for degenerate seeds and :class:`ConvergenceError`
+    when Newton fails (with the final residual).
     """
     if isinstance(seed, Orbit):
         seed = CycleSeed(seed.mesh_times, seed.mesh, seed.period)
     m = max(10, m)
-    orbit = _solve_cycle(p, seed, m, param_name, tol)
-    while 2 * orbit.segments <= m_max:
-        finer = _solve_cycle(
-            p, CycleSeed(orbit.mesh_times, orbit.mesh, orbit.period),
-            2 * orbit.segments, param_name, tol)
-        if abs(finer.period - orbit.period) <= period_rtol * orbit.period:
-            return finer
-        orbit = finer
-    return orbit
+    starts, T, res = _solve_cycle_raw(p, seed, m, tol)
+    while 2 * m <= m_max:
+        ts, mesh, _, _ = _finalize_orbit(p, starts[0], T)
+        m *= 2
+        coarse_T = T
+        starts, T, res = _solve_cycle_raw(p, CycleSeed(ts, mesh, T), m, tol)
+        if abs(T - coarse_T) <= period_rtol * coarse_T:
+            break
+    return _make_orbit(p, starts, T, res, param_name)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +645,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     def germ(delta):
         p_off, seed = hopf_germ(p, from_hopf, delta)
         starts, T, res = _solve_cycle_raw(p_off, seed, m)
-        orbit = _finalize_orbit(p_off, starts, T, res, active)
+        orbit = _make_orbit(p_off, starts, T, res, active)
         return orbit, np.concatenate([starts.ravel(), [T, orbit.param_value]])
 
     no_start = "could not start the cycle branch from the germ"
@@ -676,8 +677,8 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                          growth=1.3, stop=stop)
 
     orbits = [first, second] + [
-        _finalize_orbit(_params_at(p, active, Y[-1]), Y[:2 * m].reshape(m, 2),
-                        float(Y[2 * m]), res, active)
+        _make_orbit(_params_at(p, active, Y[-1]), Y[:2 * m].reshape(m, 2),
+                    float(Y[2 * m]), res, active)
         for Y, res in zip(run.points[1:], run.residuals)]
     # Cycle fold: parameter component of the tangent reverses.
     folds = []

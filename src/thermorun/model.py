@@ -414,18 +414,22 @@ def rate_diagram(p: ModelParams, u_lo: float, u_hi: float, n: int) -> RateDiagra
 
 
 def rate_crossings(d: RateDiagram) -> list[float]:
-    """Temperatures where generation and loss curves cross (grid resolution)."""
+    """Temperatures where generation and loss curves cross (grid resolution).
+
+    Each grid interval contributes its left end if the curves meet there,
+    else the linear-interpolation root if they change sign across it; the
+    right end of the grid counts if they meet there.
+    """
     g = d.r_g - d.r_l
-    out = []
-    for i in range(len(g) - 1):
-        a, b = g[i], g[i + 1]
-        if a == 0.0:
-            out.append(float(d.u_grid[i]))
-        elif a * b < 0:
-            w = a / (a - b)
-            out.append(float(d.u_grid[i] + w * (d.u_grid[i + 1] - d.u_grid[i])))
+    u = d.u_grid
+    a, b = g[:-1], g[1:]
+    i = np.flatnonzero((a == 0.0) | (a * b < 0))
+    a, b = a[i], b[i]
+    # a - b is nonzero wherever the division's result is kept.
+    w = a / np.where(a == 0.0, 1.0, a - b)
+    out = np.where(a == 0.0, u[i], u[i] + w * (u[i + 1] - u[i])).tolist()
     if g[-1] == 0.0:
-        out.append(float(d.u_grid[-1]))
+        out.append(float(u[-1]))
     return out
 
 

@@ -8,6 +8,7 @@ classifies the long-time attractor of a trajectory by brute force.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -19,6 +20,9 @@ from .model import ModelParams, State
 
 STEADY_VARIATION = 1e-9
 PERIOD_REPEATABILITY = 1e-6
+MAX_STEPS = 2**31 - 1
+"""``odeint``'s cap on steps per output interval, set out of reach as
+``solve_ivp`` has none: a long shoot must not fail on a step count."""
 
 
 def solve_ivp(*args, **kwargs):
@@ -29,6 +33,51 @@ def solve_ivp(*args, **kwargs):
     """
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
+
+
+def lsoda(rhs, jac, y0, ts, rtol, atol) -> np.ndarray:
+    """The states at ``ts``, one row each, from ``scipy.integrate.odeint``.
+
+    The same ODEPACK LSODA as ``solve_ivp(method="LSODA")``, stepped in
+    Fortran rather than in ``solve_ivp``'s Python loop, for integrations
+    that need neither events nor dense output.  ``tcrit`` keeps it from
+    stepping past ``ts[-1]``, as ``solve_ivp``'s ``t_bound`` does, so over
+    ``ts = [0, T]`` the end state is ``solve_ivp``'s bit for bit.  Imported
+    on the first call, like :func:`solve_ivp`.
+
+    A failed integration raises :class:`IntegrationFailure` with odeint's
+    message, or with the first output time not reached or not finite.  Its
+    ``partial`` holds the rows of ``ts`` before that (None if fewer than
+    two), and ``last_state`` the last of them.
+    """
+    from scipy.integrate import ODEintWarning, odeint
+
+    ts = np.asarray(ts, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(rhs, y0, ts, Dfun=jac, rtol=rtol, atol=atol,
+                          tcrit=ts[-1:], mxstep=MAX_STEPS, full_output=True,
+                          tfirst=True)
+    ok = info["message"] == "Integration successful."
+    # Row i >= 1 comes from the steps that reached tcur[i - 1]: at or past
+    # ts[i], or at tcrit within LSODA's 100 eps (|t| + |h|), where the
+    # proposed step h grows at most tenfold over the last one, hu.  A failed
+    # interval ends short and the rows after it are unset.  An infinite
+    # field can also end an interval short, or turn the state NaN, under a
+    # successful status.
+    slack = 0.0
+    if ok:
+        slack = 1e3 * np.finfo(float).eps * (abs(ts[-1]) + abs(info["hu"][-1]))
+    bad = np.concatenate([[False], info["tcur"] < ts[1:] - slack])
+    bad |= ~np.isfinite(ys).all(axis=1)
+    if not bad.any():
+        return ys
+    k = int(np.argmax(bad))
+    message = f"no finite state reached at t = {ts[k]:.6g}" if ok else info["message"]
+    raise IntegrationFailure(
+        f"LSODA failed: {message}",
+        last_state=ys[k - 1].copy() if k else None,
+        partial=Trajectory(ts[:k].copy(), ys[:k].copy()) if k > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -114,17 +163,22 @@ def _scipy_events(events: Sequence[EventSpec]):
     return wrapped
 
 
-def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
-           events: Sequence[EventSpec], dense: bool = False,
-           t_eval: np.ndarray | None = None):
-    x0, u0 = model._as_state(s0)
-
+def _callbacks(p: ModelParams):
+    """The vector field and its Jacobian as LSODA callbacks ``f(t, y)``."""
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
 
     def jac(t, y):
         return model._jac_scalar(p, *y.tolist())
 
+    return rhs, jac
+
+
+def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
+           events: Sequence[EventSpec], dense: bool = False,
+           t_eval: np.ndarray | None = None):
+    x0, u0 = model._as_state(s0)
+    rhs, jac = _callbacks(p)
     # An array, not a list: solve_ivp hands y0 itself to the events at t0.
     sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), method="LSODA",
                     rtol=tol_rel, atol=tol_abs, jac=jac,
@@ -156,7 +210,8 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
     when the threshold is infinite); pass ``events=[]`` to integrate without
     any.  Event crossings are located in time by the integrator's dense
     output to root-finder precision and appear both in ``Trajectory.events``
-    and as extra sample rows.
+    and as extra sample rows.  Without events the run goes through
+    :func:`lsoda`, which returns exactly the sample times.
     """
     if tau_end <= 0:
         raise ValidationError("tau_end", "integration horizon must be positive")
@@ -168,6 +223,16 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
         events = list(events)
 
     t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
+    if not events:
+        try:
+            states = lsoda(*_callbacks(p), model._as_state(s0), t_eval,
+                           tol_rel, tol_abs)
+        except IntegrationFailure as exc:
+            last = exc.last_state
+            raise IntegrationFailure(
+                str(exc), None if last is None else _clamped_state(*last),
+                exc.partial) from None
+        return Trajectory(t_eval, states)
     sol = _solve(p, s0, tau_end, tol_rel, tol_abs, events, t_eval=t_eval)
     recs = _collect_events(sol, events)
 

@@ -185,7 +185,7 @@ def test_criterion_8_placeholder_chemistry_pipeline():
         assert loci.classify_point(float(mid), p.f, loci_map) == loci.OSCILLATORY
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(mic, tmp_path):
     with criterion("9 determinism"):
         outs = []
         for name in ("a", "b"):
@@ -209,3 +209,14 @@ def test_criterion_9_determinism(tmp_path):
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"
+
+        # The event-free integrations, which no command runs: integrate
+        # without a boiling threshold, and a cycle seed sampled from its end.
+        p = mic.model.with_(u_a=290.07 / mic.temp_scale, u_boil=math.inf)
+        runs = []
+        for _ in range(2):
+            traj = simulate.integrate(p, (0.45, 0.0432), 5.0, n_samples=500)
+            seed = cycles.seed_from_simulation(p, traj.final_state(), 0.4)
+            runs.append((traj.times, traj.states, seed.times, seed.states))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)

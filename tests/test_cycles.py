@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ class TestFindCycle:
                          np.tile([0.5, 0.04], (16, 1)), 1.0)
         with pytest.raises(GermError):
             find_cycle(p, flat, m=12)
+
+    def test_floquet_only_on_the_returned_orbit(self, mic, mic_h1,
+                                               monkeypatch):
+        p_off, seed = hopf_germ(mic.model, mic_h1, 1e-6)
+        calls = []
+
+        def counting(p, y0, period, *args, **kwargs):
+            calls.append(period)
+            return floquet(p, y0, period, *args, **kwargs)
+
+        monkeypatch.setattr(cycles, "floquet", counting)
+        # Stopped by the period test at 24 segments, by m_max after one
+        # doubling (period_rtol = 0 never passes), and before any doubling.
+        for m_max, period_rtol, segments in ((96, 1e-8, 24), (24, 0.0, 24),
+                                             (12, 1e-8, 12)):
+            calls.clear()
+            orbit = find_cycle(p_off, seed, m=12, m_max=m_max,
+                               period_rtol=period_rtol)
+            assert orbit.segments == segments
+            assert calls == [orbit.period]
+            assert abs(orbit.multipliers[0] - 1.0) < 1e-4
+            assert len(orbit.mesh) == cycles.MESH_SAMPLES
 
     def test_germ_amplitude_square_root_law(self, mic, mic_h1):
         # Orbit amplitude near the onset follows amp ~ sqrt(offset): the
@@ -94,6 +117,94 @@ class TestStackedRhs:
             assert w == width
             assert np.array_equal(rhs(0.0, Y),
                                   stacked_rhs_reference(p, m, h, param, Y))
+
+
+def shoot_reference(p, starts, T, param=None, var=True):
+    """``_shoot`` on ``solve_ivp(method="LSODA")``, the driver it replaced."""
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import block_diag
+
+    m = len(starts)
+    h = T / m
+    if var:
+        rhs, width = cycles._stacked_rhs(p, m, h, param)
+        jac = cycles._stacked_jac(p, m, h, param)
+        Y0 = np.zeros((m, width))
+        Y0[:, 0:2] = starts
+        Y0[:, 2] = Y0[:, 5] = 1.0
+    else:
+        def rhs(s, Y):
+            Z = Y.reshape(m, 2)
+            return (h * np.column_stack(model._field_xu(p, Z[:, 0], Z[:, 1]))).ravel()
+
+        def jac(s, Y):
+            Z = Y.reshape(m, 2)
+            return block_diag(*(h * model._jac_xu(p, Z[:, 0], Z[:, 1])))
+
+        width, Y0 = 2, starts
+    sol = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="LSODA",
+                    rtol=cycles.SHOOT_RTOL, atol=cycles.SHOOT_ATOL, jac=jac)
+    assert sol.success
+    Z = sol.y[:, -1].reshape(m, width)
+    if not var:
+        return Z, None, None
+    return Z[:, 0:2], Z[:, 2:6].reshape(m, 2, 2), Z[:, 6:8] if param else None
+
+
+@pytest.fixture(scope="module")
+def germ_starts(mic, mic_h1):
+    """Segment starts of a germ seed, and the same off the orbit."""
+    p, seed = hopf_germ(mic.model, mic_h1, 1e-3)
+    starts = seed.segment_starts(12)
+    off = starts + [0.02, 5e-4] * np.sin(np.arange(12))[:, None]
+    return p, seed.period, starts, off
+
+
+class TestShootDriver:
+    @pytest.mark.parametrize("param", (None,) + model.CONTINUABLE_PARAMS)
+    def test_variational_equals_solve_ivp(self, germ_starts, param):
+        p, T, *cases = germ_starts
+        for starts in cases:
+            got = cycles._shoot(p, starts, T, param=param)
+            want = shoot_reference(p, starts, T, param)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w)
+
+    def test_plain_equals_solve_ivp(self, germ_starts):
+        p, T, *cases = germ_starts
+        for starts in cases:
+            got, _, _ = cycles._shoot(p, starts, T, var=False)
+            want, _, _ = shoot_reference(p, starts, T, var=False)
+            assert np.array_equal(got, want)
+
+    def test_nonfinite_field_is_a_convergence_error(self, germ_starts,
+                                                    monkeypatch):
+        p, T, starts, _ = germ_starts
+        stacked, field = cycles._stacked_rhs, model._field_xu
+
+        def stacked_blowing_up(*args):
+            # Infinite from halfway through the unit interval on.
+            rhs, width = stacked(*args)
+            return (lambda s, Y: rhs(s, Y) if s < 0.5
+                    else np.full_like(Y, np.inf)), width
+
+        def field_blowing_up(p_, x, u):
+            # Infinite in x wherever a segment has x > 0.9.
+            fx, fu = field(p_, x, u)
+            return fx + np.where(x > 0.9, np.inf, 0.0), fu
+
+        monkeypatch.setattr(cycles, "_stacked_rhs", stacked_blowing_up)
+        monkeypatch.setattr(model, "_field_xu", field_blowing_up)
+        hot = starts.copy()
+        hot[:, 0] = np.linspace(0.85, 0.95, len(starts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="variational integration "
+                                                       "failed: LSODA failed"):
+                cycles._shoot(p, starts, T, param="u_a")
+            with pytest.raises(ConvergenceError, match="segment integration "
+                                                       "failed: LSODA failed"):
+                cycles._shoot(p, hot, T, var=False)
 
 
 class TestFloquet:

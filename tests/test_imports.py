@@ -70,19 +70,28 @@ def test_integrating_commands_load_scipy_integrate(argv, tmp_path):
 
 
 def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
-    """Every integration calls ``cycles.solve_ivp`` or ``simulate.solve_ivp``
-    by name, with the RHS defined where the integration is, and that name
-    resolves ``scipy.integrate.solve_ivp`` at call time.  A tracer that
-    wraps the two module attributes therefore sees each integration once."""
+    """Every integration calls one forwarder of its own module by name:
+    ``solve_ivp`` where it needs events or dense output, ``lsoda``
+    otherwise.  It does so once, with the RHS defined where the integration
+    is, and the forwarder resolves scipy's driver (``solve_ivp`` or
+    ``odeint``) at call time.  A tracer that wraps the module attributes
+    therefore sees each integration exactly once."""
     import scipy.integrate
 
     p, seed = cycles.hopf_germ(mic.model, mic_h1, 1e-3)
     starts = seed.segment_starts(12)
+    boiling = mic.model.with_(u_a=p.u_a)
 
     def integrations():
+        ts, mesh, lo, hi = cycles._finalize_orbit(p, starts[0], seed.period)
+        mults, defect = cycles.floquet(p, starts[0], seed.period)
+        sampled = cycles.seed_from_simulation(p, starts[0], seed.period)
         return [*cycles._shoot(p, starts, seed.period, param="u_a"),
                 *cycles._shoot(p, starts, seed.period, var=False),
-                simulate.integrate(p, (0.9, p.u_a), 5.0)]
+                ts, mesh, lo, hi, *mults, defect,
+                sampled.times, sampled.states,
+                simulate.integrate(p, (0.9, p.u_a), 5.0),
+                simulate.integrate(boiling, (0.9, p.u_a), 5.0)]
 
     reference = integrations()
     calls = Counter()
@@ -90,22 +99,34 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     def counting(where, fn):
         def wrapped(fun, *args, **kwargs):
             owner = fun.__qualname__.split(".<locals>")[0]
-            calls[where, owner] += 1
+            calls[where, fn.__name__, owner] += 1
             return fn(fun, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                        counting("scipy", scipy.integrate.solve_ivp))
+    for name in ("solve_ivp", "odeint"):
+        monkeypatch.setattr(scipy.integrate, name,
+                            counting("scipy", getattr(scipy.integrate, name)))
     for mod in (cycles, simulate):
-        monkeypatch.setattr(mod, "solve_ivp",
-                            counting(mod.__name__, mod.solve_ivp))
+        for name in ("solve_ivp", "lsoda"):
+            monkeypatch.setattr(mod, name,
+                                counting(mod.__name__, getattr(mod, name)))
     patched = integrations()
 
-    assert calls == {
-        ("thermorun.cycles", "_stacked_rhs"): 1, ("scipy", "_stacked_rhs"): 1,
-        ("thermorun.cycles", "_shoot"): 1, ("scipy", "_shoot"): 1,
-        ("thermorun.simulate", "_solve"): 1, ("scipy", "_solve"): 1,
-    }
+    expected = Counter()
+    for module, forwarder, driver, owner in (
+            ("thermorun.cycles", "lsoda", "odeint", "_stacked_rhs"),
+            ("thermorun.cycles", "lsoda", "odeint", "_shoot"),
+            ("thermorun.cycles", "solve_ivp", "solve_ivp", "_finalize_orbit"),
+            # floquet integrates leg by leg; this orbit takes two legs.
+            ("thermorun.cycles", "solve_ivp", "solve_ivp", "floquet"),
+            ("thermorun.cycles", "solve_ivp", "solve_ivp", "floquet"),
+            ("thermorun.cycles", "lsoda", "odeint", "seed_from_simulation"),
+            # Without a boiling threshold integrate has no event.
+            ("thermorun.simulate", "lsoda", "odeint", "_callbacks"),
+            ("thermorun.simulate", "solve_ivp", "solve_ivp", "_callbacks")):
+        expected[module, forwarder, owner] += 1
+        expected["scipy", driver, owner] += 1
+    assert calls == expected
     assert len(patched) == len(reference)
     for got, want in zip(patched, reference):
         if isinstance(want, simulate.Trajectory):

@@ -295,6 +295,53 @@ class TestParamDerivatives:
             assert np.all(np.abs(fd - J[:, j]) <= 1e-6 * np.abs(J[:, j]) + floor)
 
 
+def rate_crossings_loop(d):
+    """The per-interval loop that ``model.rate_crossings`` replaced."""
+    g = d.r_g - d.r_l
+    out = []
+    for i in range(len(g) - 1):
+        a, b = g[i], g[i + 1]
+        if a == 0.0:
+            out.append(float(d.u_grid[i]))
+        elif a * b < 0:
+            w = a / (a - b)
+            out.append(float(d.u_grid[i] + w * (d.u_grid[i + 1] - d.u_grid[i])))
+    if g[-1] == 0.0:
+        out.append(float(d.u_grid[-1]))
+    return out
+
+
+# Rate samples drawn from a few values so that exact zeros, repeats and sign
+# changes of r_g - r_l all occur; r_l = 0 makes g = r_g.
+rate_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3e-300, 7e-310,
+                               1e300, -1e300]) | st.floats(-10.0, 10.0)
+
+
+class TestRateCrossings:
+    @settings(max_examples=500, deadline=None)
+    @given(rates=st.lists(rate_values, min_size=2, max_size=40),
+           zero_ends=st.tuples(st.booleans(), st.booleans()),
+           u0=st.floats(0.01, 0.1), du=st.floats(1e-6, 1e-2))
+    def test_equals_the_loop(self, rates, zero_ends, u0, du):
+        r_g = np.array(rates)
+        if zero_ends[0]:
+            r_g[0] = 0.0
+        if zero_ends[1]:
+            r_g[-1] = 0.0
+        u = u0 + du * np.arange(len(r_g))
+        d = model.RateDiagram(u, r_g, np.zeros_like(r_g))
+        with np.errstate(over="ignore"):    # a * b of the 1e300 entries
+            got = model.rate_crossings(d)
+            want = rate_crossings_loop(d)
+        assert np.array_equal(got, want)
+        assert all(type(c) is float for c in got)
+
+    def test_equals_the_loop_on_the_preset_diagram(self, mic):
+        p, ts = mic.model, mic.temp_scale
+        d = model.rate_diagram(p, 280.0 / ts, 330.0 / ts, 20001)
+        assert model.rate_crossings(d) == rate_crossings_loop(d)
+
+
 class TestRateDiagram:
     def test_loss_vanishes_at_ambient(self, mic):
         p = mic.model

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from thermorun import model, simulate, steady
-from thermorun.errors import ValidationError
+from thermorun.errors import IntegrationFailure, ValidationError
 from thermorun.model import ModelParams
 from thermorun.simulate import Trajectory
 
@@ -82,6 +83,57 @@ class TestIntegrate:
                                tol_abs=tol * 1e-2 / 2, events=[]).final_state()
         assert abs(a.x - b.x) < 10 * tol / 2
         assert abs(a.u - b.u) < 10 * tol / 2
+
+
+class TestEventFreeIntegrate:
+    """``integrate`` without events runs on ``simulate.lsoda`` (odeint)."""
+
+    S0 = (0.5, 0.0379 + 0.01)
+
+    @pytest.mark.parametrize("rtol, atol", [(1e-8, 1e-10), (1e-10, 1e-12)])
+    def test_agrees_with_solve_ivp(self, rtol, atol):
+        from scipy.integrate import solve_ivp
+
+        p = linear_params()
+        assert math.isinf(p.u_boil)     # so the default attaches no event
+        traj = simulate.integrate(p, self.S0, 10.0, tol_rel=rtol,
+                                  tol_abs=atol, n_samples=200)
+        t_eval = np.linspace(0.0, 10.0, 200)
+        assert np.array_equal(traj.times, t_eval)
+        assert traj.events == ()
+        rhs, jac = simulate._callbacks(p)
+        ref = solve_ivp(rhs, (0.0, 10.0), np.array(self.S0), method="LSODA",
+                        rtol=rtol, atol=atol, jac=jac, t_eval=t_eval)
+        # Both runs keep every step's local error within the weighted
+        # tolerance rtol |y| + atol (sqrt(2) of it per component, the norm
+        # being an RMS over two).  On this linear flow an error decays at
+        # rate min(f, loss / eps) = 1.7, so the global errors stay a few
+        # local tolerances; a driver on other tolerances (odeint's default
+        # rtol is 1.5e-8) misses the bound by a wide margin.
+        bound = 10.0 * (rtol * np.abs(ref.y.T) + atol)
+        assert np.all(np.abs(traj.states - ref.y.T) <= bound)
+
+    def test_nonfinite_field_is_an_integration_failure(self, monkeypatch):
+        # The field turns infinite once x passes 0.75 (x rises from 0.5 at
+        # rate 1.7, so at tau = ln 2 / 1.7 = 0.41).
+        p = linear_params()
+        field = model._field_scalar
+
+        def blowing_up(p_, x, u):
+            return (math.inf, math.inf) if x > 0.75 else field(p_, x, u)
+
+        monkeypatch.setattr(model, "_field_scalar", blowing_up)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationFailure, match="LSODA failed") as err:
+                simulate.integrate(p, self.S0, 10.0, n_samples=1001)
+        part = err.value.partial
+        t_eval = np.linspace(0.0, 10.0, 1001)
+        assert 10 < len(part.times) <= 42
+        assert np.array_equal(part.times, t_eval[:len(part.times)])
+        assert np.all(np.isfinite(part.states)) and np.all(part.xs <= 0.75)
+        last = err.value.last_state
+        assert (last.x, last.u) == tuple(part.states[-1])
 
 
 class TestDetectRunaway:
