@@ -114,6 +114,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_grid(text: str) -> tuple[int, int]:
+    try:
+        n_ua, n_f = (int(part) for part in text.split("x"))
+    except ValueError:
+        raise ValidationError("grid", f"expected NxM, got {text!r}") from None
+    if n_ua < 1 or n_f < 1:
+        raise ValidationError("grid", f"need positive counts in {text!r}")
+    return n_ua, n_f
+
+
 def _maybe_kelvin_row(res: Resolved, u: float):
     T = res.u_to_kelvin(u)
     return [] if T is None else [T]
@@ -274,6 +284,7 @@ def cmd_loci(args) -> int:
     man = ManifestWriter("loci", resolve_outdir(args.out))
     res = resolve_inputs(args)
     p = res.params
+    n_ua, n_f = _parse_grid(args.grid)
     if args.Ta_window:
         lo, hi = _parse_range(args.Ta_window)
         ua_window = (res.kelvin_to_u(lo), res.kelvin_to_u(hi))
@@ -300,7 +311,6 @@ def cmd_loci(args) -> int:
     man.add_csv("hopf_locus.csv", header, locus_rows(hopf))
     man.add_csv("fold_locus.csv", header, locus_rows(fold))
 
-    n_ua, n_f = (int(s) for s in args.grid.split("x"))
     rows = loci.region_map(loci_map, window, n_ua, n_f)
     region_header = ["u_a"] + kelvin + ["f", "regime"]
     man.add_csv("region_map.csv", region_header,

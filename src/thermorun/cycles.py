@@ -4,7 +4,10 @@ Periodic orbits are solved as a multiple-shooting boundary-value problem
 (segment states plus the period as unknowns, phase pinned by an integral
 condition against the seed) with the segment flows, transition matrices and
 parameter sensitivities obtained from one stacked variational integration
-per Newton iteration.  Floquet multipliers come from the monodromy matrix
+per Newton iterate.  Seeds at fixed parameters are corrected by
+``solvers.damped_newton``: its line search judges each trial on that
+integration, and an accepted trial's integration also gives the next step's
+Jacobian.  Floquet multipliers come from the monodromy matrix
 accumulated in chunks around the orbit, with the determinant identity
 against exp(integral of the Jacobian trace) kept as a consistency defect.
 The cycle branch emerging from a Hopf point is traced by the shared
@@ -17,6 +20,7 @@ by bisection with ``solvers.solve_pinned``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -27,7 +31,8 @@ from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
 from .model import ModelParams
 from .simulate import lsoda, solve_ivp
-from .solvers import ContinuationProblem, _tangent, continue_curve, solve_pinned
+from .solvers import (ContinuationProblem, _tangent, continue_curve,
+                      damped_newton, solve_pinned)
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
@@ -164,46 +169,29 @@ def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
     return jac
 
 
-def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = None,
-           rtol: float = SHOOT_RTOL, atol: float = SHOOT_ATOL, var: bool = True):
+def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = None):
     """Flow all segments over T/m; return endpoints and variational data."""
-    from scipy.linalg import block_diag
-
     m = len(starts)
     h = T / m
-    if var:
-        rhs, width = _stacked_rhs(p, m, h, param)
-        jac = _stacked_jac(p, m, h, param)
-        Y0 = np.zeros((m, width))
-        Y0[:, 0:2] = starts
-        Y0[:, 2] = 1.0
-        Y0[:, 5] = 1.0
-    else:
-        def rhs(s, Y):
-            Z = Y.reshape(m, 2)
-            fx, fu = model._field_xu(p, Z[:, 0], Z[:, 1])
-            return (h * np.column_stack([fx, fu])).ravel()
-
-        def jac(s, Y):
-            Z = Y.reshape(m, 2)
-            return block_diag(*(h * model._jac_xu(p, Z[:, 0], Z[:, 1])))
-
-        width, Y0 = 2, starts
+    rhs, width = _stacked_rhs(p, m, h, param)
+    jac = _stacked_jac(p, m, h, param)
+    Y0 = np.zeros((m, width))
+    Y0[:, 0:2] = starts
+    Y0[:, 2] = 1.0
+    Y0[:, 5] = 1.0
     try:
-        Z = lsoda(rhs, jac, Y0.ravel(), [0.0, 1.0], rtol, atol)[-1].reshape(m, width)
+        Z = lsoda(rhs, jac, Y0.ravel(), [0.0, 1.0], SHOOT_RTOL,
+                  SHOOT_ATOL)[-1].reshape(m, width)
     except IntegrationFailure as exc:
-        kind = "variational" if var else "segment"
-        raise ConvergenceError(f"{kind} integration failed: {exc}") from None
-    if not var:
-        return Z, None, None
+        raise ConvergenceError(f"variational integration failed: {exc}") from None
     ends = Z[:, 0:2].copy()
     Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
     zetas = Z[:, 6:8].copy() if param else None
     return ends, Ms, zetas
 
 
-def _residual(p: ModelParams, starts: np.ndarray, T: float, ends: np.ndarray,
-              ref_states: np.ndarray, ref_fields: np.ndarray) -> np.ndarray:
+def _residual(starts: np.ndarray, ends: np.ndarray, ref_states: np.ndarray,
+              ref_fields: np.ndarray) -> np.ndarray:
     m = len(starts)
     R = np.empty(2 * m + 1)
     for i in range(m):
@@ -212,8 +200,8 @@ def _residual(p: ModelParams, starts: np.ndarray, T: float, ends: np.ndarray,
     return R
 
 
-def _bvp_jacobian(p: ModelParams, starts: np.ndarray, T: float,
-                  ends: np.ndarray, Ms: np.ndarray, zetas: np.ndarray | None,
+def _bvp_jacobian(p: ModelParams, starts: np.ndarray, ends: np.ndarray,
+                  Ms: np.ndarray, zetas: np.ndarray | None,
                   ref_fields: np.ndarray) -> np.ndarray:
     """Jacobian of (matching, phase) w.r.t. (segment states, period[, param])."""
     m = len(starts)
@@ -237,41 +225,38 @@ def _fields_at(p: ModelParams, states: np.ndarray) -> np.ndarray:
     return np.column_stack([fx, fu])
 
 
-def _newton_cycle(p: ModelParams, starts: np.ndarray, T: float,
-                  ref_states: np.ndarray, ref_fields: np.ndarray,
-                  tol: float = CYCLE_TOL, max_iter: int = 25,
-                  rtol: float = SHOOT_RTOL, atol: float = SHOOT_ATOL):
-    """Newton on the fixed-parameter shooting system; returns (starts, T, res)."""
-    m = len(starts)
-    starts = starts.copy()
-    norm = np.inf
-    for _ in range(max_iter):
-        ends, Ms, _ = _shoot(p, starts, T, rtol=rtol, atol=atol)
-        R = _residual(p, starts, T, ends, ref_states, ref_fields)
-        norm = float(np.max(np.abs(R)))
-        if norm < tol:
-            return starts, T, norm
-        J = _bvp_jacobian(p, starts, T, ends, Ms, None, ref_fields)
-        try:
-            step = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular shooting Jacobian: {exc}",
-                                   residual=norm) from None
-        lam = 1.0
-        for _ in range(12):
-            s_new = starts + lam * step[:2 * m].reshape(m, 2)
-            T_new = T + lam * step[2 * m]
-            if T_new > 0:
-                ends_new, _, _ = _shoot(p, s_new, T_new, var=False,
-                                        rtol=rtol, atol=atol)
-                R_new = _residual(p, s_new, T_new, ends_new, ref_states, ref_fields)
-                if float(np.max(np.abs(R_new))) < norm:
-                    break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("cycle Newton line search stalled", residual=norm)
-        starts, T = s_new, T_new
-    raise ConvergenceError(f"cycle Newton did not reach {tol:g}", residual=norm)
+def _shooting_system(m: int, params_at: Callable[[np.ndarray], ModelParams],
+                     param: str | None, ref: dict):
+    """Residual and Jacobian of the shooting BVP at z = (segment starts, T, ...).
+
+    ``params_at(z)`` gives the model parameters at z and ``param`` the
+    parameter the shoot differentiates by (None at fixed parameters); the
+    phase condition is anchored at ``ref["states"]`` with ``ref["fields"]``.
+    Residual and Jacobian at one z share a single variational shoot: the last
+    one is cached, so a Newton step or tangent at an accepted point reuses
+    the integration that gave its residual.
+    """
+    last: dict = {}
+
+    def shot(z):
+        key = z.tobytes()
+        if last.get("key") != key:
+            starts, T = z[:2 * m].reshape(m, 2).copy(), z[2 * m]
+            if T <= 0:
+                raise ConvergenceError("nonpositive period")
+            p = params_at(z)
+            last.update(key=key, shot=(p, starts, *_shoot(p, starts, T, param)))
+        return last["shot"]
+
+    def residual(z):
+        _, starts, ends, _, _ = shot(z)
+        return _residual(starts, ends, ref["states"], ref["fields"])
+
+    def jacobian(z):
+        p, starts, ends, Ms, zetas = shot(z)
+        return _bvp_jacobian(p, starts, ends, Ms, zetas, ref["fields"])
+
+    return residual, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +511,18 @@ def seed_from_simulation(p: ModelParams, state, period: float,
 
 def _solve_cycle_raw(p: ModelParams, seed: CycleSeed, m: int,
                      tol: float = CYCLE_TOL) -> tuple[np.ndarray, float, float]:
-    """Correct a seed at fixed parameters; returns (segment starts, T, residual)."""
+    """Correct a seed at fixed parameters by damped Newton; returns
+    (segment starts, T, residual)."""
     starts = seed.segment_starts(m)
     spread = float(np.max(starts[:, 1]) - np.min(starts[:, 1]))
     if np.max(np.abs(starts - starts.mean(axis=0))) < 1e-8:
         raise GermError("seed amplitude below 1e-8")
-    ref_states = starts.copy()
-    ref_fields = _fields_at(p, starts)
-    s, T, res = _newton_cycle(p, starts, seed.period, ref_states, ref_fields, tol=tol)
+    ref = {"states": starts.copy(), "fields": _fields_at(p, starts)}
+    residual, jacobian = _shooting_system(m, lambda z: p, None, ref)
+    z = damped_newton(residual, np.append(starts.ravel(), seed.period),
+                      jac=jacobian, tol=tol, max_iter=24)
+    res = float(np.max(np.abs(residual(z))))   # the cached last shoot
+    s, T = z[:2 * m].reshape(m, 2), float(z[2 * m])
     if float(np.max(s[:, 1]) - np.min(s[:, 1])) < max(1e-8, 1e-6 * spread):
         raise GermError("corrected orbit collapsed to a steady state")
     return s, T, res
@@ -580,32 +569,12 @@ def _cycle_problem(p0: ModelParams, active: str, m: int,
                    scales: np.ndarray) -> ContinuationProblem:
     """The shooting BVP over Y = (segment starts, T, parameter).
 
-    Residual and Jacobian at one Y share a single variational shoot: the
-    last one is cached, so the tangent at an accepted point reuses the
-    corrector's final integration.  ``rebase`` re-anchors the integral
-    phase condition on the orbit at Y.
+    ``rebase`` re-anchors the integral phase condition on the orbit at Y;
+    the tangent at an accepted point reuses the corrector's final shoot.
     """
-    last: dict = {}
     ref: dict = {}
-
-    def shot(Y):
-        key = Y.tobytes()
-        if last.get("key") != key:
-            starts, T = Y[:2 * m].reshape(m, 2).copy(), Y[2 * m]
-            if T <= 0:
-                raise ConvergenceError("nonpositive period")
-            p = _params_at(p0, active, Y[2 * m + 1])
-            last.update(key=key, shot=(p, starts, T,
-                                       *_shoot(p, starts, T, param=active)))
-        return last["shot"]
-
-    def residual(Y):
-        p, starts, T, ends, _, _ = shot(Y)
-        return _residual(p, starts, T, ends, ref["states"], ref["fields"])
-
-    def jacobian(Y):
-        p, starts, T, ends, Ms, zetas = shot(Y)
-        return _bvp_jacobian(p, starts, T, ends, Ms, zetas, ref["fields"])
+    residual, jacobian = _shooting_system(
+        m, lambda Y: _params_at(p0, active, Y[2 * m + 1]), active, ref)
 
     def rebase(Y):
         ref["states"] = Y[:2 * m].reshape(m, 2).copy()

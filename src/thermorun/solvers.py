@@ -93,7 +93,8 @@ def damped_newton(fn: Callable[[np.ndarray], np.ndarray], x0,
             try:
                 r_new = np.atleast_1d(np.asarray(fn(x_new), dtype=float))
                 norm_new = float(np.max(np.abs(r_new)))
-            except (ValueError, FloatingPointError, OverflowError):
+            except (ValueError, FloatingPointError, OverflowError,
+                    ConvergenceError):
                 norm_new = np.inf
             if np.isfinite(norm_new) and norm_new < norm:
                 break

@@ -216,6 +216,16 @@ class TestExitCodes:
         assert run(["rates", "-o", str(out)]) == 2
         failure_manifest(out, 2, "configuration error: ", capsys)
 
+    @pytest.mark.parametrize("grid", ["40", "40x", "axb", "4x-3"])
+    def test_malformed_loci_grid_is_a_config_error(self, tmp_path, capsys,
+                                                   grid):
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", "mic-tank610", "--grid", grid,
+                    "-o", str(out)]) == 2
+        man = failure_manifest(out, 2, "configuration error: grid: ", capsys)
+        assert man["command"] == "loci"
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

@@ -120,7 +120,11 @@ class TestStackedRhs:
 
 
 def shoot_reference(p, starts, T, param=None, var=True):
-    """``_shoot`` on ``solve_ivp(method="LSODA")``, the driver it replaced."""
+    """``_shoot`` on ``solve_ivp(method="LSODA")``, the driver it replaced.
+
+    ``var=False`` integrates the segment states alone, as the plain shoot
+    the cycle corrector's line search once judged its trials on.
+    """
     from scipy.integrate import solve_ivp
     from scipy.linalg import block_diag
 
@@ -170,17 +174,10 @@ class TestShootDriver:
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w)
 
-    def test_plain_equals_solve_ivp(self, germ_starts):
-        p, T, *cases = germ_starts
-        for starts in cases:
-            got, _, _ = cycles._shoot(p, starts, T, var=False)
-            want, _, _ = shoot_reference(p, starts, T, var=False)
-            assert np.array_equal(got, want)
-
     def test_nonfinite_field_is_a_convergence_error(self, germ_starts,
                                                     monkeypatch):
         p, T, starts, _ = germ_starts
-        stacked, field = cycles._stacked_rhs, model._field_xu
+        stacked = cycles._stacked_rhs
 
         def stacked_blowing_up(*args):
             # Infinite from halfway through the unit interval on.
@@ -188,23 +185,94 @@ class TestShootDriver:
             return (lambda s, Y: rhs(s, Y) if s < 0.5
                     else np.full_like(Y, np.inf)), width
 
-        def field_blowing_up(p_, x, u):
-            # Infinite in x wherever a segment has x > 0.9.
-            fx, fu = field(p_, x, u)
-            return fx + np.where(x > 0.9, np.inf, 0.0), fu
-
         monkeypatch.setattr(cycles, "_stacked_rhs", stacked_blowing_up)
-        monkeypatch.setattr(model, "_field_xu", field_blowing_up)
-        hot = starts.copy()
-        hot[:, 0] = np.linspace(0.85, 0.95, len(starts))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="variational integration "
                                                        "failed: LSODA failed"):
                 cycles._shoot(p, starts, T, param="u_a")
-            with pytest.raises(ConvergenceError, match="segment integration "
-                                                       "failed: LSODA failed"):
-                cycles._shoot(p, hot, T, var=False)
+
+
+def newton_cycle_reference(p, seed, m, tol=cycles.CYCLE_TOL):
+    """The corrector ``_solve_cycle_raw`` replaced: full variational shoots
+    for the Newton steps, a line search of at most 12 halvings judged on
+    plain shoots, and 25 iterates checked.  Returns (starts, T, residual).
+    """
+    starts = seed.segment_starts(m)
+    ref_states, ref_fields = starts.copy(), cycles._fields_at(p, starts)
+    T = seed.period
+    norm = np.inf
+    for _ in range(25):
+        ends, Ms, _ = cycles._shoot(p, starts, T)
+        R = cycles._residual(starts, ends, ref_states, ref_fields)
+        norm = float(np.max(np.abs(R)))
+        if norm < tol:
+            return starts, T, norm
+        J = cycles._bvp_jacobian(p, starts, ends, Ms, None, ref_fields)
+        step = np.linalg.solve(J, -R)
+        lam = 1.0
+        for _ in range(12):
+            s_new = starts + lam * step[:2 * m].reshape(m, 2)
+            T_new = T + lam * step[2 * m]
+            if T_new > 0:
+                ends_new, _, _ = shoot_reference(p, s_new, T_new, var=False)
+                R_new = cycles._residual(s_new, ends_new, ref_states, ref_fields)
+                if float(np.max(np.abs(R_new))) < norm:
+                    break
+            lam *= 0.5
+        else:
+            raise ConvergenceError("cycle Newton line search stalled", residual=norm)
+        starts, T = s_new, T_new
+    raise ConvergenceError(f"cycle Newton did not reach {tol:g}", residual=norm)
+
+
+@pytest.fixture(scope="module")
+def relaxation_seed(mic):
+    """A seed sampled from the relaxation cycle at 290.07 K, inside the
+    bistable window, reached from a start outside the unstable orbit."""
+    p = mic.model.with_(u_a=290.07 / mic.temp_scale, u_boil=math.inf)
+    pt = steady.solve_steady(p, (float(model.quasi_steady_x(p, 0.03937)), 0.03937))
+    traj = simulate.integrate(p, (pt.state.x, pt.state.u + 3.8e-3),
+                              tau_end=20.0, n_samples=2000)
+    # Period guess: mean gap between upward crossings of the mean u over
+    # the last third of the run.
+    n = len(traj.times) // 3
+    t, g = traj.times[-n:], traj.us[-n:] - float(np.mean(traj.us[-n:]))
+    up = np.nonzero((g[:-1] <= 0.0) & (g[1:] > 0.0))[0]
+    crossings = t[up] - g[up] * (t[up + 1] - t[up]) / (g[up + 1] - g[up])
+    period = float(np.mean(np.diff(crossings)))
+    return p, cycles.seed_from_simulation(p, traj.final_state(), period)
+
+
+class TestSolveCycleRaw:
+    # Germs at 1e-6 and 1e-7 and the relaxation seed converge under both
+    # correctors.  Larger germs (1e-5 at 12 segments, 1e-3 at 12 and 24)
+    # stall the reference's 12 halvings, where damped_newton goes on.
+    @pytest.mark.parametrize("m", (12, 24))
+    def test_equals_the_plain_shoot_corrector(self, mic, mic_h1,
+                                              relaxation_seed, m):
+        seeds = [hopf_germ(mic.model, mic_h1, delta) for delta in (1e-6, 1e-7)]
+        for p, seed in seeds + [relaxation_seed]:
+            starts, T, res = cycles._solve_cycle_raw(p, seed, m)
+            want_starts, want_T, want_res = newton_cycle_reference(p, seed, m)
+            assert np.array_equal(starts, want_starts)
+            assert float(T).hex() == float(want_T).hex()
+            assert float(res).hex() == float(want_res).hex()
+
+    def test_each_iterate_shot_once(self, mic, mic_h1, monkeypatch):
+        # The accepted trial's shoot is the next iterate's residual and
+        # Jacobian: no (starts, T) is integrated twice.
+        p, seed = hopf_germ(mic.model, mic_h1, 1e-7)
+        shoot, keys = cycles._shoot, []
+
+        def recording(p_, starts, T, *args, **kwargs):
+            keys.append((np.asarray(starts).tobytes(), float(T)))
+            return shoot(p_, starts, T, *args, **kwargs)
+
+        monkeypatch.setattr(cycles, "_shoot", recording)
+        cycles._solve_cycle_raw(p, seed, 12)
+        assert len(keys) > 1
+        assert len(set(keys)) == len(keys)
 
 
 class TestFloquet:

@@ -87,7 +87,6 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
         mults, defect = cycles.floquet(p, starts[0], seed.period)
         sampled = cycles.seed_from_simulation(p, starts[0], seed.period)
         return [*cycles._shoot(p, starts, seed.period, param="u_a"),
-                *cycles._shoot(p, starts, seed.period, var=False),
                 ts, mesh, lo, hi, *mults, defect,
                 sampled.times, sampled.states,
                 simulate.integrate(p, (0.9, p.u_a), 5.0),
@@ -115,7 +114,6 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     expected = Counter()
     for module, forwarder, driver, owner in (
             ("thermorun.cycles", "lsoda", "odeint", "_stacked_rhs"),
-            ("thermorun.cycles", "lsoda", "odeint", "_shoot"),
             ("thermorun.cycles", "solve_ivp", "solve_ivp", "_finalize_orbit"),
             # floquet integrates leg by leg; this orbit takes two legs.
             ("thermorun.cycles", "solve_ivp", "solve_ivp", "floquet"),

@@ -150,6 +150,23 @@ class TestSolvePinned:
             solvers.solve_pinned(prob, [0.5, 0.6, 0.3], 2, 0.0, 1e-13, 30)
 
 
+def test_damped_newton_rejects_a_trial_that_raises_convergence_error():
+    # x^2 = 4 from x = 1: the full step lands on 2.5, where the residual
+    # fails as a shoot does; the halved step (1.75) is taken instead.
+    trials = []
+
+    def fn(x):
+        trials.append(float(x[0]))
+        if x[0] > 2.2:
+            raise ConvergenceError("variational integration failed")
+        return x * x - 4.0
+
+    x = solvers.damped_newton(fn, [1.0], jac=lambda x: np.diag(2.0 * x),
+                              tol=1e-12)
+    assert trials[:3] == [1.0, 2.5, 1.75]
+    assert abs(x[0] - 2.0) < 1e-12
+
+
 def test_continue_curve_rebases_each_point_before_its_jacobian():
     calls: list = []
     run = solvers.continue_curve(

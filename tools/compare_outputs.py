@@ -33,6 +33,9 @@ COMMANDS = {
                                                        "--range", "5:20"],
     "steady-branch-sigma": ["steady-branch"] + PRESET + [
         "--active", "sigma", "--range", "1.32e11:1.32e12"],
+    # At a high flow rate: two steady folds and one Hopf point.
+    "steady-branch-f10": ["steady-branch"] + PRESET + ["--f", "10",
+                                                       "--Ta", "250:285"],
     "loci": ["loci"] + PRESET + ["--grid", "40x40"],
     "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
                                                     "--max-orbits", "16"],
