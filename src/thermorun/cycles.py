@@ -104,6 +104,12 @@ class CycleBranch:
 # Stacked segment integration
 
 
+U_FLOOR = 1e-3
+"""exp(-1/u) is exactly 0 for every u at or below this, so clamping u to it
+changes no rate; clamping u * u to its square keeps 0 / 0 from arising
+where the square underflows."""
+
+
 def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
     """RHS of the stacked segment system on the unit interval.
 
@@ -116,55 +122,67 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         Z = Y.reshape(m, width)
         x, u = Z[:, 0], Z[:, 1]
         # The field and J of model._field_xu/_jac_xu on one Arrhenius
-        # evaluation; J M and J zeta as the two-term sums einsum forms.
-        r = p.sigma * model._arrhenius(u)
-        uu = u * u
-        rp = r / np.where(uu > 0, uu, 1.0)               # 0 where r is
+        # evaluation, clamped instead of branched: the same bits for every
+        # finite u.
+        r = p.sigma * np.exp(-1.0 / np.maximum(u, U_FLOOR))
+        rp = r / np.maximum(u * u, U_FLOOR * U_FLOOR)
         xr, xrp = x * r, x * rp                          # -(x r) == (-x) r
-        j00, j01 = -(r + p.f), -xrp
-        j10, j11 = r / p.eps, (xrp - p.loss) / p.eps
+        # Columns of each segment's J, shape (m, 2, 1); J M and J zeta are
+        # the two-term sums einsum forms.
+        J0 = np.empty((m, 2, 1))
+        J1 = np.empty((m, 2, 1))
+        J0[:, 0, 0] = -(r + p.f)
+        J0[:, 1, 0] = r / p.eps
+        J1[:, 0, 0] = -xrp
+        J1[:, 1, 0] = (xrp - p.loss) / p.eps
         out = np.empty_like(Z)
-        out[:, 0] = h * (-xr + p.f * (1.0 - x))
-        out[:, 1] = h * ((xr - p.loss * (u - p.u_a)) / p.eps)
-        M0, M1 = Z[:, 2:4], Z[:, 4:6]                    # rows of M
-        out[:, 2:4] = h * (j00[:, None] * M0 + j01[:, None] * M1)
-        out[:, 4:6] = h * (j10[:, None] * M0 + j11[:, None] * M1)
+        out[:, 0] = -xr + p.f * (1.0 - x)
+        out[:, 1] = (xr - p.loss * (u - p.u_a)) / p.eps
+        M = Z[:, 2:6].reshape(m, 2, 2)
+        out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
         if param:
-            z0, z1 = Z[:, 6], Z[:, 7]
-            b = model.param_derivative(p, x, u, param)   # (m, 2)
-            out[:, 6] = h * (j00 * z0 + j01 * z1 + b[:, 0])
-            out[:, 7] = h * (j10 * z0 + j11 * z1 + b[:, 1])
+            out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
+                           + model.param_derivative(p, x, u, param))
+        out *= h
         return out.ravel()
 
     return rhs, width
 
 
 def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
-    from scipy.linalg import block_diag
+    """Jacobian of ``_stacked_rhs``: one block per segment on the diagonal.
 
+    All blocks are formed at once and returned in a dense matrix; a banded
+    one would change the rounding of LSODA's LU.
+    """
     width = 8 if param else 6
+    seg = np.arange(m)
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
-        blocks = []
-        for i in range(m):
-            x, u = float(Z[i, 0]), float(Z[i, 1])
-            J = model._jac_xu(p, x, u)
-            B = model._hessian_xu(p, x, u)
-            Mi = Z[i, 2:6].reshape(2, 2)
-            blk = np.zeros((width, width))
-            blk[0:2, 0:2] = h * J
-            # d(J M)/dy via the Hessian tensor.
-            dJM = np.einsum("jla,lk->jka", B, Mi)        # (2, 2, 2): j, k, a
-            blk[2:6, 0:2] = h * dJM.reshape(4, 2)
-            blk[2:6, 2:6] = h * np.kron(J, np.eye(2))
-            if param:
-                zeta = Z[i, 6:8]
-                dJz = np.einsum("jla,l->ja", B, zeta)
-                blk[6:8, 0:2] = h * (dJz + model.param_derivative_state_jac(p, x, u, param))
-                blk[6:8, 6:8] = h * J
-            blocks.append(blk)
-        return block_diag(*blocks)
+        x, u = Z[:, 0], Z[:, 1]
+        J = model._jac_xu(p, x, u)                                   # (m, 2, 2)
+        xs, us = x.tolist(), u.tolist()
+        # Per segment: the Hessian keeps rho_derivs' math.exp bits.
+        B = np.array([model._hessian_xu(p, xi, ui) for xi, ui in zip(xs, us)])
+        blk = np.zeros((m, width, width))
+        blk[:, 0:2, 0:2] = h * J
+        # d(J M)/dy via the Hessian tensor.
+        dJM = np.einsum("mjla,mlk->mjka", B, Z[:, 2:6].reshape(m, 2, 2))
+        blk[:, 2:6, 0:2] = h * dJM.reshape(m, 4, 2)
+        # kron(J, I) per segment; a product, as np.kron forms it, keeps the
+        # signs of its zeros.
+        blk[:, 2:6, 2:6] = h * (J[:, :, None, :, None]
+                                * np.eye(2)[:, None, :]).reshape(m, 4, 4)
+        if param:
+            dJz = np.einsum("mjla,ml->mja", B, Z[:, 6:8])
+            S = np.array([model.param_derivative_state_jac(p, xi, ui, param)
+                          for xi, ui in zip(xs, us)])
+            blk[:, 6:8, 0:2] = h * (dJz + S)
+            blk[:, 6:8, 6:8] = h * J
+        out = np.zeros((m * width, m * width))
+        out.reshape(m, width, m, width)[seg, :, seg, :] = blk
+        return out
 
     return jac
 

@@ -178,9 +178,11 @@ def rho(p: ModelParams, u):
 
 
 def _rho_derivs_raw(p: ModelParams, u: float) -> tuple[float, float, float, float]:
-    if u <= 0:
+    r = p.sigma * math.exp(-1.0 / u) if u > 0 else 0.0
+    if r == 0.0:
+        # The limit, as in _rates: for u below ~1.3e-3 exp(-1/u) is 0, and
+        # below ~5e-52 the powers of 1/u would divide 0 by an underflow.
         return 0.0, 0.0, 0.0, 0.0
-    r = p.sigma * math.exp(-1.0 / u)
     u2 = u * u
     d1 = r / u2
     d2 = r * (1.0 / u2**2 - 2.0 / u**3)
@@ -372,7 +374,7 @@ def param_derivative_state_jac(p: ModelParams, x: float, u: float,
         out[1, 1] = -(x * d1 - p.ell) / p.eps ** 2
     elif name == "sigma":
         expu = float(_arrhenius(u))
-        d1u = expu / (u * u) if u > 0 else 0.0
+        d1u = expu / (u * u) if expu else 0.0   # no 0 / 0 when u * u underflows
         out[0, 0] = -expu
         out[0, 1] = -x * d1u
         out[1, 0] = expu / p.eps

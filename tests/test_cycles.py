@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermorun import cycles, model, simulate, steady
 from thermorun.cycles import CycleSeed, find_cycle, floquet, hopf_germ
@@ -117,6 +118,103 @@ class TestStackedRhs:
             assert w == width
             assert np.array_equal(rhs(0.0, Y),
                                   stacked_rhs_reference(p, m, h, param, Y))
+
+
+def branched_stacked_rhs(p, m, h, param):
+    """``_stacked_rhs`` as it was before the clamps: ``model._arrhenius``
+    with its branches, a guard on u * u and h applied per term."""
+    width = 8 if param else 6
+
+    def rhs(s, Y):
+        Z = Y.reshape(m, width)
+        x, u = Z[:, 0], Z[:, 1]
+        r = p.sigma * model._arrhenius(u)
+        uu = u * u
+        rp = r / np.where(uu > 0, uu, 1.0)
+        xr, xrp = x * r, x * rp
+        j00, j01 = -(r + p.f), -xrp
+        j10, j11 = r / p.eps, (xrp - p.loss) / p.eps
+        out = np.empty_like(Z)
+        out[:, 0] = h * (-xr + p.f * (1.0 - x))
+        out[:, 1] = h * ((xr - p.loss * (u - p.u_a)) / p.eps)
+        M0, M1 = Z[:, 2:4], Z[:, 4:6]
+        out[:, 2:4] = h * (j00[:, None] * M0 + j01[:, None] * M1)
+        out[:, 4:6] = h * (j10[:, None] * M0 + j11[:, None] * M1)
+        if param:
+            z0, z1 = Z[:, 6], Z[:, 7]
+            b = model.param_derivative(p, x, u, param)
+            out[:, 6] = h * (j00 * z0 + j01 * z1 + b[:, 0])
+            out[:, 7] = h * (j10 * z0 + j11 * z1 + b[:, 1])
+        return out.ravel()
+
+    return rhs
+
+
+def per_segment_stacked_jac(p, m, h, param):
+    """``_stacked_jac`` as it was before batching: one block per segment,
+    joined by ``scipy.linalg.block_diag``."""
+    from scipy.linalg import block_diag
+
+    width = 8 if param else 6
+
+    def jac(s, Y):
+        Z = Y.reshape(m, width)
+        blocks = []
+        for i in range(m):
+            x, u = float(Z[i, 0]), float(Z[i, 1])
+            J = model._jac_xu(p, x, u)
+            B = model._hessian_xu(p, x, u)
+            Mi = Z[i, 2:6].reshape(2, 2)
+            blk = np.zeros((width, width))
+            blk[0:2, 0:2] = h * J
+            dJM = np.einsum("jla,lk->jka", B, Mi)
+            blk[2:6, 0:2] = h * dJM.reshape(4, 2)
+            blk[2:6, 2:6] = h * np.kron(J, np.eye(2))
+            if param:
+                zeta = Z[i, 6:8]
+                dJz = np.einsum("jla,l->ja", B, zeta)
+                blk[6:8, 0:2] = h * (dJz + model.param_derivative_state_jac(p, x, u, param))
+                blk[6:8, 6:8] = h * J
+            blocks.append(blk)
+        return block_diag(*blocks)
+
+    return jac
+
+
+# u at and around the clamp, outside the domain, where u * u underflows and
+# subnormal; transition-matrix and sensitivity entries of either sign from
+# exact zeros up to 1e5.
+kernel_us = st.sampled_from([-0.01, -0.0, 0.0, 1e-3, 0.0013, 1e-170, 5e-324]) \
+    | st.floats(0.02, 0.08) | st.floats(-0.1, 0.3)
+kernel_entries = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda mag, sign: sign * mag, st.floats(1e-20, 1e5), st.sampled_from([1.0, -1.0]))
+
+
+class TestStackedKernels:
+    # Up to 12 drawn segments, repeated to m rows: each value meets the
+    # kernels at several positions of the batch.
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(st.tuples(st.floats(-0.5, 1.5), kernel_us,
+                                       *[kernel_entries] * 6),
+                             min_size=1, max_size=12),
+           m=st.sampled_from([1, 12, 24, 96]),
+           param=st.sampled_from((None,) + model.CONTINUABLE_PARAMS),
+           h=st.floats(0.01, 3.0))
+    def test_bytes_equal_the_branched_and_per_segment_kernels(
+            self, mic, segments, m, param, h):
+        p = mic.model
+        width = 8 if param else 6
+        Y = np.resize(np.array(segments)[:, :width], (m, width)).ravel()
+        kernels = [(cycles._stacked_rhs(p, m, h, param)[0],
+                    branched_stacked_rhs(p, m, h, param)),
+                   (cycles._stacked_jac(p, m, h, param),
+                    per_segment_stacked_jac(p, m, h, param))]
+        # -1 / u overflows for subnormal u (exp gives the limit 0); any
+        # other warning, 0 / 0 above all, is an error.
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got, want in kernels:
+                assert got(0.0, Y).tobytes() == want(0.0, Y).tobytes()
 
 
 def shoot_reference(p, starts, T, param=None, var=True):

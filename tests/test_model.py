@@ -166,6 +166,22 @@ class TestJacobian:
                 scale = max(1.0, float(np.max(np.abs(B[:, :, j]))))
                 assert np.max(np.abs(B[:, :, j] - fd)) / scale < 1e-4
 
+    @pytest.mark.parametrize("u", (1e-60, 1e-100, 1e-170, 5e-324))
+    def test_tiny_u_derivatives_are_the_zero_rate_limit(self, mic, u):
+        # exp(-1/u) is 0 here, while powers of 1/u overflow or their
+        # reciprocals underflow to 0: every rate derivative is the limit 0.
+        p, x = mic.model, 0.5
+        assert model.rho_derivs(p, u) == (0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(model._hessian_xu(p, x, u), np.zeros((2, 2, 2)))
+        assert np.array_equal(model.third_derivatives(p, (x, u)),
+                              np.zeros((2, 2, 2, 2)))
+        rate_free = {"eps": [[0.0, 0.0], [0.0, p.ell / p.eps ** 2]],
+                     "sigma": np.zeros((2, 2))}
+        for name, want in rate_free.items():
+            with np.errstate(over="ignore"):    # -1 / u for subnormal u
+                got = model.param_derivative_state_jac(p, x, u, name)
+            assert np.array_equal(got, want)
+
     def test_stable_below_onset(self, mic):
         ts = mic.temp_scale
         p = mic.model.with_(u_a=286.0 / ts)

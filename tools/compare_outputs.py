@@ -40,6 +40,10 @@ COMMANDS = {
     "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
                                                     "--max-orbits", "16"],
     "cycle-branch": ["cycle-branch"] + PRESET + ["--Ta", "282:296"],
+    # 24 segments: the parameter-sensitivity shoot at m = 24.
+    "cycle-branch-24": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
+                                                    "--segments", "24",
+                                                    "--max-orbits", "8"],
     "calibrate": ["calibrate"] + PRESET,
     "simulate-292": ["simulate"] + PRESET + ["--Ta", "292"],   # runaway
     # Filling from an empty tank to a steady state (x0 = 1 runs away).
