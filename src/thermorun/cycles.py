@@ -29,7 +29,7 @@ import numpy as np
 from . import model
 from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
-from .model import ModelParams
+from .model import U_FLOOR, ModelParams
 from .simulate import lsoda, solve_ivp
 from .solvers import (ContinuationProblem, _tangent, continue_curve,
                       damped_newton, solve_pinned)
@@ -102,12 +102,6 @@ class CycleBranch:
 
 # ---------------------------------------------------------------------------
 # Stacked segment integration
-
-
-U_FLOOR = 1e-3
-"""exp(-1/u) is exactly 0 for every u at or below this, so clamping u to it
-changes no rate; clamping u * u to its square keeps 0 / 0 from arising
-where the square underflows."""
 
 
 def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):

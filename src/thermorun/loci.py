@@ -20,7 +20,8 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, ValidationError
 from .model import ModelParams
-from .solvers import ContinuationProblem, bracket_roots, continue_curve
+from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
+                      memo_last)
 from .steady import SpecialPoint, continue_branch
 
 LOCUS_TOL = 1e-10
@@ -101,17 +102,18 @@ def _augmented_problem(p: ModelParams, test: str,
                        scales: np.ndarray) -> ContinuationProblem:
     """{F = 0, test fn = 0} over y = (x, u, u_a, ln f)."""
     grad_fn = _trace_grad if test == "trace" else _det_grad
+    at = memo_last(lambda u_a, ln_f: p.with_(u_a=u_a, f=math.exp(ln_f)), 2)
 
     def residual(y):
         x, u, u_a, ln_f = y.tolist()
-        q = p.with_(u_a=u_a, f=math.exp(ln_f))
+        q = at(u_a, ln_f)
         fx, fu = model._field_scalar(q, x, u)
         t, _ = grad_fn(q, x, u)
         return np.array([fx, fu, t])
 
     def jacobian(y):
         x, u, u_a, ln_f = y.tolist()
-        q = p.with_(u_a=u_a, f=math.exp(ln_f))
+        q = at(u_a, ln_f)
         (a, b), (c, d) = model._jac_scalar(q, x, u)
         a0, a1 = model._param_derivative_scalar(q, x, u, "u_a")
         f0, f1 = model._param_derivative_scalar(q, x, u, "f")

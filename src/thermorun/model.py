@@ -21,7 +21,7 @@ preset registry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -112,7 +112,15 @@ class ModelParams:
         return self.eps * self.f + self.ell
 
     def with_(self, **updates) -> "ModelParams":
-        return replace(self, **updates)
+        """A copy with ``updates`` applied, validated like any new instance.
+
+        ``dataclasses.replace`` without its per-call field introspection:
+        an unknown key raises ``TypeError`` from the constructor.
+        """
+        kw = {"f": self.f, "ell": self.ell, "eps": self.eps, "u_a": self.u_a,
+              "sigma": self.sigma, "u_boil": self.u_boil}
+        kw.update(updates)
+        return ModelParams(**kw)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,20 +164,34 @@ def _as_state(s) -> tuple[float, float]:
     return float(x), float(u)
 
 
+U_FLOOR = 1e-3
+"""exp(-1/u) is exactly 0 for every u at or below this, so clamping u to it
+changes no rate; clamping u * u to its square keeps 0 / 0 from arising
+where the square underflows."""
+
+
 def _arrhenius(u):
-    """exp(-1/u) extended smoothly by zero for u <= 0.
+    """exp(-1/u) extended smoothly by zero for u <= 0 (and for NaN).
 
     The extension is C-infinity at u = 0+ and keeps internal solver
     iterations total when a trial state briefly leaves the physical domain.
+    Clamping u to ``U_FLOOR`` gives the zero without a branch, and keeps
+    -1/u finite for subnormal u; ``fmax`` sends NaN to the floor too.
     """
-    u = np.asarray(u, dtype=float)
-    safe = np.where(u > 0, u, 1.0)
-    out = np.where(u > 0, np.exp(-1.0 / safe), 0.0)
+    out = np.exp(-1.0 / np.fmax(u, U_FLOOR))
     return float(out) if out.ndim == 0 else out
 
 
 def rho(p: ModelParams, u):
-    """Dimensionless reaction rate sigma * exp(-1/u); u may be an array."""
+    """Dimensionless reaction rate sigma * exp(-1/u); u may be an array.
+
+    A float u (``np.float64`` included) skips the array machinery; its
+    ``np.exp`` gives the same bits as the array path.
+    """
+    if isinstance(u, float):
+        if u <= 0:
+            raise DomainError("rho requires u > 0")
+        return p.sigma * float(np.exp(-1.0 / u))
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("rho requires u > 0")

@@ -4,6 +4,8 @@ continuation engine that traces steady, locus and cycle branches alike."""
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +52,27 @@ def bracket_roots(fn: Callable, grid) -> list[float]:
     hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
     return [float(grid[i]) if vals[i] == 0.0
             else float(bisect_root(fn, grid[i], grid[i + 1])) for i in hits]
+
+
+def memo_last(fn: Callable, n_args: int = 1) -> Callable:
+    """``fn`` of ``n_args`` floats, remembering its last result.
+
+    The key is the arguments' bits, so 0.0 and -0.0 are different keys.  A
+    continuation evaluates the residual, the Jacobian and the point data at
+    one parameter value in a row; this builds what they share once.
+    """
+    pack = struct.Struct(f"{n_args}d").pack
+    key = out = None
+
+    def memo(*args):
+        nonlocal key, out
+        k = pack(*args)
+        if k != key:
+            out = fn(*args)
+            key = k
+        return out
+
+    return memo
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -152,8 +175,12 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
     for _ in range(max_iter):
         try:
             r = residual(y)
-            norm = float(np.max(np.abs(r)))
-            if not np.isfinite(norm) or norm > 1e6:
+            rl = r.tolist()
+            norm = max(map(abs, rl))
+            total = sum(rl)
+            if total != total and any(v != v for v in rl):
+                norm = math.nan  # Python's max drops a NaN that is not first
+            if not norm <= 1e6:
                 raise ConvergenceError("Newton iteration diverged", y, norm)
             if norm < tol:
                 return norm
@@ -184,7 +211,9 @@ def _tangent(J: np.ndarray, scales: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Unit null vector of the Jacobian ``J`` in the metric scaled by
     ``scales``, bordered with and oriented along ``prev``."""
     n = J.shape[1]
-    A = np.vstack([J, prev])
+    A = np.empty((n, n))
+    A[:-1] = J
+    A[-1] = prev
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
@@ -207,14 +236,18 @@ def _correct(prob: ContinuationProblem, y_pred: np.ndarray, t_hat: np.ndarray,
     Returns the corrected point and its residual norm, the arclength row
     included.
     """
-    border = t_hat / prob.scales
+    n = len(y_pred)
+    r, A = np.empty(n), np.empty((n, n))
+    A[-1] = t_hat / prob.scales
 
     def full_res(y):
-        c = float(np.dot(t_hat, (y - y_pred) / prob.scales))
-        return np.append(prob.residual(y), c)
+        r[:-1] = prob.residual(y)
+        r[-1] = np.dot(t_hat, (y - y_pred) / prob.scales)
+        return r
 
     def full_jac(y):
-        return np.vstack([prob.jacobian(y), border])
+        A[:-1] = prob.jacobian(y)
+        return A
 
     y = y_pred.copy()
     norm = _newton(full_res, full_jac, y, tol, max_iter)

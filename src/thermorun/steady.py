@@ -20,7 +20,7 @@ from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
 from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
-                      damped_newton, solve_pinned)
+                      damped_newton, memo_last, solve_pinned)
 
 STEADY_TOL = 1e-12
 BRANCH_TOL = 1e-10
@@ -137,15 +137,28 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
 # One-parameter continuation
 
 
-def _branch_problem(p: ModelParams, active: str,
-                    scales: np.ndarray) -> ContinuationProblem:
+def _branch_params(p: ModelParams, active: str):
+    """``value -> p`` with ``active`` set to value, reusing the last
+    parameter set while the value repeats."""
+    return memo_last(lambda value: p.with_(**{active: value}))
+
+
+def _branch_problem(p: ModelParams, active: str, scales: np.ndarray,
+                    params_at=None) -> ContinuationProblem:
+    """Steady system over y = (x, u, value of ``active``).
+
+    ``params_at`` (default: a new :func:`_branch_params`) maps the value to
+    its parameter set, so the caller can share the problem's memo.
+    """
+    at = params_at or _branch_params(p, active)
+
     def residual(y):
         x, u, value = y.tolist()
-        return np.array(model._field_scalar(p.with_(**{active: value}), x, u))
+        return np.array(model._field_scalar(at(value), x, u))
 
     def jacobian(y):
         x, u, value = y.tolist()
-        q = p.with_(**{active: value})
+        q = at(value)
         (a, b), (c, d) = model._jac_scalar(q, x, u)
         e, g = model._param_derivative_scalar(q, x, u, active)
         return np.array([[a, b, e], [c, d, g]])
@@ -224,7 +237,8 @@ def continue_branch(p: ModelParams, active: str = "u_a",
 
     u_scale = max(p.f / p.loss, 1e-6)
     scales = np.array([1.0, u_scale, hi - lo])
-    prob = _branch_problem(p, active, scales)
+    at = _branch_params(p, active)
+    prob = _branch_problem(p, active, scales, at)
 
     def stop(y):
         if y[2] < lo - 1e-12 or y[2] > hi + 1e-12:
@@ -237,16 +251,13 @@ def continue_branch(p: ModelParams, active: str = "u_a",
 
     points = []
     for y in run.points:
-        q = p.with_(**{active: float(y[2])})
-        points.append(_make_point(q, y[0], y[1], active))
+        points.append(_make_point(at(float(y[2])), y[0], y[1], active))
 
     def trace_of(y):
-        q = p.with_(**{active: float(y[2])})
-        return model.trace_det(q, (y[0], y[1]))[0]
+        return model.trace_det(at(float(y[2])), (y[0], y[1]))[0]
 
     def det_of(y):
-        q = p.with_(**{active: float(y[2])})
-        return model.trace_det(q, (y[0], y[1]))[1]
+        return model.trace_det(at(float(y[2])), (y[0], y[1]))[1]
 
     specials = []
     for i in range(len(run.points) - 1):
@@ -257,8 +268,7 @@ def continue_branch(p: ModelParams, active: str = "u_a",
         if ta[2] * tb[2] < 0:
             try:
                 yf = _refine_special(prob, ya, yb, det_of)
-                q = p.with_(**{active: float(yf[2])})
-                tr, det = model.trace_det(q, (yf[0], yf[1]))
+                tr, det = model.trace_det(at(float(yf[2])), (yf[0], yf[1]))
                 specials.append(SpecialPoint(
                     "fold", active, float(yf[2]),
                     State(float(np.clip(yf[0], 0, 1)), float(yf[1])), tr, det,
@@ -271,13 +281,13 @@ def continue_branch(p: ModelParams, active: str = "u_a",
                 yh = _refine_special(prob, ya, yb, trace_of)
             except ConvergenceError:
                 continue
-            q = p.with_(**{active: float(yh[2])})
+            q = at(float(yh[2]))
             tr, det = model.trace_det(q, (yh[0], yh[1]))
             if det > 0:
                 sp = SpecialPoint(
                     "hopf", active, float(yh[2]),
                     State(float(np.clip(yh[0], 0, 1)), float(yh[1])), tr, det)
-                l1 = lyapunov_first_coeff(p.with_(**{active: float(yh[2])}), sp)
+                l1 = lyapunov_first_coeff(q, sp)
                 specials.append(SpecialPoint(
                     sp.kind, sp.param_name, sp.param_value, sp.state, sp.trace,
                     sp.det, l1=l1,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -468,3 +469,104 @@ class TestPresets:
         cfg = mic.to_config()
         p = ModelParams(**cfg["params"])
         assert p == mic.model
+
+
+def parent_arrhenius(u):
+    """``model._arrhenius`` as it was before the clamp: two branches."""
+    u = np.asarray(u, dtype=float)
+    safe = np.where(u > 0, u, 1.0)
+    out = np.where(u > 0, np.exp(-1.0 / safe), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+class TestArrheniusClamp:
+    edge_us = [-0.01, -0.0, 0.0, 1e-3, 0.0013, 1e-170, 1e-310, 5e-324,
+               math.nan, math.inf, -math.inf]
+
+    def test_same_bits_as_the_branches(self):
+        us = np.concatenate([self.edge_us, np.linspace(0.02, 0.08, 20001)])
+        with np.errstate(over="ignore"):        # -1/u for subnormal u
+            want = parent_arrhenius(us)
+            scalars = [parent_arrhenius(u) for u in self.edge_us]
+        assert model._arrhenius(us).tobytes() == want.tobytes()
+        for u, w in zip(self.edge_us, scalars):
+            got = model._arrhenius(u)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(w).tobytes()
+
+    @pytest.mark.parametrize("u", (5e-324, 1e-310, 1e-170))
+    def test_subnormal_u_warns_nowhere(self, mic, u):
+        # Before the clamp, -1/u overflowed in a divide for subnormal u.
+        p, x = mic.model, 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model._arrhenius(u) == 0.0
+            for arg in (u, np.array([u, 0.04])):
+                model._field_xu(p, x, arg)
+                model._jac_xu(p, x, arg)
+                for name in model.CONTINUABLE_PARAMS:
+                    model.param_derivative(p, x, arg, name)
+            jac = model.param_derivative_state_jac(p, x, u, "sigma")
+        assert np.array_equal(jac, np.zeros((2, 2)))
+
+
+class TestWithFastPath:
+    fields = ("f", "ell", "eps", "u_a", "sigma", "u_boil")
+    values = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, -0.0, 1e-300, 0.03, 0.06, 1.7]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=valid_params,
+           updates=st.dictionaries(st.sampled_from(fields), values))
+    def test_equals_dataclasses_replace(self, p, updates):
+        try:
+            want = dataclasses.replace(p, **updates)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                p.with_(**updates)
+            assert (err.value.field, str(err.value)) == (exc.field, str(exc))
+            return
+        got = p.with_(**updates)
+        assert type(got) is ModelParams
+        assert got == want and repr(got) == repr(want)   # repr keeps -0.0
+
+    @pytest.mark.parametrize("field, bad", [
+        ("f", 0.0), ("f", -1.0), ("f", math.nan), ("ell", -1e-300),
+        ("ell", math.nan), ("eps", 0.0), ("eps", -math.inf), ("u_a", -0.0),
+        ("u_a", math.nan), ("sigma", -1.0), ("sigma", math.nan),
+        ("u_boil", 0.02), ("u_boil", math.nan)])
+    def test_each_invalid_field_is_named(self, mic, field, bad):
+        with pytest.raises(ValidationError) as err:
+            mic.model.with_(**{field: bad})
+        assert err.value.field == field
+
+    def test_unknown_key_raises_type_error(self, mic):
+        with pytest.raises(TypeError):
+            mic.model.with_(T_a=290.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(mic.model, T_a=290.0)
+
+
+class TestScalarRho:
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params, u=st.one_of(st.floats(1e-3, 1.0), st.floats(1e-300, 0.1),
+                                       st.floats(0.02, 0.08)))
+    def test_same_bits_as_the_array_path(self, p, u):
+        want = model.rho(p, np.array([u]))[0]
+        for arg in (u, np.float64(u)):
+            got = model.rho(p, arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+        # and as the 0-d array path the scalar used to take
+        assert np.float64(model.rho(p, np.array(u))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u", (0.0, -0.0, -1e-3, -math.inf))
+    def test_nonpositive_u_raises(self, mic, u):
+        for arg in (u, np.float64(u), np.array(u), np.array([0.04, u])):
+            with pytest.raises(DomainError):
+                model.rho(mic.model, arg)
+
+    def test_nan_u_gives_nan(self, mic):
+        for arg in (math.nan, np.float64(math.nan), np.array(math.nan)):
+            got = model.rho(mic.model, arg)
+            assert type(got) is float and math.isnan(got)

@@ -181,3 +181,142 @@ def test_continue_curve_rebases_each_point_before_its_jacobian():
         assert ("jacobian", y.tobytes()) in calls[first:]
     assert run.stop_reason == "max steps"
     assert len(run.residuals) == len(run.points) - 1 == 12
+
+
+# The continuation engine as it was before the bordered systems were built
+# in place and the norm taken over Python floats, kept verbatim as the oracle.
+
+def reference_newton(residual, jacobian, y, tol, max_iter, free=slice(None)):
+    norm = np.inf
+    for _ in range(max_iter):
+        try:
+            r = residual(y)
+            norm = float(np.max(np.abs(r)))
+            if not np.isfinite(norm) or norm > 1e6:
+                raise ConvergenceError("Newton iteration diverged", y, norm)
+            if norm < tol:
+                return norm
+            y[free] += np.linalg.solve(jacobian(y)[:, free], -r)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Jacobian: {exc}", y, norm) from None
+        except (DomainError, ValidationError, OverflowError) as exc:
+            raise ConvergenceError(f"iterate left the domain: {exc}", y,
+                                   norm) from None
+    raise ConvergenceError(f"no convergence in {max_iter} iterations", y, norm)
+
+
+def reference_tangent(J, scales, prev):
+    n = J.shape[1]
+    A = np.vstack([J, prev])
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        t = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        # Fall back to SVD null space.
+        _, _, vh = np.linalg.svd(J)
+        t = vh[-1]
+    t = t / scales
+    t /= np.linalg.norm(t)
+    if float(np.dot(t, prev)) < 0:
+        t = -t
+    return t
+
+
+def reference_correct(prob, y_pred, t_hat, tol, max_iter=12):
+    border = t_hat / prob.scales
+
+    def full_res(y):
+        c = float(np.dot(t_hat, (y - y_pred) / prob.scales))
+        return np.append(prob.residual(y), c)
+
+    def full_jac(y):
+        return np.vstack([prob.jacobian(y), border])
+
+    y = y_pred.copy()
+    norm = reference_newton(full_res, full_jac, y, tol, max_iter)
+    return y, norm
+
+
+def reference_branch_problem(p: ModelParams, active: str, scales):
+    """The steady branch system with a new parameter set per call."""
+
+    def residual(y):
+        x, u, value = y.tolist()
+        q = dataclasses.replace(p, **{active: value})
+        return np.array(model._field_scalar(q, x, u))
+
+    def jacobian(y):
+        x, u, value = y.tolist()
+        q = dataclasses.replace(p, **{active: value})
+        (a, b), (c, d) = model._jac_scalar(q, x, u)
+        e, g = model._param_derivative_scalar(q, x, u, active)
+        return np.array([[a, b, e], [c, d, g]])
+
+    return solvers.ContinuationProblem(residual, jacobian, scales)
+
+
+def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
+    """``continue_branch``'s continuation over [v / 2, 2 v] of ``active``."""
+    v = getattr(p, active)
+    lo, hi = 0.5 * v, 2.0 * v
+    q = p.with_(**{active: lo})
+    seeds = steady.reduced_scan(q, q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9),
+                                n=4000, param_name=active)
+    if not seeds:
+        return None
+    y0 = np.array([seeds[0].state.x, seeds[0].state.u, lo])
+    scales = np.array([1.0, max(p.f / p.loss, 1e-6), hi - lo])
+    build = reference_branch_problem if reference else steady._branch_problem
+
+    def stop(y):
+        return "window boundary" if y[2] < lo or y[2] > hi else None
+
+    with ExitStack() as stack:
+        if reference:
+            stack.enter_context(mock.patch.object(solvers, "_correct",
+                                                  reference_correct))
+            stack.enter_context(mock.patch.object(solvers, "_tangent",
+                                                  reference_tangent))
+        return solvers.continue_curve(
+            build(p, active, scales), y0, np.array([0.0, 0.0, 1.0]), ds0=1e-3,
+            ds_min=1e-6, ds_max=ds_max, max_steps=600, tol=steady.BRANCH_TOL,
+            stop=stop)
+
+
+class TestEngineOracle:
+    # ds_max = 0.3 makes the corrector fail now and then (no convergence,
+    # divergence, a trial parameter out of range), so step halving is
+    # compared too.
+    @settings(max_examples=80, deadline=None)
+    @given(p=criterion5_params, active=st.sampled_from(model.CONTINUABLE_PARAMS),
+           ds_max=st.sampled_from([1e-2, 0.3]))
+    def test_branch_runs_equal_the_reference_engine(self, p, active, ds_max):
+        run = branch_run(p, active, False, ds_max)
+        ref = branch_run(p, active, True, ds_max)
+        if ref is None:
+            assert run is None
+            return
+        assert run.stop_reason == ref.stop_reason
+        for got, want in ((run.points, ref.points), (run.tangents, ref.tangents)):
+            assert len(got) == len(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert np.array(run.residuals).tobytes() == np.array(ref.residuals).tobytes()
+
+    @pytest.mark.parametrize("newton", [solvers._newton, reference_newton])
+    def test_nan_after_finite_components_diverges(self, newton):
+        # Python's max skips a NaN that is not first; np.max does not.
+        def residual(y):
+            return np.array([1e-3, 0.5, math.nan])
+
+        with pytest.raises(ConvergenceError, match="diverged") as err:
+            newton(residual, lambda y: np.eye(3), np.zeros(3), 1e-10, 5)
+        assert math.isnan(err.value.residual)
+
+    def test_nan_in_the_bordered_residual_fails_the_corrector(self):
+        prob = solvers.ContinuationProblem(
+            lambda y: np.array([0.25, math.nan]), lambda y: np.eye(2, 3),
+            np.ones(3))
+        with pytest.raises(ConvergenceError, match="diverged"):
+            solvers._correct(prob, np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                             1e-10)

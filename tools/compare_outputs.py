@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 PRESET = ["--preset", "mic-tank610"]
+CUMENE = ["--preset", "cumene-hydroperoxide"]
 COMMANDS = {
     "rates": ["rates"] + PRESET,
     "steady-branch": ["steady-branch"] + PRESET + ["--Ta", "282:296"],
@@ -48,6 +49,9 @@ COMMANDS = {
     "simulate-292": ["simulate"] + PRESET + ["--Ta", "292"],   # runaway
     # Filling from an empty tank to a steady state (x0 = 1 runs away).
     "simulate-286": ["simulate"] + PRESET + ["--Ta", "286", "--x0", "0"],
+    # The second preset's continuation and loci.
+    "steady-branch-cumene": ["steady-branch"] + CUMENE + ["--Ta", "282:296"],
+    "loci-cumene": ["loci"] + CUMENE + ["--grid", "40x40"],
 }
 VOLATILE = {"wall_time_s"}
 
