@@ -4,10 +4,10 @@ Periodic orbits are solved as a multiple-shooting boundary-value problem
 (segment states plus the period as unknowns, phase pinned by an integral
 condition against the seed) with the segment flows, transition matrices and
 parameter sensitivities obtained from one stacked variational integration
-per Newton iterate.  Seeds at fixed parameters are corrected by
-``solvers.damped_newton``: its line search judges each trial on that
-integration, and an accepted trial's integration also gives the next step's
-Jacobian.  Floquet multipliers come from the monodromy matrix
+per Newton iterate.  Seeds at fixed parameters are corrected by the damped
+mode of the ``solvers`` Newton loop: its line search judges each trial on
+that integration, and an accepted trial's integration also gives the next
+step's Jacobian.  Floquet multipliers come from the monodromy matrix
 accumulated in chunks around the orbit, with the determinant identity
 against exp(integral of the Jacobian trace) kept as a consistency defect.
 The cycle branch emerging from a Hopf point is traced by the shared
@@ -31,8 +31,8 @@ from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
 from .model import U_FLOOR, ModelParams
 from .simulate import lsoda, solve_ivp
-from .solvers import (ContinuationProblem, _tangent, continue_curve,
-                      damped_newton, solve_pinned)
+from .solvers import (ContinuationProblem, _newton, _tangent, continue_curve,
+                      solve_pinned)
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
@@ -42,6 +42,11 @@ FOLD_PARAM_TOL = 1e-8
 SHOOT_RTOL = 1e-11
 SHOOT_ATOL = 1e-13
 MESH_SAMPLES = 256
+# continue_cycles' first, smallest and largest step, and first germ radius.
+CYCLE_DS0 = 2e-3
+CYCLE_DS_MIN = 1e-7
+CYCLE_DS_MAX = 0.25
+GERM_RADIUS = 2e-3
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,7 @@ def _residual(starts: np.ndarray, ends: np.ndarray, ref_states: np.ndarray,
               ref_fields: np.ndarray) -> np.ndarray:
     m = len(starts)
     R = np.empty(2 * m + 1)
-    for i in range(m):
-        R[2 * i:2 * i + 2] = ends[i] - starts[(i + 1) % m]
+    R[:2 * m] = (ends - np.roll(starts, -1, axis=0)).ravel()
     R[2 * m] = float(np.sum((starts - ref_states) * ref_fields))
     return R
 
@@ -219,15 +223,14 @@ def _bvp_jacobian(p: ModelParams, starts: np.ndarray, ends: np.ndarray,
     m = len(starts)
     ncols = 2 * m + 1 + (1 if zetas is not None else 0)
     J = np.zeros((2 * m + 1, ncols))
-    for i in range(m):
-        r = slice(2 * i, 2 * i + 2)
-        J[r, 2 * i:2 * i + 2] = Ms[i]
-        j = (i + 1) % m
-        J[r, 2 * j:2 * j + 2] -= np.eye(2)
-        fx, fu = model._field_xu(p, ends[i, 0], ends[i, 1])
-        J[r, 2 * m] = np.array([fx, fu]) / m
-        if zetas is not None:
-            J[r, 2 * m + 1] = zetas[i]
+    # Segment i's 2 x 2 block in rows / columns 2i, 2i + 1; then i + 1's.
+    rows = 2 * np.arange(m)[:, None, None] + np.arange(2)[:, None]
+    cols = rows.transpose(0, 2, 1)
+    J[rows, cols] = Ms
+    J[rows, (cols + 2) % (2 * m)] -= np.eye(2)
+    J[:2 * m, 2 * m] = (_fields_at(p, ends) / m).ravel()
+    if zetas is not None:
+        J[:2 * m, 2 * m + 1] = zetas.ravel()
     J[2 * m, 0:2 * m] = ref_fields.ravel()
     return J
 
@@ -531,9 +534,8 @@ def _solve_cycle_raw(p: ModelParams, seed: CycleSeed, m: int,
         raise GermError("seed amplitude below 1e-8")
     ref = {"states": starts.copy(), "fields": _fields_at(p, starts)}
     residual, jacobian = _shooting_system(m, lambda z: p, None, ref)
-    z = damped_newton(residual, np.append(starts.ravel(), seed.period),
-                      jac=jacobian, tol=tol, max_iter=24)
-    res = float(np.max(np.abs(residual(z))))   # the cached last shoot
+    z = np.append(starts.ravel(), seed.period)
+    res = _newton(residual, jacobian, z, tol, 24, damped=True)
     s, T = z[:2 * m].reshape(m, 2), float(z[2 * m])
     if float(np.max(s[:, 1]) - np.min(s[:, 1])) < max(1e-8, 1e-6 * spread):
         raise GermError("corrected orbit collapsed to a steady state")
@@ -598,9 +600,7 @@ def _cycle_problem(p0: ModelParams, active: str, m: int,
 
 def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                     prange: tuple[float, float], m: int = 12,
-                    ds0: float = 2e-3, ds_min: float = 1e-7, ds_max: float = 0.25,
-                    max_orbits: int = 120, germ_radius: float = 2e-3,
-                    ) -> CycleBranch:
+                    max_orbits: int = 120) -> CycleBranch:
     """Continue the periodic-orbit family born at a Hopf point.
 
     Starts from two small germ orbits, then takes pseudo-arclength steps in
@@ -621,7 +621,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     # Germ offset sized so the first orbit has a workable radius.
     omega = math.sqrt(from_hopf.det)
     l1, re_lam_prime = _hopf_crossing(p, from_hopf)
-    delta0 = germ_radius ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
+    delta0 = GERM_RADIUS ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
 
     def germ(delta):
         p_off, seed = hopf_germ(p, from_hopf, delta)
@@ -653,9 +653,9 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     def stop(Y):
         return "window boundary" if Y[-1] < lo or Y[-1] > hi else None
 
-    run = continue_curve(prob, Y1, Y1 - Y0, ds0=ds0, ds_min=ds_min,
-                         ds_max=ds_max, max_steps=max_orbits - 2, tol=CYCLE_TOL,
-                         growth=1.3, stop=stop)
+    run = continue_curve(prob, Y1, Y1 - Y0, ds0=CYCLE_DS0, ds_min=CYCLE_DS_MIN,
+                         ds_max=CYCLE_DS_MAX, max_steps=max_orbits - 2,
+                         tol=CYCLE_TOL, growth=1.3, stop=stop)
 
     orbits = [first, second] + [
         _make_orbit(_params_at(p, active, Y[-1]), Y[:2 * m].reshape(m, 2),
@@ -697,7 +697,7 @@ def _refine_cycle_fold(prob: ContinuationProblem, Y_a: np.ndarray,
         if c == a or c == b:
             break
         w = (c - a) / (b - a)
-        Yc = solve_pinned(prob, Ya + w * (Yb - Ya), pivot, c, CYCLE_TOL, 15)
+        Yc = solve_pinned(prob, Ya + w * (Yb - Ya), pivot, c, CYCLE_TOL, 14)
         tc = _tangent(prob.jacobian(Yc), prob.scales, ta)
         fc = float(tc[n_alpha])
         alpha_best = float(Yc[n_alpha])

@@ -25,6 +25,10 @@ from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
 from .steady import SpecialPoint, continue_branch
 
 LOCUS_TOL = 1e-10
+# Both loci's first and largest arclength step, and step budget per direction.
+LOCUS_DS0 = 1e-3
+LOCUS_DS_MAX = 0.05
+LOCUS_MAX_STEPS = 4000
 CLOSURE_TOL = 1e-6
 BOUNDARY_TOL = 1e-8
 
@@ -132,8 +136,7 @@ def _other_test(p: ModelParams, test: str, y) -> float:
     return _trace_grad(q, float(y[0]), float(y[1]))[0]
 
 
-def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window,
-                 ds0: float, ds_max: float, max_steps: int):
+def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
     """Run the augmented continuation in both directions from a seed."""
     u_scale = max(p.f / p.loss, 1e-4)
     scales = np.array([1.0, u_scale, window.u_a[1] - window.u_a[0], 1.0])
@@ -153,9 +156,9 @@ def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window,
 
         direction = np.zeros(4)
         direction[3] = sign
-        run = continue_curve(prob, y0, direction, ds0=ds0, ds_min=1e-9,
-                             ds_max=ds_max, max_steps=max_steps, tol=LOCUS_TOL,
-                             stop=stop)
+        run = continue_curve(prob, y0, direction, ds0=LOCUS_DS0, ds_min=1e-9,
+                             ds_max=LOCUS_DS_MAX, max_steps=LOCUS_MAX_STEPS,
+                             tol=LOCUS_TOL, stop=stop)
         # Closure: returning to the seed closes the curve.
         pts = run.points
         for k in range(20, len(pts)):
@@ -192,34 +195,28 @@ def _locus_from_points(p: ModelParams, pts, test: str, reasons,
     return Locus(kind, rows, extra, tuple(reasons), f_threshold=f_threshold)
 
 
-def continue_hopf_locus(p: ModelParams, start: SpecialPoint | None = None,
-                        window: Window | None = None, ds0: float = 1e-3,
-                        ds_max: float = 0.05, max_steps: int = 4000) -> Locus:
+def continue_hopf_locus(p: ModelParams, window: Window | None = None) -> Locus:
     """Trace the Hopf locus through a verified Hopf point.
 
-    Without an explicit start, a one-parameter branch at the template's flow
-    rate is scanned for a Hopf; if none exists (e.g. the reaction is
-    switched off) an empty locus is returned with the reason recorded.
-    Continuation runs both ways until the window boundary, a vanishing
-    determinant, or closure of the curve.
+    A one-parameter branch at the template's flow rate is scanned for a
+    Hopf; if none exists (e.g. the reaction is switched off) an empty locus
+    is returned with the reason recorded.  Continuation runs both ways until
+    the window boundary, a vanishing determinant, or closure of the curve.
     """
     p = p.with_(u_boil=math.inf)
     if window is None:
         window = default_window(p)
+    start = _auto_hopf_seed(p, window)
     if start is None:
-        start = _auto_hopf_seed(p, window)
-        if start is None:
-            return Locus("hopf", np.empty((0, 4)), np.empty(0),
-                         empty_reason="no Hopf point found at the seed flow rate")
+        return Locus("hopf", np.empty((0, 4)), np.empty(0),
+                     empty_reason="no Hopf point found at the seed flow rate")
     y0 = np.array([start.state.x, start.state.u, start.param_value, math.log(p.f)])
-    pts_runs, reasons = _trace_locus(p, y0, "trace", window, ds0, ds_max, max_steps)
+    pts_runs, reasons = _trace_locus(p, y0, "trace", window)
     return _locus_from_points(p, pts_runs[0], "trace", reasons)
 
 
-def continue_fold_locus(p: ModelParams, start: SpecialPoint | None = None,
-                        window: Window | None = None, ds0: float = 1e-3,
-                        ds_max: float = 0.05, max_steps: int = 4000) -> Locus:
-    """Trace the fold locus; hunts a seed at high flow rates when needed.
+def continue_fold_locus(p: ModelParams, window: Window | None = None) -> Locus:
+    """Trace the fold locus from a seed hunted by a flow-rate sweep.
 
     When no fold exists anywhere in the window the result is empty, with the
     reason and the scanned threshold recorded.
@@ -228,19 +225,13 @@ def continue_fold_locus(p: ModelParams, start: SpecialPoint | None = None,
     if window is None:
         window = default_window(p)
     f_star = fold_threshold(p, window)
-    if start is None:
-        seed = find_fold_seed(p, window)
-        if seed is None:
-            return Locus("fold", np.empty((0, 4)), np.empty(0),
-                         empty_reason="no fold point in the window "
-                                      f"(flow rates up to {window.f[1]:g} scanned)",
-                         f_threshold=f_star)
-        start_y = seed
-    else:
-        start_y = np.array([start.state.x, start.state.u, start.param_value,
-                            math.log(p.f)])
-    pts_runs, reasons = _trace_locus(p, start_y, "det", window, ds0, ds_max,
-                                     max_steps)
+    seed = find_fold_seed(p, window)
+    if seed is None:
+        return Locus("fold", np.empty((0, 4)), np.empty(0),
+                     empty_reason="no fold point in the window "
+                                  f"(flow rates up to {window.f[1]:g} scanned)",
+                     f_threshold=f_star)
+    pts_runs, reasons = _trace_locus(p, seed, "det", window)
     return _locus_from_points(p, pts_runs[0], "det", reasons, f_threshold=f_star)
 
 
@@ -301,14 +292,15 @@ def find_fold_seed(p: ModelParams, window: Window) -> np.ndarray | None:
 def fold_threshold(p: ModelParams, window: Window) -> float | None:
     """Smallest flow rate in the window at which steady-state folds exist.
 
-    Log-sweeps the window, then bisects the onset between the last fold-free
-    and the first fold-bearing flow rate.  None when the window has no folds.
+    Log-sweeps the window up to the first fold-bearing flow rate, then
+    bisects the onset between it and the last fold-free one.  None when the
+    window has no folds.
     """
     sweep = _f_sweep(window, per_decade=24)
-    has = [bool(_fold_roots_at_f(p, float(f), window)) for f in sweep]
-    if not any(has):
+    first = next((i for i, f in enumerate(sweep)
+                  if _fold_roots_at_f(p, float(f), window)), None)
+    if first is None:
         return None
-    first = next(i for i, h in enumerate(has) if h)
     if first == 0:
         return float(sweep[0])
     lo, hi = float(sweep[first - 1]), float(sweep[first])

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, ConvergenceError, DomainError, ValidationError
-from .solvers import bracket_roots, damped_newton
+from .solvers import bracket_roots, damped_newton, fd_jacobian
 
 R_GAS = 8.314
 """Universal gas constant, J/(mol K). Fixed."""
@@ -133,9 +133,6 @@ class State:
     def __post_init__(self):
         _require(0.0 <= self.x <= 1.0, "x", "scaled concentration must lie in [0, 1]")
         _require(self.u > 0.0, "u", "scaled temperature must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.u])
 
 
 @dataclass(frozen=True)
@@ -539,9 +536,9 @@ def _marginal_sigma_candidates(template: ModelParams,
 
         try:
             z = damped_newton(system, np.array([u_root, ln_sigma]),
-                              tol=1e-12, fd_step=1e-8)
+                              lambda z: fd_jacobian(system, z, 1e-8), tol=1e-12)
             u_root, ln_sigma = float(z[0]), float(z[1])
-        except (ConvergenceError, DomainError, OverflowError):
+        except ConvergenceError:
             pass  # the bisection root is already accurate
         if not (0.0 < ln_sigma < SIGMA_MAX_LN):
             continue

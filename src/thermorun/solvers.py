@@ -1,6 +1,7 @@
-"""Shared numerical machinery: root bracketing and bisection, damped Newton,
-plain Newton with one coordinate pinned, and the pseudo-arclength
-continuation engine that traces steady, locus and cycle branches alike."""
+"""Shared numerical machinery: root bracketing and bisection, the one Newton
+loop under every solve (full steps, or damped by a halving line search), and
+the pseudo-arclength continuation engine that traces steady, locus and cycle
+branches alike."""
 
 from __future__ import annotations
 
@@ -91,43 +92,13 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def damped_newton(fn: Callable[[np.ndarray], np.ndarray], x0,
-                  jac: Callable[[np.ndarray], np.ndarray] | None = None,
-                  tol: float = 1e-12, max_iter: int = 50,
-                  fd_step: float = 1e-7) -> np.ndarray:
-    """Newton iteration with a halving line search on the residual norm.
-
-    Converges when the residual infinity norm drops below ``tol``.  Raises
-    :class:`ConvergenceError` carrying the last iterate otherwise.
-    """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    norm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
-        if norm < tol:
-            return x
-        J = jac(x) if jac is not None else fd_jacobian(fn, x, fd_step)
-        try:
-            dx = np.linalg.solve(np.atleast_2d(J), -r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}", x, norm) from None
-        lam = 1.0
-        for _ in range(40):
-            x_new = x + lam * dx
-            try:
-                r_new = np.atleast_1d(np.asarray(fn(x_new), dtype=float))
-                norm_new = float(np.max(np.abs(r_new)))
-            except (ValueError, FloatingPointError, OverflowError,
-                    ConvergenceError):
-                norm_new = np.inf
-            if np.isfinite(norm_new) and norm_new < norm:
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("line search stalled", x, norm)
-        x, r, norm = x_new, r_new, norm_new
-    if norm < tol:
-        return x
-    raise ConvergenceError(f"no convergence in {max_iter} iterations", x, norm)
+                  jac: Callable[[np.ndarray], np.ndarray],
+                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    """The root reached from ``x0`` by :func:`_newton`'s damped mode: steady
+    states, the calibration polish and fixed-parameter cycle seeds."""
+    x = np.array(x0, dtype=float)
+    _newton(fn, jac, x, tol, max_iter, damped=True)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -160,36 +131,70 @@ class ContinuationRun:
     stop_reason: str = ""
 
 
+# Errors by which a residual or Jacobian rejects an iterate outside its domain.
+FAILED_ITERATE = (DomainError, ValidationError, OverflowError, FloatingPointError)
+
+
+def _inf_norm(r: np.ndarray) -> float:
+    """Infinity norm of ``r`` as a Python float, NaN if any entry is NaN."""
+    rl = r.tolist()
+    norm = max(map(abs, rl))
+    total = sum(rl)
+    if total != total and any(v != v for v in rl):
+        norm = math.nan  # Python's max drops a NaN that is not first
+    return norm
+
+
 def _newton(residual: Callable[[np.ndarray], np.ndarray],
             jacobian: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-            tol: float, max_iter: int, free=slice(None)) -> float:
-    """Full Newton steps on the coordinates ``free`` of ``y``, in place.
+            tol: float, max_iter: int, free=slice(None),
+            damped: bool = False) -> float:
+    """Newton steps on the coordinates ``free`` of ``y``, in place.
 
-    Returns the residual infinity norm once it is below ``tol``.  Raises
-    :class:`ConvergenceError` when the norm is non-finite or above 1e6, on a
-    singular Jacobian, when an iterate leaves the domain of ``residual`` or
-    ``jacobian`` (``DomainError``, ``ValidationError``, ``OverflowError``),
-    or when ``max_iter`` residual evaluations pass without convergence.
+    Returns the residual infinity norm once it is below ``tol``, after at
+    most ``max_iter`` steps.  A plain step is the full step; a damped one is
+    halved, at most 40 times, until the norm is finite and lower (a trial
+    raising ``FAILED_ITERATE`` or ConvergenceError is no decrease).  Raises
+    :class:`ConvergenceError` with the last iterate and norm when the norm
+    is non-finite (or above 1e6 in plain mode), the Jacobian is singular,
+    the residual or Jacobian raises ``FAILED_ITERATE``, the line search
+    stalls, or ``max_iter`` steps pass.
     """
-    norm = np.inf
-    for _ in range(max_iter):
-        try:
-            r = residual(y)
-            rl = r.tolist()
-            norm = max(map(abs, rl))
-            total = sum(rl)
-            if total != total and any(v != v for v in rl):
-                norm = math.nan  # Python's max drops a NaN that is not first
-            if not norm <= 1e6:
+    norm = math.inf
+    try:
+        r = residual(y)
+        for step in range(max_iter + 1):
+            norm = _inf_norm(r)
+            if not math.isfinite(norm) or norm > 1e6 and not damped:
                 raise ConvergenceError("Newton iteration diverged", y, norm)
             if norm < tol:
                 return norm
-            y[free] += np.linalg.solve(jacobian(y)[:, free], -r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}", y, norm) from None
-        except (DomainError, ValidationError, OverflowError) as exc:
-            raise ConvergenceError(f"iterate left the domain: {exc}", y,
-                                   norm) from None
+            if step == max_iter:
+                break
+            dx = np.linalg.solve(jacobian(y)[:, free], -r)
+            if not damped:
+                y[free] += dx
+                r = residual(y)
+                continue
+            lam = 1.0
+            for _ in range(40):
+                trial = y.copy()
+                trial[free] += lam * dx
+                try:
+                    r_trial = residual(trial)
+                    if _inf_norm(r_trial) < norm:
+                        break
+                except FAILED_ITERATE + (ConvergenceError,):
+                    pass
+                lam *= 0.5
+            else:
+                raise ConvergenceError("line search stalled", y, norm)
+            y[:], r = trial, r_trial
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular Jacobian: {exc}", y, norm) from None
+    except FAILED_ITERATE as exc:
+        raise ConvergenceError(f"iterate left the domain: {exc}", y,
+                               norm) from None
     raise ConvergenceError(f"no convergence in {max_iter} iterations", y, norm)
 
 
@@ -197,8 +202,8 @@ def solve_pinned(prob: ContinuationProblem, y, pivot: int, value: float,
                  tol: float, max_iter: int) -> np.ndarray:
     """Solve ``prob.residual(y) = 0`` with coordinate ``pivot`` held at ``value``.
 
-    Plain Newton from ``y`` on the remaining coordinates; the square system
-    is the problem's Jacobian without column ``pivot``.
+    At most ``max_iter`` plain Newton steps from ``y`` on the other
+    coordinates; the square system is the Jacobian without column ``pivot``.
     """
     y = np.array(y, dtype=float)
     y[pivot] = value
@@ -230,7 +235,7 @@ def _tangent(J: np.ndarray, scales: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def _correct(prob: ContinuationProblem, y_pred: np.ndarray, t_hat: np.ndarray,
-             tol: float, max_iter: int = 12) -> tuple[np.ndarray, float]:
+             tol: float) -> tuple[np.ndarray, float]:
     """Newton corrector on the bordered system (orthogonal to the tangent).
 
     Returns the corrected point and its residual norm, the arclength row
@@ -250,7 +255,7 @@ def _correct(prob: ContinuationProblem, y_pred: np.ndarray, t_hat: np.ndarray,
         return A
 
     y = y_pred.copy()
-    norm = _newton(full_res, full_jac, y, tol, max_iter)
+    norm = _newton(full_res, full_jac, y, tol, 11)
     return y, norm
 
 

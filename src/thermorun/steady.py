@@ -1,6 +1,7 @@
 """Steady states: solving, stability, continuation, Hopf classification.
 
-Steady states of the reactor equations are computed by damped Newton and,
+Steady states of the reactor equations are computed by damped Newton (the
+halving line-search mode of the one ``solvers`` Newton loop) and,
 independently, by bracketing the reduced one-variable heat balance.  A
 pseudo-arclength continuation traces branches through folds while watching
 the fold and Hopf test functions (determinant and trace of the Jacobian);
@@ -24,6 +25,10 @@ from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
 
 STEADY_TOL = 1e-12
 BRANCH_TOL = 1e-10
+# continue_branch's smallest and largest arclength step, and step budget.
+BRANCH_DS_MIN = 1e-6
+BRANCH_DS_MAX = 1e-2
+BRANCH_MAX_STEPS = 3000
 TEST_FN_TOL = 1e-10
 HOPF_TRACE_TOL = 1e-8
 
@@ -190,7 +195,7 @@ def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
             break
         w = (c - a) / (b - a) if b != a else 0.5
         y_guess = ya + w * (yb - ya)
-        yc = solve_pinned(prob, y_guess, pivot, c, 1e-13, 30)
+        yc = solve_pinned(prob, y_guess, pivot, c, 1e-13, 29)
         fc = test_fn(yc)
         if abs(fc) < abs(test_fn(y_best)):
             y_best = yc
@@ -205,8 +210,6 @@ def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
 
 def continue_branch(p: ModelParams, active: str = "u_a",
                     prange: tuple[float, float] = None, ds0: float = 1e-3,
-                    ds_min: float = 1e-6, ds_max: float = 1e-2,
-                    max_steps: int = 3000,
                     start: SteadyPoint | None = None) -> Branch:
     """Trace a steady branch over a parameter range by pseudo-arclength.
 
@@ -246,8 +249,8 @@ def continue_branch(p: ModelParams, active: str = "u_a",
         return None
 
     run = continue_curve(prob, y0, initial_direction=np.array([0.0, 0.0, 1.0]),
-                         ds0=ds0, ds_min=ds_min, ds_max=ds_max,
-                         max_steps=max_steps, tol=BRANCH_TOL, stop=stop)
+                         ds0=ds0, ds_min=BRANCH_DS_MIN, ds_max=BRANCH_DS_MAX,
+                         max_steps=BRANCH_MAX_STEPS, tol=BRANCH_TOL, stop=stop)
 
     points = []
     for y in run.points:

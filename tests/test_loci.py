@@ -323,6 +323,18 @@ class TestClassification:
         assert classify_point(float(pt[0]), float(pt[1]),
                               loci_map) == loci.BOUNDARY
 
+    @pytest.mark.xfail(strict=True, reason="above f ~ 17 the fold locus's left "
+                       "arm has left the window and its right arm stops at "
+                       "f = 267, so ray parity flips the labels")
+    @pytest.mark.parametrize("f", [50.0, 300.0, 1000.0])
+    def test_bistable_exactly_where_three_steady_states(self, mic, mic_loci, f):
+        window, loci_map = mic_loci
+        for ua in np.linspace(window.u_a[0], window.u_a[1], 12).tolist():
+            q = mic.model.with_(f=f, u_a=ua, u_boil=math.inf)
+            n = len(steady.reduced_scan(q, ua, ua + q.f / q.loss * (1 + 1e-9)))
+            label = classify_point(ua, f, loci_map)
+            assert (n == 3) == (label == loci.BISTABLE), (ua, n, label)
+
     def test_outside_window_rejected(self, mic_loci):
         window, loci_map = mic_loci
         from thermorun.errors import ValidationError

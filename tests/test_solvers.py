@@ -167,6 +167,39 @@ def test_damped_newton_rejects_a_trial_that_raises_convergence_error():
     assert abs(x[0] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("error", [DomainError("u <= 0"),
+                                   ValidationError("u_a", "forced"),
+                                   OverflowError("math range error"),
+                                   FloatingPointError("overflow")])
+def test_damped_newton_turns_a_jacobian_error_into_convergence_error(error):
+    def jac(x):
+        raise error
+
+    with pytest.raises(ConvergenceError, match="left the domain") as err:
+        solvers.damped_newton(lambda x: x * x - 4.0, [1.0], jac)
+    assert err.value.last_iterate.tolist() == [1.0]
+    assert err.value.residual == 3.0
+
+
+@pytest.mark.parametrize("n", [1, 11])
+def test_newton_counts_steps(n):
+    # max_iter = n: n + 1 residuals (the start and each step's) and n
+    # Jacobians, none after the last residual.
+    calls = []
+
+    def residual(y):
+        calls.append("residual")
+        return np.array([1.0])  # no root
+
+    def jacobian(y):
+        calls.append("jacobian")
+        return np.eye(1)
+
+    with pytest.raises(ConvergenceError, match=f"no convergence in {n} "):
+        solvers._newton(residual, jacobian, np.zeros(1), 1e-10, n)
+    assert calls == ["residual"] + ["jacobian", "residual"] * n
+
+
 def test_continue_curve_rebases_each_point_before_its_jacobian():
     calls: list = []
     run = solvers.continue_curve(

@@ -104,7 +104,8 @@ class TestSolveSteady:
 
         from thermorun.solvers import damped_newton
         with pytest.raises(ConvergenceError) as err:
-            damped_newton(fn, np.array([0.0, 0.0]), tol=1e-12, max_iter=5)
+            damped_newton(fn, np.array([0.0, 0.0]), lambda y: np.eye(2),
+                          tol=1e-12, max_iter=5)
         assert err.value.residual is not None
 
 

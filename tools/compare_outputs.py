@@ -38,6 +38,10 @@ COMMANDS = {
     "steady-branch-f10": ["steady-branch"] + PRESET + ["--f", "10",
                                                        "--Ta", "250:285"],
     "loci": ["loci"] + PRESET + ["--grid", "40x40"],
+    # The only path through the Hopf re-verification by fixed-f branches
+    # (continue_branch from a given start).
+    "loci-verify": ["loci"] + PRESET + ["--grid", "12x12",
+                                        "--verify-slices", "3"],
     "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
                                                     "--max-orbits", "16"],
     "cycle-branch": ["cycle-branch"] + PRESET + ["--Ta", "282:296"],
