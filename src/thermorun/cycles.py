@@ -116,6 +116,8 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
     ``param`` is set, the parameter sensitivity zeta (2).
     """
     width = 8 if param else 6
+    if param:
+        dfdp = _param_derivative_on(p, m, param)
 
     def rhs(s, Y):
         Z = Y.reshape(m, width)
@@ -123,7 +125,8 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         # The field and J of model._field_xu/_jac_xu on one Arrhenius
         # evaluation, clamped instead of branched: the same bits for every
         # finite u.
-        r = p.sigma * np.exp(-1.0 / np.maximum(u, U_FLOOR))
+        e = np.exp(-1.0 / np.maximum(u, U_FLOOR))
+        r = p.sigma * e
         rp = r / np.maximum(u * u, U_FLOOR * U_FLOOR)
         xr, xrp = x * r, x * rp                          # -(x r) == (-x) r
         # Columns of each segment's J, shape (m, 2, 1); J M and J zeta are
@@ -141,11 +144,47 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
         if param:
             out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
-                           + model.param_derivative(p, x, u, param))
+                           + dfdp(x, u, e))
         out *= h
         return out.ravel()
 
     return rhs, width
+
+
+def _param_derivative_on(p: ModelParams, m: int, param: str):
+    """``model.param_derivative`` at m states as ``dfdp(x, u, e)``, given
+    the Arrhenius factor e = exp(-1/u) the stacked RHS has formed.
+
+    The same expressions, so the same bits for every finite u; a zero
+    component is a literal 0.0 (added to a -0.0 it still gives +0.0).
+    Constant derivatives come back as one row, the others in a buffer
+    reused across calls.
+    """
+    if param == "u_a":
+        const = np.array([0.0, p.loss / p.eps])
+        return lambda x, u, e: const
+    out = np.zeros((m, 2))
+    if param == "f":
+        def dfdp(x, u, e):
+            out[:, 0] = 1.0 - x
+            out[:, 1] = -(u - p.u_a)
+            return out
+    elif param == "ell":
+        def dfdp(x, u, e):
+            out[:, 1] = -(u - p.u_a) / p.eps
+            return out
+    elif param == "eps":
+        def dfdp(x, u, e):
+            out[:, 1] = -(x * p.sigma * e - p.ell * (u - p.u_a)) / p.eps ** 2
+            return out
+    elif param == "sigma":
+        def dfdp(x, u, e):
+            out[:, 0] = -x * e
+            out[:, 1] = x * e / p.eps
+            return out
+    else:
+        return lambda x, u, e: model.param_derivative(p, x, u, param)
+    return dfdp
 
 
 def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):

@@ -24,26 +24,160 @@ MAX_STEPS = 2**31 - 1
 """``odeint``'s cap on steps per output interval, set out of reach as
 ``solve_ivp`` has none: a long shoot must not fail on a step count."""
 
+_EPS = float(np.finfo(float).eps)
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred."}
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first integration.
 
-    Commands that never integrate then never import ``scipy.integrate``.
-    ``cycles`` integrates through this same function.
+def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
+              dense_output=False, events=None, **options):
+    """``scipy.integrate.solve_ivp(method="LSODA")``'s result, bit for bit.
+
+    The same loop over ``scipy.integrate.LSODA``'s ``step()`` with the same
+    arithmetic: each active event's root is ``brentq``'s, at xtol = rtol =
+    4 eps, on the step's dense output, terminal events are ordered and cut
+    as scipy does, and ``t_eval`` points are read off the step's dense
+    output in one call per step.  So ``t``, ``y``, ``t_events``,
+    ``y_events``, ``sol``, ``status``, ``nfev``, ``njev`` and ``nlu`` all
+    equal scipy's.  What is left out is scipy's generic per-step work: event
+    signs are compared as scalars, and a step that holds no event root or
+    output time builds no array (scipy's ``find_active_events`` and its
+    ``t_eval`` search and slice build several on every step).  A step's
+    dense output is built, as in scipy, only on such a step, or on every
+    step for ``dense_output``.
+
+    Forward in time only, with scipy's keywords less ``args``, and
+    ``dense_output`` only without ``t_eval``; an event's ``terminal`` is a
+    flag, not a count.  ``options`` go to ``LSODA``.  ``scipy.integrate``
+    and ``scipy.optimize`` are imported on the first call, so commands that
+    never integrate never import them.  ``cycles`` integrates through this
+    same function.
     """
-    from scipy.integrate import solve_ivp as _solve_ivp
-    return _solve_ivp(*args, **kwargs)
+    from scipy.integrate import LSODA, OdeSolution
+    from scipy.optimize import OptimizeResult, brentq
+
+    if method != "LSODA":
+        raise ValueError(f"only LSODA is supported, not {method!r}")
+    t0, tf = map(float, t_span)
+    if tf < t0:
+        raise ValueError("integrates forward in time only")
+    if t_eval is not None and dense_output:
+        raise ValueError("dense_output is not supported with t_eval")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval)
+        if t_eval.ndim != 1:
+            raise ValueError("`t_eval` must be 1-dimensional.")
+        if np.any(t_eval < t0) or np.any(t_eval > tf):
+            raise ValueError("Values in `t_eval` are not within `t_span`.")
+        if np.any(np.diff(t_eval) <= 0):
+            raise ValueError("Values in `t_eval` are not properly sorted.")
+    solver = LSODA(fun, t0, y0, tf, **options)
+
+    if events is None:
+        events = []
+        t_events = y_events = None
+    else:
+        events = list(events)
+        t_events = [[] for _ in events]
+        y_events = [[] for _ in events]
+    directions = [getattr(ev, "direction", 0) for ev in events]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    g = [ev(t0, y0) for ev in events]
+
+    if t_eval is None:
+        ts, ys = [t0], [y0]
+    else:
+        ts, ys = [], []
+        i_eval = 0
+        next_eval = float(t_eval[0]) if t_eval.size else math.inf
+    interpolants = []
+
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "finished":
+            status = 0
+        elif solver.status == "failed":
+            status = -1
+            break
+        t_old, t, y = solver.t_old, solver.t, solver.y
+        sol = None
+        if dense_output:
+            sol = solver.dense_output()
+            interpolants.append(sol)
+
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            # scipy's find_active_events: up- and down-crossings, each
+            # including a zero at either end, filtered by direction.
+            active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+                      if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+            g = g_new
+            if active:
+                if sol is None:
+                    sol = solver.dense_output()
+                roots = [brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
+                                xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
+                terminate = any(terminal[i] for i in active)
+                if terminate:
+                    # scipy's handle_events: the roots in time order (its
+                    # argsort, for the same order of ties), cut after the
+                    # first terminal one.
+                    order = np.argsort(roots)
+                    active = [active[k] for k in order]
+                    roots = [roots[k] for k in order]
+                    cut = next(k for k, i in enumerate(active) if terminal[i])
+                    active, roots = active[:cut + 1], roots[:cut + 1]
+                for i, te in zip(active, roots):
+                    t_events[i].append(te)
+                    y_events[i].append(sol(te))
+                if terminate:
+                    status = 1
+                    t = roots[-1]
+                    y = sol(t)
+
+        if t_eval is None:
+            if dense_output and len(ts) > 1 and ts[-1] == t:
+                interpolants.pop()
+            else:
+                ts.append(t)
+                ys.append(y)
+        elif t >= next_eval:
+            i_new = int(np.searchsorted(t_eval, t, side="right"))
+            if sol is None:
+                sol = solver.dense_output()
+            ts.append(t_eval[i_eval:i_new])
+            ys.append(sol(t_eval[i_eval:i_new]))
+            i_eval = i_new
+            next_eval = float(t_eval[i_new]) if i_new < t_eval.size else math.inf
+
+    if t_events is not None:
+        t_events = [np.asarray(te) for te in t_events]
+        y_events = [np.asarray(ye) for ye in y_events]
+    if t_eval is None:
+        ts = np.array(ts)
+        ys = np.vstack(ys).T
+    elif ts:
+        ts = np.hstack(ts)
+        ys = np.hstack(ys)
+    sol = OdeSolution(ts, interpolants, alt_segment=True) if dense_output else None
+    return OptimizeResult(t=ts, y=ys, sol=sol, t_events=t_events,
+                          y_events=y_events, nfev=solver.nfev,
+                          njev=solver.njev, nlu=solver.nlu, status=status,
+                          message=_MESSAGES.get(status, message),
+                          success=status >= 0)
 
 
 def lsoda(rhs, jac, y0, ts, rtol, atol) -> np.ndarray:
     """The states at ``ts``, one row each, from ``scipy.integrate.odeint``.
 
-    The same ODEPACK LSODA as ``solve_ivp(method="LSODA")``, stepped in
-    Fortran rather than in ``solve_ivp``'s Python loop, for integrations
-    that need neither events nor dense output.  ``tcrit`` keeps it from
-    stepping past ``ts[-1]``, as ``solve_ivp``'s ``t_bound`` does, so over
-    ``ts = [0, T]`` the end state is ``solve_ivp``'s bit for bit.  Imported
-    on the first call, like :func:`solve_ivp`.
+    The same ODEPACK LSODA as :func:`solve_ivp`, stepped in Fortran rather
+    than in a Python loop, for integrations that need neither events nor
+    dense output.  ``tcrit`` keeps it from stepping past ``ts[-1]``, as
+    ``LSODA``'s ``t_bound`` does, so over ``ts = [0, T]`` the end state is
+    :func:`solve_ivp`'s bit for bit.  Imported on the first call, like
+    :func:`solve_ivp`.
 
     A failed integration raises :class:`IntegrationFailure` with odeint's
     message, or with the first output time not reached or not finite.  Its
@@ -208,10 +342,10 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
 
     By default a terminal boiling event at ``p.u_boil`` is attached (omitted
     when the threshold is infinite); pass ``events=[]`` to integrate without
-    any.  Event crossings are located in time by the integrator's dense
-    output to root-finder precision and appear both in ``Trajectory.events``
-    and as extra sample rows.  Without events the run goes through
-    :func:`lsoda`, which returns exactly the sample times.
+    any.  With events the run goes through :func:`solve_ivp`: crossings are
+    located in time by ``brentq`` on the step's dense output and appear
+    both in ``Trajectory.events`` and as extra sample rows.  Without events
+    it goes through :func:`lsoda`, which returns exactly the sample times.
     """
     if tau_end <= 0:
         raise ValidationError("tau_end", "integration horizon must be positive")

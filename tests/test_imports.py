@@ -73,9 +73,10 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     """Every integration calls one forwarder of its own module by name:
     ``solve_ivp`` where it needs events or dense output, ``lsoda``
     otherwise.  It does so once, with the RHS defined where the integration
-    is, and the forwarder resolves scipy's driver (``solve_ivp`` or
-    ``odeint``) at call time.  A tracer that wraps the module attributes
-    therefore sees each integration exactly once."""
+    is, and the forwarder resolves scipy's driver (the ``LSODA`` solver
+    that ``solve_ivp`` steps, or ``odeint``) at call time.  A tracer that
+    wraps the module attributes therefore sees each integration exactly
+    once."""
     import scipy.integrate
 
     p, seed = cycles.hopf_germ(mic.model, mic_h1, 1e-3)
@@ -102,7 +103,7 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
             return fn(fun, *args, **kwargs)
         return wrapped
 
-    for name in ("solve_ivp", "odeint"):
+    for name in ("LSODA", "odeint"):
         monkeypatch.setattr(scipy.integrate, name,
                             counting("scipy", getattr(scipy.integrate, name)))
     for mod in (cycles, simulate):
@@ -114,14 +115,14 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     expected = Counter()
     for module, forwarder, driver, owner in (
             ("thermorun.cycles", "lsoda", "odeint", "_stacked_rhs"),
-            ("thermorun.cycles", "solve_ivp", "solve_ivp", "_finalize_orbit"),
+            ("thermorun.cycles", "solve_ivp", "LSODA", "_finalize_orbit"),
             # floquet integrates leg by leg; this orbit takes two legs.
-            ("thermorun.cycles", "solve_ivp", "solve_ivp", "floquet"),
-            ("thermorun.cycles", "solve_ivp", "solve_ivp", "floquet"),
+            ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
+            ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
             ("thermorun.cycles", "lsoda", "odeint", "seed_from_simulation"),
             # Without a boiling threshold integrate has no event.
             ("thermorun.simulate", "lsoda", "odeint", "_callbacks"),
-            ("thermorun.simulate", "solve_ivp", "solve_ivp", "_callbacks")):
+            ("thermorun.simulate", "solve_ivp", "LSODA", "_callbacks")):
         expected[module, forwarder, owner] += 1
         expected["scipy", driver, owner] += 1
     assert calls == expected

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermorun import model, simulate, steady
 from thermorun.errors import IntegrationFailure, ValidationError
@@ -134,6 +136,211 @@ class TestEventFreeIntegrate:
         assert np.all(np.isfinite(part.states)) and np.all(part.xs <= 0.75)
         last = err.value.last_state
         assert (last.x, last.u) == tuple(part.states[-1])
+
+
+def scipy_solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_run(fun, t_span, y0, **kwargs):
+    """Run ``simulate.solve_ivp`` and scipy's ``solve_ivp(method="LSODA")``
+    on one problem, assert that every field of the results has the same
+    bits, and return scipy's (None where both raise the same error)."""
+    try:
+        want = scipy_solve_ivp(fun, t_span, y0, method="LSODA", **kwargs)
+    except ValueError as exc:
+        # brentq's "f(a) and f(b) must have different signs", where an
+        # event that is zero at t0 is not zero on the first step's
+        # interpolant there.
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            simulate.solve_ivp(fun, t_span, y0, method="LSODA", **kwargs)
+        return None
+    got = simulate.solve_ivp(fun, t_span, y0, method="LSODA", **kwargs)
+    for key in ("status", "success", "message", "nfev", "njev", "nlu"):
+        assert got[key] == want[key], key
+    assert_bits(got.t, want.t)
+    assert_bits(got.y, want.y)
+    if want.t_events is None:
+        assert got.t_events is None and got.y_events is None
+    else:
+        assert len(got.t_events) == len(want.t_events)
+        for a, b in zip(got.t_events + got.y_events,
+                        want.t_events + want.y_events):
+            assert_bits(a, b)
+    if want.sol is None:
+        assert got.sol is None
+    else:
+        probe = np.linspace(want.t[0], want.t[-1], 2001)
+        assert_bits(got.sol(probe), want.sol(probe))
+    return want
+
+
+def du_event(p, direction=0, terminal=False):
+    def du(t, y):
+        return model._field_scalar(p, *y.tolist())[1]
+    du.direction, du.terminal = direction, terminal
+    return du
+
+
+class TestSolveIvpOracle:
+    """``simulate.solve_ivp`` against scipy's ``solve_ivp(method="LSODA")``:
+    the same bits in every field, on each call shape the library uses."""
+
+    run = st.fixed_dictionaries({
+        "T_a": st.floats(284.0, 294.0),
+        "x0": st.floats(0.0, 1.0),
+        "du0": st.floats(0.0, 0.008),
+        "tau": st.floats(0.2, 3.0),
+        "rtol": st.sampled_from([1e-6, 1e-8, 1e-10]),
+    })
+
+    @staticmethod
+    def problem(mic, run):
+        p = mic.model.with_(u_a=run["T_a"] / mic.temp_scale)
+        y0 = np.array([run["x0"], p.u_a + run["du0"]])
+        tol = {"rtol": run["rtol"], "atol": run["rtol"] * 1e-2}
+        return p, y0, tol
+
+    @given(run=run, budget=st.floats(0.1, 200.0))
+    @settings(max_examples=20, deadline=None)
+    def test_terminal_upward_event(self, mic, run, budget):
+        # floquet's legs: the state grows an integral, and a terminal
+        # upward event ends the leg when it reaches the budget.
+        p, y0, tol = self.problem(mic, run)
+
+        def rhs(t, Y):
+            x, u, _ = Y.tolist()
+            (a, _), (_, d) = model._jac_scalar(p, x, u)
+            return [*model._field_scalar(p, x, u), abs(a + d)]
+
+        def spent(t, Y):
+            return Y[2] - budget
+
+        spent.direction, spent.terminal = 1, True
+        assert_same_run(rhs, (0.0, run["tau"]), np.append(y0, 0.0),
+                        events=[spent], **tol)
+
+    @given(run=run, n=st.integers(2, 300))
+    @settings(max_examples=20, deadline=None)
+    def test_output_times_with_a_two_way_event(self, mic, run, n):
+        # _finalize_orbit's mesh: t_eval short of the end and du/dt = 0.
+        p, y0, tol = self.problem(mic, run)
+        rhs, jac = simulate._callbacks(p)
+        t_eval = np.linspace(0.0, run["tau"], n, endpoint=False)
+        assert_same_run(rhs, (0.0, run["tau"]), y0, jac=jac, t_eval=t_eval,
+                        events=[du_event(p)], **tol)
+
+    @given(run=run, n=st.integers(2, 300), boil=st.floats(0.0, 0.05))
+    @settings(max_examples=20, deadline=None)
+    def test_output_times_with_a_terminal_event(self, mic, run, n, boil):
+        # integrate with the boiling event.
+        p, y0, tol = self.problem(mic, run)
+        rhs, jac = simulate._callbacks(p)
+        events = simulate._scipy_events([simulate.boil_event(y0[1] + boil)])
+        assert_same_run(rhs, (0.0, run["tau"]), y0, jac=jac,
+                        t_eval=np.linspace(0.0, run["tau"], n),
+                        events=events, **tol)
+
+    @given(run=run, boil=st.floats(0.0, 0.05))
+    @settings(max_examples=20, deadline=None)
+    def test_dense_output_with_extremum_and_terminal_events(self, mic, run,
+                                                             boil):
+        # settle: the boiling event and u's maxima and minima.
+        p, y0, tol = self.problem(mic, run)
+        rhs, jac = simulate._callbacks(p)
+        events = [*simulate._scipy_events([simulate.boil_event(y0[1] + boil)]),
+                  du_event(p, -1), du_event(p, 1)]
+        assert_same_run(rhs, (0.0, run["tau"]), y0, jac=jac,
+                        dense_output=True, events=events, **tol)
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    def test_event_zero_at_the_start(self, mic, direction, terminal):
+        p = mic.model.with_(u_a=0.039)
+        rhs, jac = simulate._callbacks(p)
+        y0 = np.array([0.5, 0.04])
+
+        def level(t, y):
+            return y[1] - 0.04
+
+        level.direction, level.terminal = direction, terminal
+        want = assert_same_run(rhs, (0.0, 1.0), y0, jac=jac, events=[level],
+                               dense_output=True)
+        if direction == 0:
+            assert want.t_events[0][0] == 0.0
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_two_events_in_one_step(self, terminal):
+        # Listed against time order, so a terminal pair must be sorted.
+        def late(t, y):
+            return t - (0.5 + 1e-9)
+
+        def early(t, y):
+            return t - 0.5
+
+        for ev in (late, early):
+            ev.direction, ev.terminal = 1, terminal
+        want = assert_same_run(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                               events=[late, early])
+        assert want.t_events[1].size == 1
+        assert want.t_events[0].size == (0 if terminal else 1)
+        assert want.status == (1 if terminal else 0)
+
+    def test_terminal_event_on_the_final_step(self):
+        def end(t, y):
+            return t - 2.0
+
+        end.direction, end.terminal = 1, True
+        want = assert_same_run(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),
+                               events=[end])
+        assert want.status == 1 and want.t[-1] == 2.0
+
+    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 101)])
+    def test_failed_run_keeps_its_partial_output(self, t_eval):
+        # A pure relative tolerance on a decaying component: LSODA stops
+        # with "excess accuracy requested" once the component underflows.
+        def field(t, y):
+            return [-1000.0 * y[0], 1.0]
+
+        def halfway(t, y):
+            return y[1] - 0.5
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = assert_same_run(field, (0.0, 1e4), np.array([1.0, 0.0]),
+                                   atol=[0.0, 1e-8], t_eval=t_eval,
+                                   events=[halfway])
+        assert want.status == -1 and not want.success
+        assert len(want.t) > 50 and want.t_events[0].size == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"method": "Radau"}, {"t_span": (1.0, 0.0)},
+        {"t_eval": [0.0, 0.5], "dense_output": True}])
+    def test_rejects_what_it_does_not_support(self, kwargs):
+        call = {"fun": lambda t, y: -y, "t_span": (0.0, 1.0),
+                "y0": np.array([1.0]), **kwargs}
+        with pytest.raises(ValueError):
+            simulate.solve_ivp(**call)
+
+    def test_settle_reports_what_scipy_gives(self, mic, monkeypatch):
+        p = mic.model.with_(u_a=290.15 / mic.temp_scale * 1.0002,
+                            u_boil=math.inf)
+
+        def report():
+            return simulate.settle(p, (1.0, p.u_a), horizon=101.0,
+                                   tol_rel=1e-8, tol_abs=1e-10)
+
+        lean = report()
+        monkeypatch.setattr(simulate, "solve_ivp", scipy_solve_ivp)
+        assert lean.kind == "cycle"
+        assert report() == lean
 
 
 class TestDetectRunaway:
