@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from itertools import pairwise
+from typing import Literal
 
 import numpy as np
 
@@ -40,12 +41,16 @@ def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
     as scipy does, and ``t_eval`` points are read off the step's dense
     output in one call per step.  So ``t``, ``y``, ``t_events``,
     ``y_events``, ``sol``, ``status``, ``nfev``, ``njev`` and ``nlu`` all
-    equal scipy's.  What is left out is scipy's generic per-step work: event
-    signs are compared as scalars, and a step that holds no event root or
-    output time builds no array (scipy's ``find_active_events`` and its
-    ``t_eval`` search and slice build several on every step).  A step's
-    dense output is built, as in scipy, only on such a step, or on every
-    step for ``dense_output``.
+    equal scipy's, except on two kinds of run, which fail here with status
+    -1: one with a step that leaves ``t`` where it was (on an infinite
+    field LSODA reports such steps as successes forever, and scipy's loop
+    never ends), and one whose last state is not finite (a NaN state can
+    also step on under a successful status).  What is left out is scipy's
+    generic per-step work: event signs are compared as scalars, and a step
+    that holds no event root or output time builds no array (scipy's
+    ``find_active_events`` and its ``t_eval`` search and slice build
+    several on every step).  A step's dense output is built, as in scipy,
+    only on such a step, or on every step for ``dense_output``.
 
     Forward in time only, with scipy's keywords less ``args``, and
     ``dense_output`` only without ``t_eval``; an event's ``terminal`` is a
@@ -102,6 +107,10 @@ def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
             status = -1
             break
         t_old, t, y = solver.t_old, solver.t, solver.y
+        if t == t_old:
+            status = -1
+            message = f"zero-length step at t = {t!r}"
+            break
         sol = None
         if dense_output:
             sol = solver.dense_output()
@@ -152,6 +161,9 @@ def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
             i_eval = i_new
             next_eval = float(t_eval[i_new]) if i_new < t_eval.size else math.inf
 
+    if status >= 0 and not np.isfinite(solver.y).all():
+        status = -1
+        message = f"state not finite at t = {solver.t!r}"
     if t_events is not None:
         t_events = [np.asarray(te) for te in t_events]
         y_events = [np.asarray(ye) for ye in y_events]
@@ -214,23 +226,14 @@ def lsoda(rhs, jac, y0, ts, rtol, atol) -> np.ndarray:
         partial=Trajectory(ts[:k].copy(), ys[:k].copy()) if k > 1 else None)
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """A scalar crossing detector g(tau, x, u) = 0.
+def boil_event(u_boil: float):
+    """The event ``g(t, y)`` of :func:`solve_ivp` for a terminal upward
+    crossing of the runaway threshold temperature."""
+    def boil(t, y):
+        return y[1] - u_boil
 
-    ``direction`` +1 triggers on upward crossings, -1 on downward, 0 on any.
-    Terminal events halt the integration.
-    """
-
-    name: str
-    fn: Callable[[float, float, float], float]
-    direction: int = 0
-    terminal: bool = False
-
-
-def boil_event(u_boil: float) -> EventSpec:
-    """Terminal upward crossing of the runaway threshold temperature."""
-    return EventSpec("boil", lambda t, x, u: u - u_boil, direction=1, terminal=True)
+    boil.direction, boil.terminal = 1, True
+    return boil
 
 
 @dataclass(frozen=True)
@@ -286,17 +289,6 @@ def _clamped_state(x: float, u: float, slack: float = 1e-9) -> State:
     return State(float(x), float(u))
 
 
-def _scipy_events(events: Sequence[EventSpec]):
-    wrapped = []
-    for ev in events:
-        def g(t, y, _fn=ev.fn):
-            return _fn(t, *y.tolist())
-        g.direction = ev.direction
-        g.terminal = ev.terminal
-        wrapped.append(g)
-    return wrapped
-
-
 def _callbacks(p: ModelParams):
     """The vector field and its Jacobian as LSODA callbacks ``f(t, y)``."""
     def rhs(t, y):
@@ -308,79 +300,68 @@ def _callbacks(p: ModelParams):
     return rhs, jac
 
 
-def _solve(p: ModelParams, s0, tau_end: float, tol_rel: float, tol_abs: float,
-           events: Sequence[EventSpec], dense: bool = False,
+def _solve(p: ModelParams, x0: float, u0: float, tau_end: float,
+           tol_rel: float, tol_abs: float, events: list, dense: bool = False,
            t_eval: np.ndarray | None = None):
-    x0, u0 = model._as_state(s0)
     rhs, jac = _callbacks(p)
     # An array, not a list: solve_ivp hands y0 itself to the events at t0.
     sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), method="LSODA",
-                    rtol=tol_rel, atol=tol_abs, jac=jac,
-                    events=_scipy_events(events), dense_output=dense,
-                    t_eval=t_eval)
+                    rtol=tol_rel, atol=tol_abs, jac=jac, events=events,
+                    dense_output=dense, t_eval=t_eval)
     if sol.status == -1:
-        last = _clamped_state(sol.y[0, -1], sol.y[1, -1]) if sol.y.size else None
-        partial = Trajectory(sol.t.copy(), sol.y.T.copy()) if sol.t.size > 1 else None
+        # The rows before the first state that is not finite.
+        bad = ~np.isfinite(sol.y).all(axis=0)
+        k = int(np.argmax(bad)) if bad.any() else sol.t.size
+        last = _clamped_state(*sol.y[:, k - 1]) if k else None
+        partial = Trajectory(sol.t[:k].copy(), sol.y[:, :k].T.copy()) if k > 1 else None
         raise IntegrationFailure(
             f"stiffness failure: {sol.message}", last_state=last, partial=partial)
     return sol
 
 
-def _collect_events(sol, events: Sequence[EventSpec]) -> list[TrajectoryEvent]:
-    out = []
-    for spec, ts, ys in zip(events, sol.t_events, sol.y_events):
-        for t, y in zip(ts, ys):
-            out.append(TrajectoryEvent(float(t), spec.name, float(y[0]), float(y[1])))
-    out.sort(key=lambda e: e.time)
-    return out
-
-
 def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
-              tol_abs: float = 1e-10, events: Sequence[EventSpec] | None = None,
-              n_samples: int = 1000) -> Trajectory:
+              tol_abs: float = 1e-10, n_samples: int = 1000) -> Trajectory:
     """Integrate the reactor equations with adaptive implicit stepping.
 
-    By default a terminal boiling event at ``p.u_boil`` is attached (omitted
-    when the threshold is infinite); pass ``events=[]`` to integrate without
-    any.  With events the run goes through :func:`solve_ivp`: crossings are
-    located in time by ``brentq`` on the step's dense output and appear
-    both in ``Trajectory.events`` and as extra sample rows.  Without events
-    it goes through :func:`lsoda`, which returns exactly the sample times.
+    With a finite ``p.u_boil`` the run goes through :func:`solve_ivp` with
+    :func:`boil_event`: it stops where u first rises through the threshold,
+    located in time by ``brentq`` on the step's dense output.  That crossing
+    is the one ``Trajectory.events`` entry and ends the samples (as an
+    extra row unless the last sample is within 1e-14 of it).  A start at
+    or above the threshold is such a crossing at tau = 0, and the
+    trajectory is that one row.  With an infinite threshold the run goes
+    through :func:`lsoda`, which returns exactly the sample times.
     """
     if tau_end <= 0:
         raise ValidationError("tau_end", "integration horizon must be positive")
     if tol_rel <= 0 or tol_abs <= 0:
         raise ValidationError("tol_rel", "tolerances must be positive")
-    if events is None:
-        events = [boil_event(p.u_boil)] if math.isfinite(p.u_boil) else []
-    else:
-        events = list(events)
+    x0, u0 = model._as_state(s0)
+    if u0 >= p.u_boil:
+        return Trajectory(np.zeros(1), np.array([[x0, u0]]),
+                          (TrajectoryEvent(0.0, "boil", x0, u0),))
 
     t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
-    if not events:
+    if not math.isfinite(p.u_boil):
         try:
-            states = lsoda(*_callbacks(p), model._as_state(s0), t_eval,
-                           tol_rel, tol_abs)
+            states = lsoda(*_callbacks(p), (x0, u0), t_eval, tol_rel, tol_abs)
         except IntegrationFailure as exc:
             last = exc.last_state
             raise IntegrationFailure(
                 str(exc), None if last is None else _clamped_state(*last),
                 exc.partial) from None
         return Trajectory(t_eval, states)
-    sol = _solve(p, s0, tau_end, tol_rel, tol_abs, events, t_eval=t_eval)
-    recs = _collect_events(sol, events)
-
-    times = sol.t.copy()
-    states = sol.y.T.copy()
-    # Splice event crossings into the sample arrays.
-    for ev in recs:
-        if times.size and np.min(np.abs(times - ev.time)) < 1e-14 * max(1.0, ev.time):
-            continue
-        i = int(np.searchsorted(times, ev.time))
-        times = np.insert(times, i, ev.time)
-        states = np.insert(states, i, [ev.x, ev.u], axis=0)
-    keep = np.concatenate([[True], np.diff(times) > 0])
-    return Trajectory(times[keep], states[keep], tuple(recs))
+    sol = _solve(p, x0, u0, tau_end, tol_rel, tol_abs, [boil_event(p.u_boil)],
+                 t_eval=t_eval)
+    times, states = sol.t, sol.y.T.copy()
+    if sol.status == 0:
+        return Trajectory(times, states)
+    # The samples end at or before the crossing.
+    te, (xe, ue) = float(sol.t_events[0][0]), sol.y_events[0][0].tolist()
+    if te - times[-1] >= 1e-14 * max(1.0, te):
+        times = np.append(times, te)
+        states = np.vstack([states, [xe, ue]])
+    return Trajectory(times, states, (TrajectoryEvent(te, "boil", xe, ue),))
 
 
 def detect_runaway(traj: Trajectory, u_boil: float) -> TrajectoryEvent | None:
@@ -406,14 +387,29 @@ def detect_runaway(traj: Trajectory, u_boil: float) -> TrajectoryEvent | None:
     return None
 
 
+def _extrema(sol, du) -> list[TrajectoryEvent]:
+    """u's maxima and minima, in time order, from the roots of ``du``, the
+    last event of the dense run ``sol``.
+
+    ``du`` is du/dt with a deadband that keeps it from ever being 0 or NaN,
+    so its roots alternate between maxima and minima, beginning with a
+    maximum if u rises at the start.
+    """
+    rises = du(sol.t[0], sol.y[:, 0]) > 0
+    kinds = ("u_max", "u_min") if rises else ("u_min", "u_max")
+    return [TrajectoryEvent(t, kinds[k % 2], x, u) for k, (t, (x, u))
+            in enumerate(zip(sol.t_events[-1].tolist(), sol.y_events[-1].tolist()))]
+
+
 def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
            tol_abs: float = 1e-14,
            section_level: float | None = None) -> AttractorReport:
     """Classify the long-time attractor reached from a starting state.
 
     Integrates over ``horizon`` and inspects the final 10%%: a runaway is a
-    boiling-threshold crossing; a steady state varies by less than 1e-9; a
-    cycle returns to a Poincare section (u = tail mean by default,
+    boiling-threshold crossing (a start at or above the threshold is one at
+    tau = 0, and is not integrated); a steady state varies by less than
+    1e-9; a cycle returns to a Poincare section (u = tail mean by default,
     increasing) with period repeatable to 1e-6 relative.  Anything else is
     reported as undetermined.
     """
@@ -421,28 +417,25 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     if horizon <= transient:
         raise ValidationError(
             "horizon", f"must exceed the transient estimate {transient:.3g}")
+    if tol_rel <= 0 or tol_abs <= 0:
+        raise ValidationError("tol_rel", "tolerances must be positive")
+    x0, u0 = model._as_state(s0)
+    if u0 >= p.u_boil:
+        return AttractorReport("runaway", _clamped_state(x0, u0))
 
-    events = []
-    if math.isfinite(p.u_boil):
-        events.append(boil_event(p.u_boil))
-
-    # Extremum detectors carry a deadband well above the integrator noise so
-    # that a trajectory parked on a steady state emits no spurious events.
+    # The extremum event carries a deadband well above the integrator noise
+    # so that a trajectory parked on a steady state emits no spurious events.
     floor = 1000.0 * tol_abs * max(1.0, p.loss / p.eps)
 
-    def du(t, x, u):
-        v = model._field_scalar(p, x, u)[1]
+    def du(t, y):
+        v = model._field_scalar(p, *y.tolist())[1]
         return v if abs(v) > floor else -floor
 
-    events.append(EventSpec("u_max", du, direction=-1))
-    events.append(EventSpec("u_min", du, direction=1))
-
-    sol = _solve(p, s0, horizon, tol_rel, tol_abs, events, dense=True)
-    recs = _collect_events(sol, events)
+    du.direction, du.terminal = 0, False
+    events = [boil_event(p.u_boil), du] if math.isfinite(p.u_boil) else [du]
+    sol = _solve(p, x0, u0, horizon, tol_rel, tol_abs, events, dense=True)
     terminal = _clamped_state(sol.y[0, -1], sol.y[1, -1])
-
-    boil_hits = [e for e in recs if e.kind == "boil"]
-    if boil_hits:
+    if sol.status == 1:
         return AttractorReport("runaway", terminal)
 
     t_end = float(sol.t[-1])
@@ -461,26 +454,16 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     def g(t):
         return sol.sol(t)[1] - level
 
-    # Upward crossings of the section, bracketed between consecutive
-    # u-minimum and u-maximum events so that narrow spikes are not missed.
+    # Upward crossings of the section, each bracketed between a tail
+    # u-maximum and the minimum just before it, so that narrow spikes are
+    # not missed.
     from scipy.optimize import brentq
 
-    crossings = []
-    t_min_ev = None
-    for ev in recs:
-        if ev.time < t_tail:
-            if ev.kind == "u_min":
-                t_min_ev = ev
-            elif ev.kind == "u_max":
-                t_min_ev = None
-            continue
-        if ev.kind == "u_min":
-            t_min_ev = ev
-        elif ev.kind == "u_max" and t_min_ev is not None:
-            if t_min_ev.u < level <= ev.u and ev.time > t_min_ev.time:
-                crossings.append(brentq(g, t_min_ev.time, ev.time,
-                                        xtol=1e-13, rtol=1e-15))
-            t_min_ev = None
+    recs = _extrema(sol, du)
+    crossings = [brentq(g, lo.time, hi.time, xtol=1e-13, rtol=1e-15)
+                 for lo, hi in pairwise(recs)
+                 if hi.kind == "u_max" and hi.time >= t_tail
+                 and lo.u < level <= hi.u and hi.time > lo.time]
     if len(crossings) >= 3:
         gaps = np.diff(crossings)
         k = min(5, len(gaps))

@@ -82,6 +82,19 @@ class TestSimulate:
         assert lines[0] == "tau,x,u,T_kelvin,event"
         assert any(line.endswith(",boil") for line in lines[1:])
 
+    def test_start_at_the_boiling_threshold(self, tmp_path):
+        # --u0 is mic-tank610's u_boil: a runaway at tau = 0.
+        argv = ["simulate", "--preset", "mic-tank610", "--Ta", "284",
+                "--x0", "0.9", "--u0", "0.04053075", "--tau-end", "2"]
+        out = tmp_path / "s"
+        assert run(argv + ["-o", str(out)]) == 0
+        man = json.loads(read(out / "manifest.json"))
+        assert man["summary"]["runaway"]["tau"] == 0.0
+        assert man["summary"]["tau_end_reached"] == 0.0
+        lines = read(out / "trajectory.csv").splitlines()
+        assert len(lines) == 2 and lines[1].endswith(",boil")
+        assert run(argv + ["--fail-on-runaway", "-o", str(tmp_path / "f")]) == 4
+
 
 class TestCalibrate:
     def test_sigma_echoed_and_deterministic(self, tmp_path):

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import math
 import re
+import signal
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermorun import model, simulate, steady
-from thermorun.errors import IntegrationFailure, ValidationError
+from thermorun import cycles, model, simulate, steady
+from thermorun.errors import ConvergenceError, IntegrationFailure, ValidationError
 from thermorun.model import ModelParams
-from thermorun.simulate import Trajectory
+from thermorun.simulate import AttractorReport, Trajectory, TrajectoryEvent
 
 
 def linear_params(u_a=0.0379):
@@ -41,11 +43,14 @@ class TestIntegrate:
     def test_invariant_box(self, mic, rng):
         # Trajectories started inside the box stay there until boiling halts
         # them; the sides x = 0, x = 1 and u = u_a are forward-invariant.
+        # A start at or above the threshold is a runaway at tau = 0, so
+        # those starts are followed on the flow without the threshold.
         p = mic.model
         for _ in range(100):
             s0 = (float(rng.uniform(0, 1)),
                   float(rng.uniform(p.u_a, p.u_boil * 1.5)))
-            traj = simulate.integrate(p, s0, 20.0, tol_rel=1e-9, tol_abs=1e-12)
+            q = p if s0[1] < p.u_boil else p.with_(u_boil=math.inf)
+            traj = simulate.integrate(q, s0, 20.0, tol_rel=1e-9, tol_abs=1e-12)
             assert np.all(traj.xs >= -1e-9)
             assert np.all(traj.xs <= 1 + 1e-9)
             assert np.all(traj.us >= p.u_a - 1e-9)
@@ -59,16 +64,16 @@ class TestIntegrate:
     def test_autonomy(self, mic):
         # Restarting from a mid-trajectory state reproduces the later state.
         ts = mic.temp_scale
-        p = mic.model.with_(u_a=286.0 / ts)
+        p = mic.model.with_(u_a=286.0 / ts, u_boil=math.inf)
         full = simulate.integrate(p, (0.6, p.u_a + 0.001), 10.0,
                                   tol_rel=1e-11, tol_abs=1e-13,
-                                  events=[], n_samples=2001)
+                                  n_samples=2001)
         i_mid = 1000
         t_mid = float(full.times[i_mid])
         s_mid = (float(full.xs[i_mid]), float(full.us[i_mid]))
         rest = simulate.integrate(p, s_mid, 10.0 - t_mid,
                                   tol_rel=1e-11, tol_abs=1e-13,
-                                  events=[], n_samples=11)
+                                  n_samples=11)
         end_full = full.final_state()
         end_rest = rest.final_state()
         assert abs(end_full.x - end_rest.x) < 1e-7
@@ -76,19 +81,20 @@ class TestIntegrate:
 
     def test_tolerance_halving_convergence(self, mic):
         ts = mic.temp_scale
-        p = mic.model.with_(u_a=286.0 / ts)
+        p = mic.model.with_(u_a=286.0 / ts, u_boil=math.inf)
         s0 = (0.6, p.u_a + 0.001)
         tol = 1e-8
-        a = simulate.integrate(p, s0, 5.0, tol_rel=tol, tol_abs=tol * 1e-2,
-                               events=[]).final_state()
+        a = simulate.integrate(p, s0, 5.0, tol_rel=tol,
+                               tol_abs=tol * 1e-2).final_state()
         b = simulate.integrate(p, s0, 5.0, tol_rel=tol / 2,
-                               tol_abs=tol * 1e-2 / 2, events=[]).final_state()
+                               tol_abs=tol * 1e-2 / 2).final_state()
         assert abs(a.x - b.x) < 10 * tol / 2
         assert abs(a.u - b.u) < 10 * tol / 2
 
 
 class TestEventFreeIntegrate:
-    """``integrate`` without events runs on ``simulate.lsoda`` (odeint)."""
+    """``integrate`` without a boiling threshold runs on ``simulate.lsoda``
+    (odeint)."""
 
     S0 = (0.5, 0.0379 + 0.01)
 
@@ -97,7 +103,7 @@ class TestEventFreeIntegrate:
         from scipy.integrate import solve_ivp
 
         p = linear_params()
-        assert math.isinf(p.u_boil)     # so the default attaches no event
+        assert math.isinf(p.u_boil)     # so integrate has no event
         traj = simulate.integrate(p, self.S0, 10.0, tol_rel=rtol,
                                   tol_abs=atol, n_samples=200)
         t_eval = np.linspace(0.0, 10.0, 200)
@@ -243,20 +249,18 @@ class TestSolveIvpOracle:
         # integrate with the boiling event.
         p, y0, tol = self.problem(mic, run)
         rhs, jac = simulate._callbacks(p)
-        events = simulate._scipy_events([simulate.boil_event(y0[1] + boil)])
         assert_same_run(rhs, (0.0, run["tau"]), y0, jac=jac,
                         t_eval=np.linspace(0.0, run["tau"], n),
-                        events=events, **tol)
+                        events=[simulate.boil_event(y0[1] + boil)], **tol)
 
     @given(run=run, boil=st.floats(0.0, 0.05))
     @settings(max_examples=20, deadline=None)
     def test_dense_output_with_extremum_and_terminal_events(self, mic, run,
                                                              boil):
-        # settle: the boiling event and u's maxima and minima.
+        # settle: the boiling event and one two-way event on du/dt.
         p, y0, tol = self.problem(mic, run)
         rhs, jac = simulate._callbacks(p)
-        events = [*simulate._scipy_events([simulate.boil_event(y0[1] + boil)]),
-                  du_event(p, -1), du_event(p, 1)]
+        events = [simulate.boil_event(y0[1] + boil), du_event(p)]
         assert_same_run(rhs, (0.0, run["tau"]), y0, jac=jac,
                         dense_output=True, events=events, **tol)
 
@@ -343,6 +347,266 @@ class TestSolveIvpOracle:
         assert report() == lean
 
 
+def two_event_settle(p, s0, horizon, tol_rel=3e-12, tol_abs=1e-14,
+                     section_level=None):
+    """``settle`` with u's maxima and minima found by two events on the same
+    deadbanded du/dt, ``u_max`` (direction -1) and ``u_min`` (+1), each
+    event a named ``g(t, x, u)`` and the records of all of them sorted by
+    time, and the crossing brackets kept by walking the records.  The
+    reference for ``settle``'s single two-way event.  Returns the records,
+    the run and the report."""
+    from scipy.optimize import brentq
+
+    floor = 1000.0 * tol_abs * max(1.0, p.loss / p.eps)
+
+    def du(t, x, u):
+        v = model._field_scalar(p, x, u)[1]
+        return v if abs(v) > floor else -floor
+
+    specs = [("u_max", du, -1, False), ("u_min", du, 1, False)]
+    if math.isfinite(p.u_boil):
+        specs.insert(0, ("boil", lambda t, x, u: u - p.u_boil, 1, True))
+    events = []
+    for _, fn, direction, terminal in specs:
+        def g(t, y, fn=fn):
+            return fn(t, *y.tolist())
+        g.direction, g.terminal = direction, terminal
+        events.append(g)
+    rhs, jac = simulate._callbacks(p)
+    sol = simulate.solve_ivp(rhs, (0.0, horizon), np.array(s0, dtype=float),
+                             method="LSODA", rtol=tol_rel, atol=tol_abs,
+                             jac=jac, events=events, dense_output=True)
+    recs = sorted((TrajectoryEvent(float(t), name, float(y[0]), float(y[1]))
+                   for (name, *_), ts, ys in zip(specs, sol.t_events, sol.y_events)
+                   for t, y in zip(ts, ys)), key=lambda e: e.time)
+    terminal = simulate._clamped_state(sol.y[0, -1], sol.y[1, -1])
+    if any(e.kind == "boil" for e in recs):
+        return recs, sol, AttractorReport("runaway", terminal)
+
+    t_end = float(sol.t[-1])
+    t_tail = t_end - 0.1 * horizon
+    ys = sol.sol(np.linspace(t_tail, t_end, 2001))
+    if float(np.max(np.abs(ys - ys[:, -1:]))) < simulate.STEADY_VARIATION:
+        return recs, sol, AttractorReport("steady", terminal, amplitude=0.0)
+    u_tail = ys[1]
+    level = float(np.mean(u_tail)) if section_level is None else float(section_level)
+
+    def g(t):
+        return sol.sol(t)[1] - level
+
+    crossings = []
+    t_min_ev = None
+    for ev in recs:
+        if ev.time < t_tail:
+            if ev.kind == "u_min":
+                t_min_ev = ev
+            elif ev.kind == "u_max":
+                t_min_ev = None
+            continue
+        if ev.kind == "u_min":
+            t_min_ev = ev
+        elif ev.kind == "u_max" and t_min_ev is not None:
+            if t_min_ev.u < level <= ev.u and ev.time > t_min_ev.time:
+                crossings.append(brentq(g, t_min_ev.time, ev.time,
+                                        xtol=1e-13, rtol=1e-15))
+            t_min_ev = None
+    if len(crossings) >= 3:
+        recent = np.diff(crossings)[-5:]
+        period = float(np.mean(recent))
+        if period > 0 and float(np.max(np.abs(recent - period))) < \
+                simulate.PERIOD_REPEATABILITY * period:
+            t_lo = crossings[-1] - period
+            peaks = [e.u for e in recs if e.kind == "u_max" and e.time >= t_lo]
+            dips = [e.u for e in recs if e.kind == "u_min" and e.time >= t_lo]
+            if peaks and dips:
+                amp = float(max(peaks) - min(dips))
+            else:
+                amp = float(np.max(u_tail) - np.min(u_tail))
+            return recs, sol, AttractorReport("cycle", terminal, period=period,
+                                              amplitude=amp)
+    return recs, sol, AttractorReport("undetermined", terminal)
+
+
+def splice_integrate(p, s0, tau_end, tol_rel, tol_abs, n_samples):
+    """``integrate`` with the boiling event, its crossings spliced into the
+    samples by a loop for any number of events: ``np.insert`` at each
+    crossing not within 1e-14 of a sample, then a mask that drops repeated
+    times.  The reference for ``integrate``'s single appended row."""
+    rhs, jac = simulate._callbacks(p)
+    t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
+    sol = simulate.solve_ivp(rhs, (0.0, tau_end), np.array(s0, dtype=float),
+                             method="LSODA", rtol=tol_rel, atol=tol_abs,
+                             jac=jac, events=[simulate.boil_event(p.u_boil)],
+                             t_eval=t_eval)
+    recs = [TrajectoryEvent(float(t), "boil", float(y[0]), float(y[1]))
+            for t, y in zip(sol.t_events[0], sol.y_events[0])]
+    times = sol.t.copy()
+    states = sol.y.T.copy()
+    for ev in recs:
+        if times.size and np.min(np.abs(times - ev.time)) < 1e-14 * max(1.0, ev.time):
+            continue
+        i = int(np.searchsorted(times, ev.time))
+        times = np.insert(times, i, ev.time)
+        states = np.insert(states, i, [ev.x, ev.u], axis=0)
+    keep = np.concatenate([[True], np.diff(times) > 0])
+    return Trajectory(times[keep], states[keep], tuple(recs))
+
+
+class TestOneExtremumEvent:
+    """``settle``'s one two-way du/dt event and ``integrate``'s appended
+    boiling row give what the two-event and splice-loop forms give, bit for
+    bit."""
+
+    @staticmethod
+    def case(mic, name):
+        """The parameters, start, horizon and tolerances of a case, and the
+        event kinds its run records."""
+        ts = mic.temp_scale
+        hot = mic.model.with_(u_a=292.0 / ts)
+        cycle = mic.model.with_(u_a=290.15 / ts * 1.0002, u_boil=math.inf)
+        extrema = {"u_max", "u_min"}
+        return {
+            "steady": (mic.model.with_(u_a=286.0 / ts), (0.0, 286.0 / ts),
+                       400.0, {}, extrema),
+            "runaway": (hot, (1.0, hot.u_a), 150.0, {}, {"boil"}),
+            # From an empty tank u passes a minimum before it boils.
+            "runaway-fill": (hot, (0.0, hot.u_a), 150.0, {},
+                             {"u_min", "boil"}),
+            "cycle-101": (cycle, (1.0, cycle.u_a), 101.0,
+                          {"tol_rel": 1e-8, "tol_abs": 1e-10}, extrema),
+            "cycle-130": (cycle, (1.0, cycle.u_a), 130.0, {}, extrema),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["steady", "runaway", "runaway-fill",
+                                      "cycle-101", "cycle-130"])
+    def test_settle_matches_two_events(self, mic, monkeypatch, name):
+        p, s0, horizon, tol, kinds = self.case(mic, name)
+        want_recs, want_sol, want = two_event_settle(p, s0, horizon, **tol)
+        assert want.kind == name.split("-")[0]
+
+        runs = []
+        solve = simulate.solve_ivp
+
+        def keeping(fun, t_span, y0, **kwargs):
+            sol = solve(fun, t_span, y0, **kwargs)
+            runs.append((kwargs["events"], sol))
+            return sol
+
+        monkeypatch.setattr(simulate, "solve_ivp", keeping)
+        got = simulate.settle(p, s0, horizon, **tol)
+        [(events, sol)] = runs
+        *boil, du = events
+        assert len(boil) == math.isfinite(p.u_boil) and du.direction == 0
+        recs = [TrajectoryEvent(t, "boil", x, u) for t, (x, u) in
+                zip(sol.t_events[0].tolist(), sol.y_events[0].tolist())] if boil else []
+        recs = sorted(recs + simulate._extrema(sol, du), key=lambda e: e.time)
+        assert recs == want_recs
+        assert {e.kind for e in recs} == kinds
+        assert_bits(sol.t, want_sol.t)
+        assert_bits(sol.y, want_sol.y)
+        assert got == want
+
+    @given(run=TestSolveIvpOracle.run, n=st.integers(2, 300),
+           boil=st.floats(1e-6, 0.005))
+    @settings(max_examples=30, deadline=None)
+    def test_integrate_matches_the_splice_loop(self, mic, run, n, boil):
+        p = mic.model.with_(u_a=run["T_a"] / mic.temp_scale)
+        s0 = (run["x0"], p.u_a + run["du0"])
+        p = p.with_(u_boil=s0[1] + boil)
+        args = (s0, run["tau"], run["rtol"], run["rtol"] * 1e-2, n)
+        want = splice_integrate(p, *args)
+        got = simulate.integrate(p, *args)
+        assert got.events == want.events
+        assert_bits(got.times, want.times)
+        assert_bits(got.states, want.states)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestInfiniteField:
+    """On a field that turns infinite LSODA either takes zero-length steps
+    forever or runs on in NaN under a successful status; every integration
+    with events must fail instead, and quickly."""
+
+    S0 = (0.5, 0.0379 + 0.01)
+
+    @pytest.fixture(autouse=True)
+    def blowing_up(self, monkeypatch):
+        # The reaction-off field turns infinite once x passes 0.75.
+        field = model._field_scalar
+
+        def blowing_up(p_, x, u):
+            return (math.inf, math.inf) if x > 0.75 else field(p_, x, u)
+
+        monkeypatch.setattr(model, "_field_scalar", blowing_up)
+
+    @pytest.mark.parametrize("name, message", [
+        ("integrate", "zero-length step"),
+        ("integrate-1e-12", "state not finite"),
+        ("settle", "zero-length step"),
+        ("floquet", "zero-length step"),
+        ("orbit mesh", "state not finite")])
+    def test_fails_within_seconds(self, name, message):
+        p = linear_params().with_(u_boil=0.06)
+        y0 = np.array(self.S0)
+        run = {
+            "integrate": lambda: simulate.integrate(p, self.S0, 10.0),
+            "integrate-1e-12": lambda: simulate.integrate(
+                p, self.S0, 10.0, tol_rel=1e-12, tol_abs=1e-14),
+            "settle": lambda: simulate.settle(p, self.S0, 150.0),
+            "floquet": lambda: cycles.floquet(p, y0, 10.0),
+            "orbit mesh": lambda: cycles._finalize_orbit(p, y0, 10.0),
+        }[name]
+        with time_limit(20), pytest.raises((IntegrationFailure, ConvergenceError),
+                                           match=message) as err:
+            run()
+        if isinstance(err.value, IntegrationFailure):
+            # What was integrated before the failure, all of it finite.
+            part = err.value.partial
+            assert len(part.times) > 10 and np.all(np.isfinite(part.states))
+            assert part.xs[-1] <= 0.75
+            last = err.value.last_state
+            assert (last.x, last.u) == tuple(part.states[-1])
+
+
+class TestStartAtThreshold:
+    """A start at the boiling threshold is a runaway at tau = 0."""
+
+    starts = pytest.mark.parametrize("T_a", [284.0, 286.0, 290.0, 292.0])
+    x0s = pytest.mark.parametrize("x0", [0.2, 0.5, 0.9])
+
+    @starts
+    @x0s
+    def test_integrate(self, mic, T_a, x0):
+        p = mic.model.with_(u_a=T_a / mic.temp_scale)
+        traj = simulate.integrate(p, (x0, p.u_boil), 2.0)
+        assert traj.times.tolist() == [0.0]
+        assert traj.states.tolist() == [[x0, p.u_boil]]
+        assert traj.events == (TrajectoryEvent(0.0, "boil", x0, p.u_boil),)
+        assert simulate.detect_runaway(traj, p.u_boil) == traj.events[0]
+
+    @starts
+    @x0s
+    def test_settle(self, mic, monkeypatch, T_a, x0):
+        p = mic.model.with_(u_a=T_a / mic.temp_scale)
+        monkeypatch.setattr(simulate, "solve_ivp", None)   # not integrated
+        rep = simulate.settle(p, (x0, p.u_boil), 101.0)
+        assert rep == AttractorReport("runaway", model.State(x0, p.u_boil))
+
+
 class TestDetectRunaway:
     def test_constant_below_threshold(self):
         times = np.linspace(0, 1, 11)
@@ -407,3 +671,9 @@ class TestSettle:
     def test_horizon_precondition(self, mic):
         with pytest.raises(ValidationError):
             simulate.settle(mic.model, (1.0, mic.model.u_a), horizon=1.0)
+
+    @pytest.mark.parametrize("tol", [{"tol_rel": 0.0}, {"tol_abs": -1e-14}])
+    def test_tolerance_precondition(self, mic, tol):
+        # The extremum event's deadband, 1000 tol_abs, must be positive.
+        with pytest.raises(ValidationError):
+            simulate.settle(mic.model, (1.0, mic.model.u_a), 101.0, **tol)

@@ -53,6 +53,9 @@ COMMANDS = {
     "simulate-292": ["simulate"] + PRESET + ["--Ta", "292"],   # runaway
     # Filling from an empty tank to a steady state (x0 = 1 runs away).
     "simulate-286": ["simulate"] + PRESET + ["--Ta", "286", "--x0", "0"],
+    # No boiling threshold: the one run of integrate without an event.
+    "simulate-no-boil": ["simulate"] + PRESET + ["--Ta", "292",
+                                                 "--u-boil", "inf"],
     # The second preset's continuation and loci.
     "steady-branch-cumene": ["steady-branch"] + CUMENE + ["--Ta", "282:296"],
     "loci-cumene": ["loci"] + CUMENE + ["--grid", "40x40"],
