@@ -12,12 +12,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 from . import cycles, loci, model, simulate, steady
 from .errors import (CalibrationError, ConvergenceError, IntegrationFailure,
                      ThermorunError, ValidationError)
-from .model import DimensionalParams, ModelParams
+from .model import Preset
 from .output import ManifestWriter, resolve_outdir
 
 EXIT_OK = 0
@@ -28,80 +27,26 @@ EXIT_RUNAWAY = 4
 PARAM_FLAGS = ("f", "ell", "eps", "u_a", "sigma", "u_boil")
 
 
-@dataclass
-class Resolved:
-    """Fully resolved run inputs: model, optional dimensional context."""
-
-    params: ModelParams
-    dim: DimensionalParams | None
-    temp_scale: float | None
-    preset: str | None
-
-    def kelvin_to_u(self, T: float) -> float:
-        if self.temp_scale is None:
-            raise ValidationError(
-                "temp_scale", "Kelvin inputs need a preset, a dimensional block "
-                "or temp_scale_K in the config")
-        return T / self.temp_scale
-
-    def u_to_kelvin(self, u: float) -> float | None:
-        return None if self.temp_scale is None else u * self.temp_scale
-
-
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None):
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config", "top-level JSON object expected")
-    return cfg
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise ValidationError("config", f"cannot read {path!r}: {exc}") from None
 
 
-def resolve_inputs(args) -> Resolved:
+def resolve_inputs(args) -> Preset:
     """Merge preset, config file and flags (flags win, then config)."""
-    cfg = _load_config(getattr(args, "config", None))
-    preset_name = getattr(args, "preset", None) or cfg.get("preset")
-    explicit = any(k in cfg for k in ("params", "dimensional"))
-    if preset_name and explicit:
-        raise ValidationError("config", "give either a preset or an explicit "
-                                        "parameter block, not both")
-    dim = None
-    temp_scale = cfg.get("temp_scale_K")
-    if preset_name:
-        pre = model.preset(preset_name)
-        params, dim, temp_scale = pre.model, pre.dim, pre.temp_scale
-    elif "params" in cfg:
-        # An explicit dimensionless block is authoritative; a dimensional
-        # block alongside it only supplies context (temperature scale).
-        params = ModelParams(**cfg["params"])
-        if "dimensional" in cfg:
-            dim = DimensionalParams(**cfg["dimensional"])
-            temp_scale = temp_scale or dim.temp_scale
-    elif "dimensional" in cfg:
-        dim = DimensionalParams(**cfg["dimensional"])
-        T_boil = cfg.get("T_boil")
-        if T_boil is None:
-            raise ValidationError("T_boil", "a dimensional block needs T_boil (K)")
-        params = model.nondimensionalize(dim, boiling_temperature=T_boil,
-                                         sigma=cfg.get("sigma", 1.0))
-        temp_scale = dim.temp_scale
-    else:
-        raise ValidationError("config", "no preset and no parameter block given")
-
-    overrides = {}
-    for name in PARAM_FLAGS:
-        v = getattr(args, f"param_{name}", None)
-        if v is not None:
-            overrides[name] = v
-    if overrides:
-        params = params.with_(**overrides)
-
-    res = Resolved(params, dim, temp_scale, preset_name)
+    cfg = _load_config(args.config)
+    if args.preset and isinstance(cfg, dict):
+        cfg = {**cfg, "preset": args.preset}
     Ta = getattr(args, "Ta", None)
-    if Ta is not None and ":" not in str(Ta):
-        res.params = res.params.with_(u_a=res.kelvin_to_u(float(Ta)))
-    return res
+    flags = {name: v for name in PARAM_FLAGS
+             if (v := getattr(args, f"param_{name}")) is not None}
+    return Preset.from_config(cfg).with_overrides(
+        T_a=None if Ta is None or ":" in Ta else float(Ta), **flags)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -124,12 +69,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n_ua, n_f
 
 
-def _maybe_kelvin_row(res: Resolved, u: float):
+def _kelvin_range(res: Preset, text: str) -> tuple[float, float]:
+    lo, hi = _parse_range(text)
+    return res.kelvin_to_u(lo), res.kelvin_to_u(hi)
+
+
+def _maybe_kelvin_row(res: Preset, u: float):
     T = res.u_to_kelvin(u)
     return [] if T is None else [T]
 
 
-def _kelvin_header(res: Resolved, name: str) -> list[str]:
+def _kelvin_header(res: Preset, name: str) -> list[str]:
     return [] if res.temp_scale is None else [name]
 
 
@@ -137,20 +87,16 @@ def _kelvin_header(res: Resolved, name: str) -> list[str]:
 # Commands
 
 
-def cmd_rates(args) -> int:
-    man = ManifestWriter("rates", resolve_outdir(args.out))
-    res = resolve_inputs(args)
-    p = res.params
+def cmd_rates(args, res: Preset, man: ManifestWriter) -> int:
+    p = res.model
     if args.T_window:
-        lo, hi = _parse_range(args.T_window)
-        u_lo, u_hi = res.kelvin_to_u(lo), res.kelvin_to_u(hi)
+        u_lo, u_hi = _kelvin_range(res, args.T_window)
     else:
         width = p.f / p.loss
         u_lo, u_hi = p.u_a * 0.97, p.u_a + 1.6 * width
     d = model.rate_diagram(p, u_lo, u_hi, args.n)
     crossings = model.rate_crossings(d)
 
-    man.set_params(p, res.dim, res.temp_scale, res.preset)
     header = ["u"] + _kelvin_header(res, "T_kelvin") + ["r_g", "r_l"]
     rows = ([u] + _maybe_kelvin_row(res, u) + [g, l]
             for u, g, l in zip(d.u_grid, d.r_g, d.r_l))
@@ -168,24 +114,20 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _steady_range(args, res: Resolved) -> tuple[float, float]:
-    if args.Ta and ":" in str(args.Ta):
-        lo, hi = _parse_range(args.Ta)
-        return res.kelvin_to_u(lo), res.kelvin_to_u(hi)
+def _steady_range(args, res: Preset) -> tuple[float, float]:
+    if args.Ta and ":" in args.Ta:
+        return _kelvin_range(res, args.Ta)
     if args.range:
         return _parse_range(args.range)
-    p = res.params
+    p = res.model
     return p.u_a * 0.96, p.u_a * 1.02
 
 
-def cmd_steady_branch(args) -> int:
-    man = ManifestWriter("steady-branch", resolve_outdir(args.out))
-    res = resolve_inputs(args)
-    p = res.params
+def cmd_steady_branch(args, res: Preset, man: ManifestWriter) -> int:
+    p = res.model
     prange = _steady_range(args, res)
     branch = steady.continue_branch(p, args.active, prange, ds0=args.ds0)
 
-    man.set_params(p, res.dim, res.temp_scale, res.preset)
     kelvin = _kelvin_header(res, "T_kelvin")
     header = ["param", "x", "u"] + kelvin + ["trace", "det", "stability", "special"]
     special_after = {sp.after_index: sp for sp in branch.specials
@@ -233,10 +175,8 @@ def cmd_steady_branch(args) -> int:
     return EXIT_OK
 
 
-def cmd_cycle_branch(args) -> int:
-    man = ManifestWriter("cycle-branch", resolve_outdir(args.out))
-    res = resolve_inputs(args)
-    p = res.params
+def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
+    p = res.model
     prange = _steady_range(args, res)
     branch = steady.continue_branch(p, "u_a", prange, ds0=args.ds0)
     hopfs = [sp for sp in branch.specials if sp.kind == "hopf"]
@@ -245,7 +185,6 @@ def cmd_cycle_branch(args) -> int:
     cb = cycles.continue_cycles(p, hopfs[0], prange, m=args.segments,
                                 max_orbits=args.max_orbits)
 
-    man.set_params(p, res.dim, res.temp_scale, res.preset)
     header = (["param"] + _kelvin_header(res, "param_T_kelvin")
               + ["period", "amplitude", "min_u", "max_u", "multiplier",
                  "stability", "vented"])
@@ -280,26 +219,18 @@ def _verify_slice(payload):
     return [sp.param_value for sp in br.specials if sp.kind == "hopf"]
 
 
-def cmd_loci(args) -> int:
-    man = ManifestWriter("loci", resolve_outdir(args.out))
-    res = resolve_inputs(args)
-    p = res.params
+def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
+    p = res.model
     n_ua, n_f = _parse_grid(args.grid)
-    if args.Ta_window:
-        lo, hi = _parse_range(args.Ta_window)
-        ua_window = (res.kelvin_to_u(lo), res.kelvin_to_u(hi))
-    else:
-        w = loci.default_window(p)
-        ua_window = w.u_a
-    f_window = _parse_range(args.f_window) if args.f_window else \
-        loci.default_window(p).f
-    window = loci.Window(ua_window, f_window)
+    w = loci.default_window(p)
+    window = loci.Window(
+        _kelvin_range(res, args.Ta_window) if args.Ta_window else w.u_a,
+        _parse_range(args.f_window) if args.f_window else w.f)
 
     hopf = loci.continue_hopf_locus(p, window=window)
     fold = loci.continue_fold_locus(p, window=window)
     loci_map = {"hopf": hopf, "fold": fold}
 
-    man.set_params(p, res.dim, res.temp_scale, res.preset)
     kelvin = _kelvin_header(res, "T_a_kelvin")
 
     def locus_rows(locus):
@@ -343,17 +274,17 @@ def cmd_loci(args) -> int:
         "oscillatory_cells": sum(1 for _, _, lab in rows if lab == loci.OSCILLATORY),
         "bistable_cells": sum(1 for _, _, lab in rows if lab == loci.BISTABLE),
         "slice_verification": verification,
+        "hopf_stop_reasons": list(hopf.stop_reasons),
+        "fold_stop_reasons": list(fold.stop_reasons),
     })
-    man.finish()
+    man.finish(partial="corrector failure" in hopf.stop_reasons + fold.stop_reasons)
     print(f"loci: hopf {len(hopf)} pts, fold {len(fold)} pts, "
           f"f* = {fold.f_threshold}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    man = ManifestWriter("simulate", resolve_outdir(args.out))
-    res = resolve_inputs(args)
-    p = res.params
+def cmd_simulate(args, res: Preset, man: ManifestWriter) -> int:
+    p = res.model
     x0 = args.x0
     u0 = args.u0 if args.u0 is not None else p.u_a
     traj = simulate.integrate(p, (x0, u0), args.tau_end,
@@ -361,7 +292,6 @@ def cmd_simulate(args) -> int:
                               n_samples=args.samples)
     runaway = simulate.detect_runaway(traj, p.u_boil)
 
-    man.set_params(p, res.dim, res.temp_scale, res.preset)
     man.set("tolerances", {"tol_rel": args.tol_rel, "tol_abs": args.tol_abs})
     kelvin = _kelvin_header(res, "T_kelvin")
     header = ["tau", "x", "u"] + kelvin + ["event"]
@@ -389,28 +319,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    man = ManifestWriter("calibrate", resolve_outdir(args.out))
-    res = resolve_inputs(args)
+def cmd_calibrate(args, res: Preset, man: ManifestWriter) -> int:
     if res.temp_scale is None:
         raise ValidationError("temp_scale", "calibration targets are in Kelvin; "
                               "supply a preset or dimensional context")
-    template = res.params.with_(sigma=1.0)
+    template = res.model.with_(sigma=1.0)
     sigma = model.calibrate_sigma(template, args.target_steady, args.target_hopf,
                                   temp_scale=res.temp_scale)
-    calibrated = res.params.with_(sigma=sigma)
-
-    man.set_params(calibrated, res.dim, res.temp_scale, res.preset)
     man.set("summary", {
         "sigma": sigma,
         "ln_sigma": math.log(sigma),
         "target_T_steady": args.target_steady,
         "target_T_hopf": args.target_hopf,
     })
-    man.add_json("calibrated_params.json", {
-        "params": asdict(calibrated),
-        "temp_scale_K": res.temp_scale,
-    })
+    man.add_json("calibrated_params.json",
+                 res.with_overrides(sigma=sigma).to_config())
     man.finish()
     print(f"calibrate: sigma = {sigma:.17g}")
     return EXIT_OK
@@ -501,12 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    record = ManifestWriter(args.command, resolve_outdir(args.out))
+    args = build_parser().parse_args(argv)
+    man = ManifestWriter(args.command, resolve_outdir(args.out))
     try:
-        return args.func(args)
-    except (ValidationError, json.JSONDecodeError, FileNotFoundError) as exc:
+        res = resolve_inputs(args)
+        man.set_inputs(res)
+        return args.func(args, res, man)
+    except ValidationError as exc:
         code, error = EXIT_CONFIG, f"configuration error: {exc}"
     except (ConvergenceError, CalibrationError, IntegrationFailure) as exc:
         code, error = EXIT_CONVERGENCE, f"convergence failure: {exc}"
@@ -514,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         code, error = EXIT_CONVERGENCE, f"error: {exc}"
     print(error, file=sys.stderr)
     try:
-        record.fail(code, error)
+        man.fail(code, error)
     except OSError:
         pass  # the exit code still reports the failure
     return code

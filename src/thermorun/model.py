@@ -21,7 +21,7 @@ preset registry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -603,21 +603,79 @@ MIC_TARGET_T_STEADY = 305.0
 MIC_TARGET_T_HOPF = 290.15
 
 
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _number(v, field: str) -> float:
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool), field,
+             f"number expected, got {v!r}")
+    return float(v)
+
+
+def _block(cls, cfg: dict, key: str):
+    """``cls`` built from the JSON object ``cfg[key]``; None when absent."""
+    if key not in cfg:
+        return None
+    _require(isinstance(cfg[key], dict), key, "JSON object expected")
+    kw = {name: _number(v, f"{key}.{name}") for name, v in cfg[key].items()}
+    try:
+        return cls(**kw)
+    except TypeError as exc:  # a missing or unknown field
+        raise ValidationError(key, str(exc)) from None
+
+
 @dataclass(frozen=True)
 class Preset:
-    """A named parameter bundle: dimensionless model plus dimensional context.
+    """A run's resolved inputs: dimensionless model plus dimensional context.
 
-    ``dim`` is None when the chemistry's kinetic constants are not bundled
-    and must be supplied by the user; ``placeholders`` names fields whose
-    values are stand-ins rather than vetted data.
+    ``name`` is the registry name, None for inputs read from a config;
+    ``placeholders`` names fields whose values are stand-ins rather than
+    vetted data.  ``dim`` is None when no kinetic constants are given.  It
+    is kept true to ``model``: ``temp_scale`` is its E/R (one off by more
+    than 1e-12 relative is an error), ``T_a`` follows ``u_a``, and the block
+    is dropped when ``f``, ``ell`` or ``eps`` differ from what it
+    nondimensionalizes to, as V, F, c_f, Cbar and L cannot be solved for.
     """
 
-    name: str
     model: ModelParams
     dim: DimensionalParams | None
-    temp_scale: float | None
-    notes: tuple[str, ...] = ()
+    temp_scale: float | None = None
+    name: str | None = None
     placeholders: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        dim = self.dim
+        if dim is None:
+            return
+        scale = dim.temp_scale
+        _require(self.temp_scale is None or _close(self.temp_scale, scale),
+                 "temp_scale_K", f"{self.temp_scale} K disagrees with the "
+                 f"dimensional block's E/R = {scale} K")
+        ref = nondimensionalize(dim, boiling_temperature=math.inf)
+        m = self.model
+        if not (_close(ref.f, m.f) and _close(ref.ell, m.ell) and _close(ref.eps, m.eps)):
+            dim = None
+        elif not _close(dim.T_a, m.u_a * scale):
+            dim = replace(dim, T_a=m.u_a * scale)
+        object.__setattr__(self, "temp_scale", scale)
+        object.__setattr__(self, "dim", dim)
+
+    def kelvin_to_u(self, T: float) -> float:
+        if self.temp_scale is None:
+            raise ValidationError(
+                "temp_scale", "Kelvin inputs need a preset, a dimensional block "
+                "or temp_scale_K in the config")
+        return T / self.temp_scale
+
+    def u_to_kelvin(self, u: float) -> float | None:
+        return None if self.temp_scale is None else u * self.temp_scale
+
+    def with_overrides(self, T_a: float | None = None, **params) -> "Preset":
+        """These inputs with ``params`` and then an ambient ``T_a`` (K) set."""
+        if T_a is not None:
+            params["u_a"] = self.kelvin_to_u(T_a)
+        return replace(self, model=self.model.with_(**params))
 
     def to_config(self) -> dict:
         """Serialize to the CLI's JSON config schema."""
@@ -628,13 +686,44 @@ class Preset:
             cfg["dimensional"] = asdict(self.dim)
         return cfg
 
+    @classmethod
+    def from_config(cls, cfg) -> "Preset":
+        """Read the CLI's JSON config schema; the inverse of ``to_config``.
+
+        Three forms: ``{"preset": name}``; a ``params`` block with optional
+        ``dimensional`` and ``temp_scale_K`` context; or a ``dimensional``
+        block with ``T_boil`` (K) and optional ``sigma`` and
+        ``temp_scale_K``.  Another key, a missing or unknown field or a
+        non-numeric value raises ``ValidationError`` naming it.
+        """
+        _require(isinstance(cfg, dict), "config", "top-level JSON object expected")
+        forms = (("preset",), ("params", "dimensional", "temp_scale_K"),
+                 ("dimensional", "T_boil", "sigma", "temp_scale_K"))
+        form = next((f for f in forms if f[0] in cfg), None)
+        _require(form is not None, "config", "no preset and no parameter block given")
+        for key in cfg:
+            _require(key in form, key, f"not a key of a {form[0]!r} config")
+        if form[0] == "preset":
+            _require(isinstance(cfg["preset"], str), "preset", "name expected")
+            return preset(cfg["preset"])
+        num = {k: _number(cfg[k], k) for k in ("T_boil", "sigma", "temp_scale_K")
+               if k in cfg}
+        dim = _block(DimensionalParams, cfg, "dimensional")
+        params = _block(ModelParams, cfg, "params")
+        if params is None:
+            _require("T_boil" in num, "T_boil", "a dimensional block needs T_boil (K)")
+            params = nondimensionalize(dim, num["T_boil"], num.get("sigma", 1.0))
+        return cls(params, dim, num.get("temp_scale_K"))
+
 
 def _build_mic_tank610() -> Preset:
     # Tank-scale MIC hydrolysis. Thermochemistry and kinetics are tabulated
     # data; c_f is backed out of eps = 10 because the inflow concentration in
     # the reacting volume is not independently known; F and L are the formal
     # values implied by f = 1.7 and ell = 700 under the literal time scaling
-    # tau = t*A and are not physical flow measurements.
+    # tau = t*A and are not physical flow measurements.  u_boil comes from
+    # the 312 K boiling point; sigma is calibrated to a steady state near
+    # 305 K at 292 K ambient and an oscillation onset at 290.15 K.
     E = 64000.0
     A = 3.9e12
     dH = -65100.0
@@ -654,25 +743,15 @@ def _build_mic_tank610() -> Preset:
     sigma = calibrate_sigma(base, MIC_TARGET_T_STEADY, MIC_TARGET_T_HOPF,
                             temp_scale=dim.temp_scale)
     model = base.with_(sigma=sigma)
-    return Preset(
-        name="mic-tank610",
-        model=model,
-        dim=dim,
-        temp_scale=dim.temp_scale,
-        notes=(
-            "c_f backed out of eps = 10 from tabulated thermochemistry",
-            "F and L are formal values implied by f = 1.7, ell = 700 under tau = t*A",
-            "sigma calibrated to steady ~305 K at 292 K ambient and oscillation onset at 290.15 K",
-            "u_boil from the 312 K boiling point",
-        ),
-    )
+    return Preset(model, dim, name="mic-tank610")
 
 
 def _build_cumene() -> Preset:
     # Decomposition of cumene hydroperoxide: only eps = 20 and ell = 700 are
     # vetted here. The kinetic constants live outside this package, so the
     # activation energy, flow rate, temperatures and prefactor ship as
-    # placeholders the user is expected to replace.
+    # placeholders the user is expected to replace; the prefactor is pinned
+    # to an oscillation onset at the 290.15 K equivalent.
     temp_scale = 75000.0 / R_GAS
     base = ModelParams(f=1.7, ell=700.0, eps=20.0,
                        u_a=292.0 / temp_scale, u_boil=425.0 / temp_scale)
@@ -681,17 +760,8 @@ def _build_cumene() -> Preset:
     if not cands:
         raise CalibrationError("no placeholder prefactor for the cumene preset")
     model = base.with_(sigma=min(sigma for _, sigma in cands))
-    return Preset(
-        name="cumene-hydroperoxide",
-        model=model,
-        dim=None,
-        temp_scale=temp_scale,
-        notes=(
-            "only eps = 20 and ell = 700 are vetted; all kinetics fields are placeholders",
-            "prefactor placeholder pinned to an oscillation onset at 290.15 K equivalent",
-        ),
-        placeholders=("f", "u_a", "u_boil", "sigma", "temp_scale"),
-    )
+    return Preset(model, None, temp_scale, name="cumene-hydroperoxide",
+                  placeholders=("f", "u_a", "u_boil", "sigma", "temp_scale"))
 
 
 @lru_cache(maxsize=None)

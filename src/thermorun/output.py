@@ -15,13 +15,12 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .model import DimensionalParams, ModelParams
+from .model import Preset
 
 OUTDIR_ENV = "THERMORUN_OUTDIR"
 MANIFEST_SCHEMA = "thermorun-manifest/1"
@@ -98,15 +97,15 @@ class ManifestWriter:
             "command": command,
         }
 
-    def set_params(self, p: ModelParams, dim: DimensionalParams | None = None,
-                   temp_scale: float | None = None, preset: str | None = None):
-        self.data["resolved_params"] = asdict(p)
-        if dim is not None:
-            self.data["dimensional_params"] = asdict(dim)
-        if temp_scale is not None:
-            self.data["temp_scale_K"] = temp_scale
-        if preset is not None:
-            self.data["preset"] = preset
+    def set_inputs(self, pre: Preset):
+        """Record a run's resolved inputs, in ``Preset.to_config``'s fields."""
+        cfg = pre.to_config()
+        for key, entry in (("params", "resolved_params"), ("temp_scale_K", "temp_scale_K"),
+                           ("dimensional", "dimensional_params")):
+            if key in cfg:
+                self.data[entry] = cfg[key]
+        if pre.name is not None:
+            self.data["preset"] = pre.name
 
     def set(self, key: str, value):
         self.data[key] = value

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thermorun import cli, steady
+from thermorun import cli, model, steady
+from thermorun.model import DimensionalParams
+from thermorun.output import ManifestWriter
 
 
 def run(args: list[str]) -> int:
@@ -215,7 +220,8 @@ def failure_manifest(out: Path, code: int, prefix: str, capsys) -> dict:
 
 
 class TestExitCodes:
-    def test_no_hopf_in_range_is_convergence_failure(self, tmp_path, capsys):
+    def test_no_hopf_in_range_is_convergence_failure(self, tmp_path, capsys,
+                                                      mic):
         out = tmp_path / "cb"
         code = run(["cycle-branch", "--preset", "mic-tank610",
                     "--Ta", "283:286", "-o", str(out)])
@@ -223,6 +229,9 @@ class TestExitCodes:
         man = failure_manifest(out, 3, "convergence failure: ", capsys)
         assert man["command"] == "cycle-branch"
         assert "no Hopf point" in man["error"]
+        # The failure manifest names the inputs the run resolved.
+        assert man["resolved_params"] == json.loads(json.dumps(asdict(mic.model)))
+        assert man["preset"] == "mic-tank610"
 
     def test_config_error_leaves_failure_manifest(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -295,10 +304,141 @@ class TestConfigHandling:
         header = read(out / "rates.csv").splitlines()[0]
         assert header == "u,r_g,r_l"
 
+    VALID = {"f": 1.7, "ell": 700.0, "eps": 10.0, "u_a": 0.0379}
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"params": {"f": 1.7, "ell": 700}}, "params: "),
+        ({"params": dict(VALID, foo=1.0)}, "params: "),
+        ({"params": dict(VALID, f="fast")}, "params.f: "),
+        ({"params": [1.7, 700.0]}, "params: "),
+        ({"params": VALID, "bogus": 1}, "bogus: "),
+        ({"dimensional": {"E": 64000.0}, "T_boil": 312.0}, "dimensional: "),
+        ([VALID], "config: "),
+        ("{not json", "config: "),
+        (None, "config: "),                  # --config names a directory
+    ])
+    def test_malformed_config_leaves_failure_manifest(self, tmp_path, capsys,
+                                                      payload, field):
+        cfg = tmp_path / "c.json"
+        if payload is None:
+            cfg = tmp_path
+        else:
+            cfg.write_text(payload if isinstance(payload, str)
+                           else json.dumps(payload))
+        out = tmp_path / "o"
+        assert run(["rates", "--config", str(cfg), "-o", str(out)]) == 2
+        man = failure_manifest(out, 2, "configuration error: " + field, capsys)
+        if field == "params: " and "foo" in str(payload):
+            assert "foo" in man["error"]
+        if field == "config: " and payload is None:
+            assert str(tmp_path) in man["error"]
+
+    @pytest.mark.parametrize("drop", [None, "params"])
+    def test_conflicting_temp_scale_rejected(self, tmp_path, capsys, mic, drop):
+        payload = dict(mic.to_config(), temp_scale_K=5000.0)
+        if drop:
+            payload.pop(drop)
+            payload["T_boil"] = 312.0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run(["rates", "--config", str(cfg), "-o", str(out)]) == 2
+        failure_manifest(out, 2, "configuration error: temp_scale_K: ", capsys)
+
+    def test_calibrated_params_round_trip(self, tmp_path):
+        cal, by_config, by_preset = (tmp_path / n for n in ("c", "r1", "r2"))
+        assert run(["calibrate", "--preset", "mic-tank610", "-o", str(cal)]) == 0
+        saved = json.loads(read(cal / "calibrated_params.json"))
+        assert set(saved) == {"params", "temp_scale_K", "dimensional"}
+        assert run(["rates", "--config", str(cal / "calibrated_params.json"),
+                    "-o", str(by_config)]) == 0
+        assert run(["rates", "--preset", "mic-tank610", "-o", str(by_preset)]) == 0
+        assert read(by_config / "rates.csv") == read(by_preset / "rates.csv")
+
     def test_outdir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMORUN_OUTDIR", str(tmp_path / "env_out"))
         assert run(["rates", "--preset", "mic-tank610"]) == 0
         assert (tmp_path / "env_out" / "rates.csv").exists()
+
+
+class TestKelvinOverrides:
+    """The manifest's dimensional block stays true to the parameters a run
+    resolved: T_a follows u_a, and the block goes when f, ell or eps move."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["rates", "--Ta", "284", "--n", "11"], 0),
+        (["steady-branch", "--Ta", "284"], 0),
+        (["cycle-branch", "--Ta", "284"], 3),       # no Hopf point below 289.7 K
+        (["simulate", "--Ta", "284", "--tau-end", "2"], 0),
+        (["calibrate", "--Ta", "291"], 0),
+        (["loci", "--u-a", "0.036893375", "--grid", "2x2"], 0),   # 284 K
+    ])
+    def test_override_recorded(self, tmp_path, mic, argv, code):
+        out = tmp_path / "o"
+        assert run(argv + ["--preset", "mic-tank610", "-o", str(out)]) == code
+        man = json.loads(read(out / "manifest.json"))
+        T_a = man["dimensional_params"]["T_a"]
+        assert T_a == (float(argv[2]) if argv[1] == "--Ta" else 284.0)
+        assert T_a == man["resolved_params"]["u_a"] * man["temp_scale_K"]
+
+    @pytest.fixture(scope="class")
+    def both_blocks(self, tmp_path_factory, mic):
+        path = tmp_path_factory.mktemp("cfg") / "both.json"
+        path.write_text(json.dumps(mic.to_config()))
+        return path
+
+    SAME = "same"   # the source's own value, passed at full precision
+
+    @settings(max_examples=200, deadline=None)
+    @given(source=st.sampled_from(model.PRESET_NAMES + ("config",)),
+           Ta=st.none() | st.floats(270.0, 300.0),
+           f=st.sampled_from([None, SAME]) | st.floats(0.5, 20.0),
+           ell=st.sampled_from([None, SAME]) | st.floats(350.0, 1400.0),
+           eps=st.sampled_from([None, SAME]) | st.floats(5.0, 20.0),
+           sigma=st.sampled_from([None, SAME]) | st.floats(0.0, 1e13),
+           u_boil=st.sampled_from([None, SAME]) | st.floats(0.041, 0.06))
+    def test_dimensional_block_true_to_the_run(self, both_blocks, source, Ta,
+                                                **flags):
+        pre = model.preset("mic-tank610" if source == "config" else source)
+        argv = ["rates"] + (["--config", str(both_blocks)] if source == "config"
+                            else ["--preset", source])
+        if Ta is not None:
+            argv += ["--Ta", repr(Ta)]
+        flags = {name: getattr(pre.model, name) if v == self.SAME else v
+                 for name, v in flags.items() if v is not None}
+        for name, v in flags.items():
+            argv += [f"--{name.replace('_', '-')}", repr(v)]
+        man = ManifestWriter("rates", Path("unused"))
+        man.set_inputs(cli.resolve_inputs(cli.build_parser().parse_args(argv)))
+        got, ts = man.data["resolved_params"], man.data["temp_scale_K"]
+        assert ts == pre.temp_scale
+        if Ta is not None:
+            assert got["u_a"] == Ta / ts
+        kept = pre.dim is not None and all(
+            math.isclose(flags.get(k, v), v, rel_tol=1e-12)
+            for k, v in (("f", pre.model.f), ("ell", pre.model.ell),
+                         ("eps", pre.model.eps)))
+        assert ("dimensional_params" in man.data) == kept
+        if kept:
+            dim = DimensionalParams(**man.data["dimensional_params"])
+            ref = model.nondimensionalize(dim, boiling_temperature=math.inf)
+            for k in ("f", "ell", "eps", "u_a"):
+                assert math.isclose(getattr(ref, k), got[k], rel_tol=1e-12)
+            assert math.isclose(dim.T_a, got["u_a"] * ts, rel_tol=1e-12)
+            assert dim.E == pre.dim.E and dim.V == pre.dim.V
+
+
+class TestLociStops:
+    @pytest.mark.parametrize("name", model.PRESET_NAMES)
+    def test_stop_reasons_and_partial_flag(self, tmp_path, name):
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", name, "--grid", "2x2",
+                    "-o", str(out)]) == 0
+        man = json.loads(read(out / "manifest.json"))
+        reasons = (man["summary"]["hopf_stop_reasons"]
+                   + man["summary"]["fold_stop_reasons"])
+        assert reasons and all(isinstance(r, str) for r in reasons)
+        assert man["partial"] == ("corrector failure" in reasons)
 
 
 class TestDeterminism:

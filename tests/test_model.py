@@ -470,6 +470,27 @@ class TestPresets:
         p = ModelParams(**cfg["params"])
         assert p == mic.model
 
+    @pytest.mark.parametrize("name", model.PRESET_NAMES)
+    def test_from_config_inverts_to_config(self, name):
+        pre = model.preset(name)
+        back = model.Preset.from_config(pre.to_config())
+        assert (back.model, back.dim, back.temp_scale) == \
+            (pre.model, pre.dim, pre.temp_scale)
+        # repr round-trips a float's bits
+        assert repr(back.to_config()) == repr(pre.to_config())
+        assert back.name is None
+
+    def test_dimensional_block_follows_the_model(self, mic):
+        hot = mic.with_overrides(T_a=286.0)
+        assert hot.dim.T_a == 286.0 and hot.dim.E == mic.dim.E
+        assert mic.with_overrides(sigma=1.0, u_boil=0.05).dim == mic.dim
+        for name in ("f", "ell", "eps"):
+            changed = mic.with_overrides(**{name: getattr(mic.model, name) * 1.01})
+            assert changed.dim is None
+            assert changed.temp_scale == mic.temp_scale
+        with pytest.raises(ValidationError, match="temp_scale_K"):
+            model.Preset(mic.model, mic.dim, mic.temp_scale * (1 + 1e-9))
+
 
 def parent_arrhenius(u):
     """``model._arrhenius`` as it was before the clamp: two branches."""

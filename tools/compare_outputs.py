@@ -4,8 +4,9 @@
 
 Runs each acceptance command below once against ``BASE_DIR/src`` and once
 against ``CHANGE_DIR/src``, one subprocess at a time, and compares what they
-wrote.  A CSV or JSON output must be byte-identical; ``manifest.json`` must
-be equal apart from ``wall_time_s``.  Prints one line per file and exits 1
+wrote; the files in ``CONFIGS`` are written into its work directory first.
+A CSV or JSON output must be byte-identical; ``manifest.json`` must be
+equal apart from ``wall_time_s``.  Prints one line per file and exits 1
 on any difference or when a command exits non-zero on either side, 0
 otherwise.  Edit ``COMMANDS`` for a partial run.
 """
@@ -20,6 +21,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+# README's two explicit config examples: a params block with temp_scale_K,
+# and a dimensional block alone.
+CONFIGS = {
+    "params.json": {
+        "params": {"f": 1.7, "ell": 700.0, "eps": 10.0, "u_a": 0.0379326,
+                   "sigma": 4.4e11, "u_boil": 0.0405308},
+        "temp_scale_K": 7697.86,
+    },
+    "dimensional.json": {
+        "dimensional": {"V": 42.7, "F": 2.8e14, "c_f": 1.35e4, "Cbar": 1.14e6,
+                        "dH": -65100.0, "L": 1.1e16, "T_a": 292.0,
+                        "A": 3.9e12, "E": 64000.0},
+        "T_boil": 312.0,
+    },
+}
 PRESET = ["--preset", "mic-tank610"]
 CUMENE = ["--preset", "cumene-hydroperoxide"]
 COMMANDS = {
@@ -59,6 +75,8 @@ COMMANDS = {
     # The second preset's continuation and loci.
     "steady-branch-cumene": ["steady-branch"] + CUMENE + ["--Ta", "282:296"],
     "loci-cumene": ["loci"] + CUMENE + ["--grid", "40x40"],
+    "rates-config-params": ["rates", "--config", "params.json"],
+    "rates-config-dimensional": ["rates", "--config", "dimensional.json"],
 }
 VOLATILE = {"wall_time_s"}
 
@@ -119,10 +137,13 @@ def main(argv: list[str] | None = None) -> int:
         if not (root / "src" / "thermorun").is_dir():
             ap.error(f"{root} has no src/thermorun")
     work = Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    for fname, cfg in CONFIGS.items():
+        (work / fname).write_text(json.dumps(cfg, indent=2) + "\n")
     differs = False
-    for name in COMMANDS:
+    for name, cmd in COMMANDS.items():
+        cmd = [str(work / a) if a in CONFIGS else a for a in cmd]
         dirs = {side: work / side / name for side in ("base", "change")}
-        codes = {side: run(root.resolve(), COMMANDS[name], dirs[side])
+        codes = {side: run(root.resolve(), cmd, dirs[side])
                  for side, root in (("base", args.base), ("change", args.change))}
         if any(codes.values()):
             print(f"{name}: exit code {codes['base']} -> {codes['change']}")
