@@ -46,13 +46,24 @@ def resolve_inputs(args) -> Preset:
     flags = {name: v for name in PARAM_FLAGS
              if (v := getattr(args, f"param_{name}")) is not None}
     return Preset.from_config(cfg).with_overrides(
-        T_a=None if Ta is None or ":" in Ta else float(Ta), **flags)
+        T_a=None if Ta is None or ":" in Ta else _parse_kelvin(Ta), **flags)
+
+
+def _parse_kelvin(text: str) -> float:
+    """A single ``--Ta`` value: a finite temperature in K."""
+    try:
+        T = float(text)
+    except ValueError:
+        T = math.nan
+    if not math.isfinite(T):
+        raise ValidationError("Ta", f"expected a finite temperature (K), got {text!r}")
+    return T
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
-    except Exception:
+    except ValueError:
         raise ValidationError("range", f"expected lo:hi, got {text!r}") from None
     if lo >= hi:
         raise ValidationError("range", f"need lo < hi in {text!r}")

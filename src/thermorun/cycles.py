@@ -31,8 +31,8 @@ from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
 from .model import U_FLOOR, ModelParams
 from .simulate import lsoda, solve_ivp
-from .solvers import (ContinuationProblem, _newton, _tangent, continue_curve,
-                      solve_pinned)
+from .solvers import (ContinuationProblem, _tangent, continue_curve,
+                      damped_newton, solve_pinned)
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
@@ -42,6 +42,13 @@ FOLD_PARAM_TOL = 1e-8
 SHOOT_RTOL = 1e-11
 SHOOT_ATOL = 1e-13
 MESH_SAMPLES = 256
+# Seed samples per period: hopf_germ's ellipse and seed_from_simulation's flow.
+GERM_SAMPLES = 64
+SEED_SAMPLES = 128
+# find_cycle doubles its segments up to this count, until the period is
+# stable to this relative change.
+FIND_CYCLE_M_MAX = 96
+FIND_CYCLE_PERIOD_RTOL = 1e-8
 # continue_cycles' first, smallest and largest step, and first germ radius.
 CYCLE_DS0 = 2e-3
 CYCLE_DS_MIN = 1e-7
@@ -99,10 +106,6 @@ class CycleBranch:
     orbits: tuple[Orbit, ...]
     cycle_folds: tuple[float, ...]
     stop_reason: str
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([o.amplitude for o in self.orbits])
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +337,13 @@ LEG_TRACE_BUDGET = 12.0
 so every leg's transition-matrix determinant stays well-conditioned."""
 
 
-def floquet(p: ModelParams, orbit_or_state, period: float | None = None,
-            rtol: float = SHOOT_RTOL, atol: float = SHOOT_ATOL,
-            ) -> tuple[tuple[float, float], float]:
-    """Floquet multipliers of a periodic orbit and the Liouville defect.
+def floquet(p: ModelParams, y0: np.ndarray,
+            period: float) -> tuple[tuple[float, float], float]:
+    """Floquet multipliers of the periodic orbit through ``y0`` with
+    ``period``, and the Liouville defect.
 
-    Integrates the variational equations around the orbit, restarting from
+    Integrates the variational equations around the orbit at the shooting
+    tolerances ``SHOOT_RTOL`` and ``SHOOT_ATOL``, restarting from
     the identity whenever the accumulated |trace| budget is exhausted
     (strongly contracting relaxation orbits would otherwise lose the tiny
     determinant to cancellation).  The monodromy matrix is the ordered
@@ -349,14 +353,6 @@ def floquet(p: ModelParams, orbit_or_state, period: float | None = None,
     arithmetic.  Returns ((trivial, nontrivial), defect), trivial being the
     multiplier closest to unity.
     """
-    if isinstance(orbit_or_state, Orbit):
-        y0 = orbit_or_state.mesh[0]
-        period = orbit_or_state.period
-    else:
-        y0 = np.asarray(orbit_or_state, dtype=float)
-        if period is None:
-            raise ValueError("period required when passing a bare state")
-
     # State layout: y (2), M (4), q = int trace, qa = int |trace|.
     def rhs(t, Y):
         x, u = Y[:2].tolist()
@@ -392,12 +388,12 @@ def floquet(p: ModelParams, orbit_or_state, period: float | None = None,
     log_det = 0.0
     det_sign = 1.0
     q_total = 0.0
-    y = y0.copy()
+    y = np.array(y0, dtype=float)
     t_done = 0.0
     for _ in range(10000):
         Y0 = np.concatenate([y, np.eye(2).ravel(), [0.0, 0.0]])
-        sol = solve_ivp(rhs, (0.0, period - t_done), Y0, method="LSODA",
-                        rtol=rtol, atol=atol, jac=jac, events=[budget])
+        sol = solve_ivp(rhs, (0.0, period - t_done), Y0, rtol=SHOOT_RTOL,
+                        atol=SHOOT_ATOL, jac=jac, events=[budget])
         if not sol.success:
             raise ConvergenceError(f"variational integration failed: {sol.message}")
         Z = sol.y[:, -1]
@@ -445,9 +441,8 @@ def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     du.direction = 0
     du.terminal = False
     ts = np.linspace(0.0, T, MESH_SAMPLES, endpoint=False)
-    sol = solve_ivp(rhs, (0.0, T), y0, method="LSODA",
-                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, jac=jac,
-                    t_eval=ts, events=[du])
+    sol = solve_ivp(rhs, (0.0, T), y0, rtol=SHOOT_RTOL, atol=SHOOT_ATOL,
+                    jac=jac, t_eval=ts, events=[du])
     if not sol.success:
         raise ConvergenceError(f"orbit sampling failed: {sol.message}")
     mesh = sol.y.T.copy()
@@ -501,8 +496,8 @@ def _hopf_crossing(p: ModelParams, hopf: SpecialPoint) -> tuple[float, float]:
     return l1, (tr_p - tr_m) / (4 * dp)
 
 
-def hopf_germ(p: ModelParams, hopf: SpecialPoint, delta: float,
-              n_samples: int = 64) -> tuple[ModelParams, CycleSeed]:
+def hopf_germ(p: ModelParams, hopf: SpecialPoint,
+              delta: float) -> tuple[ModelParams, CycleSeed]:
     """Small-amplitude elliptic seed near a Hopf point, offset by ``delta``.
 
     The parameter offset is taken on the side where the normal form predicts
@@ -535,15 +530,14 @@ def hopf_germ(p: ModelParams, hopf: SpecialPoint, delta: float,
     A = model.jacobian(p_h, s_h)
     qv, _ = _complex_pair(A, omega)
     period = 2 * math.pi / omega
-    ts = np.linspace(0.0, period, n_samples, endpoint=False)
+    ts = np.linspace(0.0, period, GERM_SAMPLES, endpoint=False)
     z = r * np.exp(1j * omega * ts)
     states = np.array(s_h)[None, :] + 2 * np.real(z[:, None] * qv[None, :])
     p_off = p.with_(**{name: hopf.param_value + side * delta})
     return p_off, CycleSeed(ts, states, period)
 
 
-def seed_from_simulation(p: ModelParams, state, period: float,
-                         n_samples: int = 128) -> CycleSeed:
+def seed_from_simulation(p: ModelParams, state, period: float) -> CycleSeed:
     """Sample one period of the flow from a settled point on a cycle."""
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
@@ -551,7 +545,7 @@ def seed_from_simulation(p: ModelParams, state, period: float,
     def jac(t, y):
         return model._jac_scalar(p, *y.tolist())
 
-    ts = np.linspace(0.0, period, n_samples, endpoint=False)
+    ts = np.linspace(0.0, period, SEED_SAMPLES, endpoint=False)
     try:
         states = lsoda(rhs, jac, model._as_state(state), ts, 1e-11, 1e-13)
     except IntegrationFailure as exc:
@@ -563,48 +557,48 @@ def seed_from_simulation(p: ModelParams, state, period: float,
 # Public solves
 
 
-def _solve_cycle_raw(p: ModelParams, seed: CycleSeed, m: int,
-                     tol: float = CYCLE_TOL) -> tuple[np.ndarray, float, float]:
-    """Correct a seed at fixed parameters by damped Newton; returns
-    (segment starts, T, residual)."""
+def _solve_cycle_raw(p: ModelParams, seed: CycleSeed,
+                     m: int) -> tuple[np.ndarray, float, float]:
+    """Correct a seed at fixed parameters by damped Newton to ``CYCLE_TOL``;
+    returns (segment starts, T, residual)."""
     starts = seed.segment_starts(m)
     spread = float(np.max(starts[:, 1]) - np.min(starts[:, 1]))
     if np.max(np.abs(starts - starts.mean(axis=0))) < 1e-8:
         raise GermError("seed amplitude below 1e-8")
     ref = {"states": starts.copy(), "fields": _fields_at(p, starts)}
     residual, jacobian = _shooting_system(m, lambda z: p, None, ref)
-    z = np.append(starts.ravel(), seed.period)
-    res = _newton(residual, jacobian, z, tol, 24, damped=True)
+    z = damped_newton(residual, np.append(starts.ravel(), seed.period),
+                      jacobian, CYCLE_TOL, 24)
+    # The converged iterate's shoot is the cached last one.
+    res = float(np.max(np.abs(residual(z))))
     s, T = z[:2 * m].reshape(m, 2), float(z[2 * m])
     if float(np.max(s[:, 1]) - np.min(s[:, 1])) < max(1e-8, 1e-6 * spread):
         raise GermError("corrected orbit collapsed to a steady state")
     return s, T, res
 
 
-def find_cycle(p: ModelParams, seed: CycleSeed | Orbit, m: int = 12,
-               param_name: str = "u_a", tol: float = CYCLE_TOL,
-               m_max: int = 96, period_rtol: float = 1e-8) -> Orbit:
-    """Correct a seed into a periodic orbit by multiple shooting.
+def find_cycle(p: ModelParams, seed: CycleSeed, m: int = 12) -> Orbit:
+    """Correct a seed into a periodic orbit at fixed parameters by
+    multiple shooting; the orbit is labelled by its ambient ``u_a``.
 
-    The segment count doubles from ``m`` until the period is stable to
-    ``period_rtol`` relative, so the returned orbit's discretization is
-    self-validated.  Each coarser level only samples the seed of the next;
-    Floquet data are computed for the returned orbit alone.  Raises
-    :class:`GermError` for degenerate seeds and :class:`ConvergenceError`
-    when Newton fails (with the final residual).
+    The segment count doubles from ``m`` (at most to ``FIND_CYCLE_M_MAX``)
+    until the period is stable to ``FIND_CYCLE_PERIOD_RTOL`` relative, so
+    the returned orbit's discretization is self-validated.  Each coarser
+    level only samples the seed of the next; Floquet data are computed for
+    the returned orbit alone.  Raises :class:`GermError` for degenerate
+    seeds and :class:`ConvergenceError` when Newton fails (with the final
+    residual).
     """
-    if isinstance(seed, Orbit):
-        seed = CycleSeed(seed.mesh_times, seed.mesh, seed.period)
     m = max(10, m)
-    starts, T, res = _solve_cycle_raw(p, seed, m, tol)
-    while 2 * m <= m_max:
+    starts, T, res = _solve_cycle_raw(p, seed, m)
+    while 2 * m <= FIND_CYCLE_M_MAX:
         ts, mesh, _, _ = _finalize_orbit(p, starts[0], T)
         m *= 2
         coarse_T = T
-        starts, T, res = _solve_cycle_raw(p, CycleSeed(ts, mesh, T), m, tol)
-        if abs(T - coarse_T) <= period_rtol * coarse_T:
+        starts, T, res = _solve_cycle_raw(p, CycleSeed(ts, mesh, T), m)
+        if abs(T - coarse_T) <= FIND_CYCLE_PERIOD_RTOL * coarse_T:
             break
-    return _make_orbit(p, starts, T, res, param_name)
+    return _make_orbit(p, starts, T, res, "u_a")
 
 
 # ---------------------------------------------------------------------------

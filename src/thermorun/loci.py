@@ -195,7 +195,7 @@ def _locus_from_points(p: ModelParams, pts, test: str, reasons,
     return Locus(kind, rows, extra, tuple(reasons), f_threshold=f_threshold)
 
 
-def continue_hopf_locus(p: ModelParams, window: Window | None = None) -> Locus:
+def continue_hopf_locus(p: ModelParams, window: Window) -> Locus:
     """Trace the Hopf locus through a verified Hopf point.
 
     A one-parameter branch at the template's flow rate is scanned for a
@@ -204,8 +204,6 @@ def continue_hopf_locus(p: ModelParams, window: Window | None = None) -> Locus:
     the window boundary, a vanishing determinant, or closure of the curve.
     """
     p = p.with_(u_boil=math.inf)
-    if window is None:
-        window = default_window(p)
     start = _auto_hopf_seed(p, window)
     if start is None:
         return Locus("hopf", np.empty((0, 4)), np.empty(0),
@@ -215,15 +213,13 @@ def continue_hopf_locus(p: ModelParams, window: Window | None = None) -> Locus:
     return _locus_from_points(p, pts_runs[0], "trace", reasons)
 
 
-def continue_fold_locus(p: ModelParams, window: Window | None = None) -> Locus:
+def continue_fold_locus(p: ModelParams, window: Window) -> Locus:
     """Trace the fold locus from a seed hunted by a flow-rate sweep.
 
     When no fold exists anywhere in the window the result is empty, with the
     reason and the scanned threshold recorded.
     """
     p = p.with_(u_boil=math.inf)
-    if window is None:
-        window = default_window(p)
     f_star = fold_threshold(p, window)
     seed = find_fold_seed(p, window)
     if seed is None:

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationError, ConvergenceError, DomainError, ValidationError
-from .solvers import bracket_roots, damped_newton, fd_jacobian
+from .errors import CalibrationError, DomainError, ValidationError
+from .solvers import bracket_roots
 
 R_GAS = 8.314
 """Universal gas constant, J/(mol K). Fixed."""
@@ -506,8 +506,8 @@ def _marginal_sigma_candidates(template: ModelParams,
     """All (u, sigma) with a marginal steady state at ambient ``u_a_hopf``.
 
     Grid-scans the scalar reduction of {steady balance, trace = 0} for sign
-    changes, bisects each bracket, then polishes with damped Newton on the
-    full two-condition system in (u, ln sigma).  Only genuine Hopf
+    changes and bisects each bracket to machine precision; a bisected root
+    already solves both conditions to roundoff.  Only genuine Hopf
     candidates (determinant positive, sigma in the admissible range) are
     returned.
     """
@@ -521,25 +521,6 @@ def _marginal_sigma_candidates(template: ModelParams,
         if rho_star <= 0:
             continue
         ln_sigma = math.log(rho_star) + 1.0 / u_root
-        # Polish only roots near the admissible range (the margin lets the
-        # polish carry a root across an edge; the strict check follows).
-        if not (-1.0 < ln_sigma < SIGMA_MAX_LN + 1.0):
-            continue
-
-        # Newton polish on the full two-condition system in (u, ln sigma).
-        def system(z):
-            u, ls = z
-            q = template.with_(sigma=math.exp(ls), u_a=u_a_hopf, u_boil=math.inf)
-            h = reduced_balance(q, u)
-            tr, _ = trace_det(q, (quasi_steady_x(q, u), u))
-            return np.array([h, tr])
-
-        try:
-            z = damped_newton(system, np.array([u_root, ln_sigma]),
-                              lambda z: fd_jacobian(system, z, 1e-8), tol=1e-12)
-            u_root, ln_sigma = float(z[0]), float(z[1])
-        except ConvergenceError:
-            pass  # the bisection root is already accurate
         if not (0.0 < ln_sigma < SIGMA_MAX_LN):
             continue
         sigma = math.exp(ln_sigma)

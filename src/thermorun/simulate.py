@@ -31,8 +31,8 @@ _MESSAGES = {
     1: "A termination event occurred."}
 
 
-def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
-              dense_output=False, events=None, **options):
+def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
+              **options):
     """``scipy.integrate.solve_ivp(method="LSODA")``'s result, bit for bit.
 
     The same loop over ``scipy.integrate.LSODA``'s ``step()`` with the same
@@ -52,18 +52,16 @@ def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None,
     several on every step).  A step's dense output is built, as in scipy,
     only on such a step, or on every step for ``dense_output``.
 
-    Forward in time only, with scipy's keywords less ``args``, and
-    ``dense_output`` only without ``t_eval``; an event's ``terminal`` is a
-    flag, not a count.  ``options`` go to ``LSODA``.  ``scipy.integrate``
-    and ``scipy.optimize`` are imported on the first call, so commands that
-    never integrate never import them.  ``cycles`` integrates through this
-    same function.
+    Forward in time only, with scipy's keywords less ``method`` (always
+    LSODA) and ``args``, and ``dense_output`` only without ``t_eval``; an
+    event's ``terminal`` is a flag, not a count.  ``options`` go to
+    ``LSODA``.  ``scipy.integrate`` and ``scipy.optimize`` are imported on
+    the first call, so commands that never integrate never import them.
+    ``cycles`` integrates through this same function.
     """
     from scipy.integrate import LSODA, OdeSolution
     from scipy.optimize import OptimizeResult, brentq
 
-    if method != "LSODA":
-        raise ValueError(f"only LSODA is supported, not {method!r}")
     t0, tf = map(float, t_span)
     if tf < t0:
         raise ValueError("integrates forward in time only")
@@ -280,11 +278,11 @@ class AttractorReport:
     amplitude: float | None = None
 
 
-def _clamped_state(x: float, u: float, slack: float = 1e-9) -> State:
-    """Build a State, absorbing sub-slack numerical excursions of x."""
-    if -slack <= x < 0.0:
+def _clamped_state(x: float, u: float) -> State:
+    """Build a State, absorbing numerical excursions of x up to 1e-9."""
+    if -1e-9 <= x < 0.0:
         x = 0.0
-    elif 1.0 < x <= 1.0 + slack:
+    elif 1.0 < x <= 1.0 + 1e-9:
         x = 1.0
     return State(float(x), float(u))
 
@@ -305,9 +303,9 @@ def _solve(p: ModelParams, x0: float, u0: float, tau_end: float,
            t_eval: np.ndarray | None = None):
     rhs, jac = _callbacks(p)
     # An array, not a list: solve_ivp hands y0 itself to the events at t0.
-    sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), method="LSODA",
-                    rtol=tol_rel, atol=tol_abs, jac=jac, events=events,
-                    dense_output=dense, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), rtol=tol_rel,
+                    atol=tol_abs, jac=jac, events=events, dense_output=dense,
+                    t_eval=t_eval)
     if sol.status == -1:
         # The rows before the first state that is not finite.
         bad = ~np.isfinite(sol.y).all(axis=0)

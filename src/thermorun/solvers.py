@@ -76,26 +76,11 @@ def memo_last(fn: Callable, n_args: int = 1) -> Callable:
     return memo
 
 
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: float = 1e-7) -> np.ndarray:
-    """Central finite-difference Jacobian with per-coordinate relative steps."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    J = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2 * h)
-    return J
-
-
 def damped_newton(fn: Callable[[np.ndarray], np.ndarray], x0,
                   jac: Callable[[np.ndarray], np.ndarray],
                   tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """The root reached from ``x0`` by :func:`_newton`'s damped mode: steady
-    states, the calibration polish and fixed-parameter cycle seeds."""
+    states and fixed-parameter cycle seeds."""
     x = np.array(x0, dtype=float)
     _newton(fn, jac, x, tol, max_iter, damped=True)
     return x

@@ -148,15 +148,12 @@ def _branch_params(p: ModelParams, active: str):
     return memo_last(lambda value: p.with_(**{active: value}))
 
 
-def _branch_problem(p: ModelParams, active: str, scales: np.ndarray,
-                    params_at=None) -> ContinuationProblem:
+def _branch_problem(active: str, scales: np.ndarray, at) -> ContinuationProblem:
     """Steady system over y = (x, u, value of ``active``).
 
-    ``params_at`` (default: a new :func:`_branch_params`) maps the value to
-    its parameter set, so the caller can share the problem's memo.
+    ``at`` (a :func:`_branch_params`) maps the value to its parameter set,
+    so the caller can share the problem's memo.
     """
-    at = params_at or _branch_params(p, active)
-
     def residual(y):
         x, u, value = y.tolist()
         return np.array(model._field_scalar(at(value), x, u))
@@ -241,7 +238,7 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     u_scale = max(p.f / p.loss, 1e-6)
     scales = np.array([1.0, u_scale, hi - lo])
     at = _branch_params(p, active)
-    prob = _branch_problem(p, active, scales, at)
+    prob = _branch_problem(active, scales, at)
 
     def stop(y):
         if y[2] < lo - 1e-12 or y[2] > hi + 1e-12:

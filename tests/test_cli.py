@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import runpy
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -12,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from thermorun import cli, model, steady
 from thermorun.model import DimensionalParams
 from thermorun.output import ManifestWriter
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args: list[str]) -> int:
@@ -248,6 +253,17 @@ class TestExitCodes:
         assert man["command"] == "loci"
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    @pytest.mark.parametrize("Ta", ["abc", "nan", "inf"])
+    def test_single_Ta_must_be_a_finite_number(self, tmp_path, capsys,
+                                               command, Ta):
+        out = tmp_path / "o"
+        assert run([command, "--preset", "mic-tank610", "--Ta", Ta,
+                    "-o", str(out)]) == 2
+        man = failure_manifest(out, 2, "configuration error: Ta: ", capsys)
+        assert man["command"] == command
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -354,6 +370,21 @@ class TestConfigHandling:
                     "-o", str(by_config)]) == 0
         assert run(["rates", "--preset", "mic-tank610", "-o", str(by_preset)]) == 0
         assert read(by_config / "rates.csv") == read(by_preset / "rates.csv")
+
+    def test_readme_examples_are_the_compared_configs(self, mic):
+        # README's config examples are the ones tools/compare_outputs.py
+        # runs, and each resolves to (rounded) mic-tank610 inputs.
+        section = (ROOT / "README.md").read_text().split(
+            "### Config files", 1)[1].split("\n## ", 1)[0]
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```",
+                                                     section, re.S)]
+        configs = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))["CONFIGS"]
+        assert blocks == [{"preset": "mic-tank610"}, *configs.values()]
+        for cfg in blocks:
+            res = model.Preset.from_config(cfg)
+            assert res.temp_scale == pytest.approx(mic.temp_scale, rel=1e-6)
+            for name, value in asdict(mic.model).items():
+                assert getattr(res.model, name) == pytest.approx(value, rel=0.02), name
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMORUN_OUTDIR", str(tmp_path / "env_out"))

@@ -58,13 +58,15 @@ class TestFindCycle:
             return floquet(p, y0, period, *args, **kwargs)
 
         monkeypatch.setattr(cycles, "floquet", counting)
-        # Stopped by the period test at 24 segments, by m_max after one
-        # doubling (period_rtol = 0 never passes), and before any doubling.
+        # Stopped by the period test at 24 segments, by the segment cap
+        # after one doubling (a zero period tolerance never passes), and
+        # before any doubling.
         for m_max, period_rtol, segments in ((96, 1e-8, 24), (24, 0.0, 24),
                                              (12, 1e-8, 12)):
             calls.clear()
-            orbit = find_cycle(p_off, seed, m=12, m_max=m_max,
-                               period_rtol=period_rtol)
+            monkeypatch.setattr(cycles, "FIND_CYCLE_M_MAX", m_max)
+            monkeypatch.setattr(cycles, "FIND_CYCLE_PERIOD_RTOL", period_rtol)
+            orbit = find_cycle(p_off, seed, m=12)
             assert orbit.segments == segments
             assert calls == [orbit.period]
             assert abs(orbit.multipliers[0] - 1.0) < 1e-4
@@ -386,7 +388,7 @@ class TestFloquet:
         seed = cycles.seed_from_simulation(
             p, (rep.terminal_state.x, rep.terminal_state.u), rep.period)
         orbit = find_cycle(p, seed, m=12)
-        mults, defect = floquet(p, orbit)
+        mults, defect = floquet(p, orbit.mesh[0], orbit.period)
         assert abs(mults[1]) < 1.0
         assert defect < 1e-6
 

@@ -7,8 +7,10 @@ fresh interpreter, since this test process has long since loaded scipy.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -136,3 +138,16 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
             assert got is None
         else:
             assert np.array_equal(got, want)
+
+
+def test_traced_names_exist():
+    """Every function the benchmark tracer wraps exists in the library, so a
+    deletion fails here rather than in a later ``--trace 1`` run.  Checks
+    the names only; the tracer is not installed."""
+    tracing = runpy.run_path(str(Path(SRC).parent / "perfbench" / "tracing.py"))
+    names = [(mod, fn) for mod, fn, _ in tracing["TRACED"]]
+    names += [("simulate", "solve_ivp"), ("cycles", "solve_ivp")]
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(importlib.import_module(f"thermorun.{mod}"),
+                                       fn, None))]
+    assert missing == []

@@ -67,7 +67,7 @@ class TestHopfLocus:
 
     def test_reaction_off_empty(self):
         p = ModelParams(f=1.7, ell=700.0, eps=10.0, u_a=0.0379, sigma=0.0)
-        locus = continue_hopf_locus(p)
+        locus = continue_hopf_locus(p, loci.default_window(p))
         assert len(locus) == 0
         assert locus.empty_reason
 

@@ -426,20 +426,27 @@ class TestCalibration:
             model.calibrate_sigma(mic.model.with_(sigma=1.0), 600.0, 10.0,
                                   temp_scale=mic.temp_scale)
 
-    def test_out_of_range_roots_not_polished(self, mic, monkeypatch):
-        # Every bracketed root of the unreachable target has ln sigma far
-        # outside (0, SIGMA_MAX_LN), so none is worth a Newton polish.
-        newton, calls = model.damped_newton, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return newton(*args, **kwargs)
-
-        monkeypatch.setattr(model, "damped_newton", counting)
-        with pytest.raises(CalibrationError):
-            model.calibrate_sigma(mic.model.with_(sigma=1.0), 600.0, 10.0,
-                                  temp_scale=mic.temp_scale)
-        assert calls == []
+    @settings(max_examples=400, deadline=None)
+    @given(f=st.floats(0.3, 4.0), ell=st.floats(50.0, 1500.0),
+           eps=st.floats(2.0, 25.0), u_a=st.floats(0.025, 0.055),
+           hopf_ratio=st.floats(0.97, 1.0))
+    def test_bisected_candidates_solve_both_conditions(self, f, ell, eps, u_a,
+                                                        hopf_ratio):
+        # On criterion 5's ranges a bisected root of the scalar reduction is
+        # already a marginal steady state to roundoff: the balance and the
+        # trace vanish relative to their largest terms.
+        template = ModelParams(f=f, ell=ell, eps=eps, u_a=u_a)
+        u_a_hopf = u_a * hopf_ratio
+        for u, sigma in model._marginal_sigma_candidates(template, u_a_hopf):
+            q = template.with_(sigma=sigma, u_a=u_a_hopf, u_boil=math.inf)
+            x = float(model.quasi_steady_x(q, u))
+            r, dr, _, _ = model.rho_derivs(q, u)
+            r_g, r_l = q.f * r / (q.f + r), q.loss * (u - q.u_a)
+            tr, det = model.trace_det(q, (x, u))
+            assert det > 0
+            assert abs(model.reduced_balance(q, u)) <= 1e-11 * max(abs(r_g), abs(r_l))
+            assert abs(tr) <= 1e-11 * max(abs(r + q.f), abs(x * dr / q.eps),
+                                          abs(q.loss / q.eps))
 
 
 class TestPresets:

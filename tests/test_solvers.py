@@ -300,7 +300,9 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
         return None
     y0 = np.array([seeds[0].state.x, seeds[0].state.u, lo])
     scales = np.array([1.0, max(p.f / p.loss, 1e-6), hi - lo])
-    build = reference_branch_problem if reference else steady._branch_problem
+    prob = (reference_branch_problem(p, active, scales) if reference else
+            steady._branch_problem(active, scales,
+                                   steady._branch_params(p, active)))
 
     def stop(y):
         return "window boundary" if y[2] < lo or y[2] > hi else None
@@ -312,7 +314,7 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
             stack.enter_context(mock.patch.object(solvers, "_tangent",
                                                   reference_tangent))
         return solvers.continue_curve(
-            build(p, active, scales), y0, np.array([0.0, 0.0, 1.0]), ds0=1e-3,
+            prob, y0, np.array([0.0, 0.0, 1.0]), ds0=1e-3,
             ds_min=1e-6, ds_max=ds_max, max_steps=600, tol=steady.BRANCH_TOL,
             stop=stop)
 

@@ -154,7 +154,8 @@ class TestBranchProblem:
                                            x, u, active, factor):
         p = ModelParams(f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma))
         y = np.array([x, u, factor * getattr(p, active)])
-        prob = steady._branch_problem(p, active, np.ones(3))
+        prob = steady._branch_problem(active, np.ones(3),
+                                      steady._branch_params(p, active))
         with np.errstate(over="ignore"):        # -1/u for subnormal u
             res, J = branch_problem_reference(p, active, y)
         assert np.array_equal(prob.residual(y), res)

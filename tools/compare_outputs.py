@@ -21,8 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-# README's two explicit config examples: a params block with temp_scale_K,
-# and a dimensional block alone.
+# README's two explicit config examples, rounded mic-tank610 values: a
+# params block with temp_scale_K, and a dimensional block alone
+# (tests/test_cli.py checks that they stay equal to README's).
 CONFIGS = {
     "params.json": {
         "params": {"f": 1.7, "ell": 700.0, "eps": 10.0, "u_a": 0.0379326,
@@ -31,9 +32,10 @@ CONFIGS = {
     },
     "dimensional.json": {
         "dimensional": {"V": 42.7, "F": 2.8e14, "c_f": 1.35e4, "Cbar": 1.14e6,
-                        "dH": -65100.0, "L": 1.1e16, "T_a": 292.0,
+                        "dH": -65100.0, "L": 1.33e22, "T_a": 292.0,
                         "A": 3.9e12, "E": 64000.0},
         "T_boil": 312.0,
+        "sigma": 4.4e11,
     },
 }
 PRESET = ["--preset", "mic-tank610"]
