@@ -65,6 +65,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
         raise ValidationError("range", f"expected lo:hi, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("range", f"need finite bounds in {text!r}")
     if lo >= hi:
         raise ValidationError("range", f"need lo < hi in {text!r}")
     return lo, hi

@@ -82,7 +82,6 @@ class Orbit:
     param_name: str
     param_value: float
     period: float
-    mesh_times: np.ndarray
     mesh: np.ndarray            # shape (k, 2), k >= 200
     multipliers: tuple[float, float]   # (trivial, nontrivial)
     stability: str              # "stable" | "unstable"
@@ -120,7 +119,7 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
     """
     width = 8 if param else 6
     if param:
-        dfdp = _param_derivative_on(p, m, param)
+        dfdp = _param_derivative_on(p, param)
 
     def rhs(s, Y):
         Z = Y.reshape(m, width)
@@ -147,47 +146,23 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
         if param:
             out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
-                           + dfdp(x, u, e))
+                           + dfdp(x, u))
         out *= h
         return out.ravel()
 
     return rhs, width
 
 
-def _param_derivative_on(p: ModelParams, m: int, param: str):
-    """``model.param_derivative`` at m states as ``dfdp(x, u, e)``, given
-    the Arrhenius factor e = exp(-1/u) the stacked RHS has formed.
+def _param_derivative_on(p: ModelParams, param: str):
+    """``model.param_derivative`` as ``dfdp(x, u)`` on the stacked states.
 
-    The same expressions, so the same bits for every finite u; a zero
-    component is a literal 0.0 (added to a -0.0 it still gives +0.0).
-    Constant derivatives come back as one row, the others in a buffer
-    reused across calls.
+    The derivative by ``u_a``, which every cycle-branch shoot takes, is
+    constant and comes back as one row.
     """
     if param == "u_a":
         const = np.array([0.0, p.loss / p.eps])
-        return lambda x, u, e: const
-    out = np.zeros((m, 2))
-    if param == "f":
-        def dfdp(x, u, e):
-            out[:, 0] = 1.0 - x
-            out[:, 1] = -(u - p.u_a)
-            return out
-    elif param == "ell":
-        def dfdp(x, u, e):
-            out[:, 1] = -(u - p.u_a) / p.eps
-            return out
-    elif param == "eps":
-        def dfdp(x, u, e):
-            out[:, 1] = -(x * p.sigma * e - p.ell * (u - p.u_a)) / p.eps ** 2
-            return out
-    elif param == "sigma":
-        def dfdp(x, u, e):
-            out[:, 0] = -x * e
-            out[:, 1] = x * e / p.eps
-            return out
-    else:
-        return lambda x, u, e: model.param_derivative(p, x, u, param)
-    return dfdp
+        return lambda x, u: const
+    return lambda x, u: model.param_derivative(p, x, u, param)
 
 
 def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
@@ -456,13 +431,12 @@ def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
                 param_name: str) -> Orbit:
     """The :class:`Orbit` of a corrected solution: mesh, extrema, Floquet data."""
     mults, defect = floquet(p, starts[0], T)
-    ts, mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
+    _, mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
     nontrivial = mults[1]
     return Orbit(
         param_name=param_name,
         param_value=float(getattr(p, param_name)),
         period=float(T),
-        mesh_times=ts,
         mesh=mesh,
         multipliers=mults,
         stability="stable" if abs(nontrivial) < 1.0 else "unstable",
@@ -547,7 +521,8 @@ def seed_from_simulation(p: ModelParams, state, period: float) -> CycleSeed:
 
     ts = np.linspace(0.0, period, SEED_SAMPLES, endpoint=False)
     try:
-        states = lsoda(rhs, jac, model._as_state(state), ts, 1e-11, 1e-13)
+        states = lsoda(rhs, jac, model._as_state(state), ts, SHOOT_RTOL,
+                       SHOOT_ATOL)
     except IntegrationFailure as exc:
         raise ConvergenceError(f"seed sampling failed: {exc}") from None
     return CycleSeed(ts, states, period)

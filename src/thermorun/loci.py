@@ -12,6 +12,7 @@ plane by ray-parity against the computed loci.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,7 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, ValidationError
 from .model import ModelParams
-from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
-                      memo_last)
+from .solvers import ContinuationProblem, bracket_roots, continue_curve
 from .steady import SpecialPoint, continue_branch
 
 LOCUS_TOL = 1e-10
@@ -74,45 +74,33 @@ class Locus:
         return len(self.points)
 
 
-def _trace_grad(p: ModelParams, x: float, u: float) -> tuple[float, np.ndarray]:
-    """Trace of the Jacobian and its gradient w.r.t. (x, u, u_a, f)."""
+def _test_functions(p: ModelParams, x: float, u: float):
+    """Trace and determinant of the Jacobian, each as (value, gradient
+    w.r.t. (x, u, u_a, f)), from one ``rho_derivs`` evaluation."""
     r, d1, _, _ = model.rho_derivs(p, u)
-    tr = -(r + p.f) + (x * d1 - p.loss) / p.eps
     dd1 = r / u**4 - 2 * r / u**3  # d/du of rho/u^2
-    g = np.array([
-        d1 / p.eps,
-        -d1 + x * dd1 / p.eps,
-        0.0,
-        -2.0,
-    ])
-    return tr, g
-
-
-def _det_grad(p: ModelParams, x: float, u: float) -> tuple[float, np.ndarray]:
-    """Determinant of the Jacobian and its gradient w.r.t. (x, u, u_a, f)."""
-    r, d1, _, _ = model.rho_derivs(p, u)
+    tr = -(r + p.f) + (x * d1 - p.loss) / p.eps
+    tr_grad = (d1 / p.eps, -d1 + x * dd1 / p.eps, 0.0, -2.0)
     det = (p.loss * (r + p.f) - p.f * x * d1) / p.eps
-    dd1 = r / u**4 - 2 * r / u**3
-    g = np.array([
-        -p.f * d1 / p.eps,
-        (p.loss * d1 - p.f * x * dd1) / p.eps,
-        0.0,
-        (p.eps * (r + p.f) + p.loss - x * d1) / p.eps,
-    ])
-    return det, g
+    det_grad = (-p.f * d1 / p.eps,
+                (p.loss * d1 - p.f * x * dd1) / p.eps,
+                0.0,
+                (p.eps * (r + p.f) + p.loss - x * d1) / p.eps)
+    return (tr, tr_grad), (det, det_grad)
 
 
 def _augmented_problem(p: ModelParams, test: str,
                        scales: np.ndarray) -> ContinuationProblem:
-    """{F = 0, test fn = 0} over y = (x, u, u_a, ln f)."""
-    grad_fn = _trace_grad if test == "trace" else _det_grad
-    at = memo_last(lambda u_a, ln_f: p.with_(u_a=u_a, f=math.exp(ln_f)), 2)
+    """{F = 0, test fn = 0} over y = (x, u, u_a, ln f); ``test`` is "trace"
+    or "det"."""
+    k = 0 if test == "trace" else 1
+    at = functools.cache(lambda u_a, ln_f: p.with_(u_a=u_a, f=math.exp(ln_f)))
 
     def residual(y):
         x, u, u_a, ln_f = y.tolist()
         q = at(u_a, ln_f)
         fx, fu = model._field_scalar(q, x, u)
-        t, _ = grad_fn(q, x, u)
+        t, _ = _test_functions(q, x, u)[k]
         return np.array([fx, fu, t])
 
     def jacobian(y):
@@ -121,19 +109,12 @@ def _augmented_problem(p: ModelParams, test: str,
         (a, b), (c, d) = model._jac_scalar(q, x, u)
         a0, a1 = model._param_derivative_scalar(q, x, u, "u_a")
         f0, f1 = model._param_derivative_scalar(q, x, u, "f")
-        _, g = grad_fn(q, x, u)
+        _, g = _test_functions(q, x, u)[k]
         return np.array([[a, b, a0, q.f * f0],
                          [c, d, a1, q.f * f1],
                          [g[0], g[1], g[2], q.f * g[3]]])
 
     return ContinuationProblem(residual, jacobian, scales)
-
-
-def _other_test(p: ModelParams, test: str, y) -> float:
-    q = p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
-    if test == "trace":
-        return _det_grad(q, float(y[0]), float(y[1]))[0]
-    return _trace_grad(q, float(y[0]), float(y[1]))[0]
 
 
 def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
@@ -142,18 +123,19 @@ def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
     scales = np.array([1.0, u_scale, window.u_a[1] - window.u_a[0], 1.0])
     prob = _augmented_problem(p, test, scales)
 
+    def stop(y):
+        x, u, u_a, ln_f = y.tolist()
+        f = math.exp(ln_f)
+        if not window.contains(u_a, f):
+            return "window boundary"
+        if test == "trace" and _test_functions(
+                p.with_(u_a=u_a, f=f), x, u)[1][0] <= 0:
+            return "determinant nonpositive (neutral saddle boundary)"
+        return None
+
     halves = []
     reasons = []
     for sign in (+1.0, -1.0):
-        state = {"closed": False}
-
-        def stop(y, _state=state):
-            if not window.contains(float(y[2]), float(math.exp(y[3]))):
-                return "window boundary"
-            if test == "trace" and _other_test(p, "trace", y) <= 0:
-                return "determinant nonpositive (neutral saddle boundary)"
-            return None
-
         direction = np.zeros(4)
         direction[3] = sign
         run = continue_curve(prob, y0, direction, ds0=LOCUS_DS0, ds_min=1e-9,
@@ -178,20 +160,20 @@ def _locus_from_points(p: ModelParams, pts, test: str, reasons,
                        f_threshold: float | None = None) -> Locus:
     rows = []
     extra = []
+    other = 1 if test == "trace" else 0  # det on a Hopf locus, trace on a fold
     for y in pts:
-        f_val = float(math.exp(y[3]))
-        rows.append([float(y[2]), f_val, float(y[0]), float(y[1])])
-        extra.append(_other_test(p, test, y))
+        x, u, u_a, ln_f = y.tolist()
+        f = math.exp(ln_f)
+        rows.append([u_a, f, x, u])
+        extra.append(_test_functions(p.with_(u_a=u_a, f=f), x, u)[other][0])
     kind = "hopf" if test == "trace" else "fold"
     rows = np.array(rows)
     extra = np.array(extra)
-    if kind == "hopf" and len(rows):
-        # Endpoints where the determinant has crossed zero are neutral
-        # saddles, not Hopf points; they only mark where tracing stopped.
+    if kind == "hopf":
+        # An endpoint where the determinant has crossed zero is a neutral
+        # saddle, not a Hopf point; it only marks where tracing stopped.
         keep = extra > 0
-        lo = int(np.argmax(keep)) if keep.any() else len(rows)
-        hi = len(keep) - int(np.argmax(keep[::-1])) if keep.any() else len(rows)
-        rows, extra = rows[lo:hi], extra[lo:hi]
+        rows, extra = rows[keep], extra[keep]
     return Locus(kind, rows, extra, tuple(reasons), f_threshold=f_threshold)
 
 

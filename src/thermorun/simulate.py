@@ -32,7 +32,7 @@ _MESSAGES = {
 
 
 def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
-              **options):
+              *, rtol=1e-3, atol=1e-6, jac=None):
     """``scipy.integrate.solve_ivp(method="LSODA")``'s result, bit for bit.
 
     The same loop over ``scipy.integrate.LSODA``'s ``step()`` with the same
@@ -54,9 +54,10 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
 
     Forward in time only, with scipy's keywords less ``method`` (always
     LSODA) and ``args``, and ``dense_output`` only without ``t_eval``; an
-    event's ``terminal`` is a flag, not a count.  ``options`` go to
-    ``LSODA``.  ``scipy.integrate`` and ``scipy.optimize`` are imported on
-    the first call, so commands that never integrate never import them.
+    event's ``terminal`` is a flag, not a count.  Of ``LSODA``'s options
+    only ``rtol``, ``atol`` and ``jac`` are taken, with scipy's defaults.
+    ``scipy.integrate`` and ``scipy.optimize`` are imported on the first
+    call, so commands that never integrate never import them.
     ``cycles`` integrates through this same function.
     """
     from scipy.integrate import LSODA, OdeSolution
@@ -75,7 +76,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
             raise ValueError("Values in `t_eval` are not within `t_span`.")
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("Values in `t_eval` are not properly sorted.")
-    solver = LSODA(fun, t0, y0, tf, **options)
+    solver = LSODA(fun, t0, y0, tf, rtol=rtol, atol=atol, jac=jac)
 
     if events is None:
         events = []

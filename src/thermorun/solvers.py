@@ -6,7 +6,6 @@ branches alike."""
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,27 +52,6 @@ def bracket_roots(fn: Callable, grid) -> list[float]:
     hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
     return [float(grid[i]) if vals[i] == 0.0
             else float(bisect_root(fn, grid[i], grid[i + 1])) for i in hits]
-
-
-def memo_last(fn: Callable, n_args: int = 1) -> Callable:
-    """``fn`` of ``n_args`` floats, remembering its last result.
-
-    The key is the arguments' bits, so 0.0 and -0.0 are different keys.  A
-    continuation evaluates the residual, the Jacobian and the point data at
-    one parameter value in a row; this builds what they share once.
-    """
-    pack = struct.Struct(f"{n_args}d").pack
-    key = out = None
-
-    def memo(*args):
-        nonlocal key, out
-        k = pack(*args)
-        if k != key:
-            out = fn(*args)
-            key = k
-        return out
-
-    return memo
 
 
 def damped_newton(fn: Callable[[np.ndarray], np.ndarray], x0,

@@ -12,8 +12,9 @@ points are classified by the sign of the first Lyapunov coefficient
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
 from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
-                      damped_newton, memo_last, solve_pinned)
+                      damped_newton, solve_pinned)
 
 STEADY_TOL = 1e-12
 BRANCH_TOL = 1e-10
@@ -143,16 +144,15 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
 
 
 def _branch_params(p: ModelParams, active: str):
-    """``value -> p`` with ``active`` set to value, reusing the last
-    parameter set while the value repeats."""
-    return memo_last(lambda value: p.with_(**{active: value}))
+    """``value -> p`` with ``active`` set to value, built once per value."""
+    return functools.cache(lambda value: p.with_(**{active: value}))
 
 
 def _branch_problem(active: str, scales: np.ndarray, at) -> ContinuationProblem:
     """Steady system over y = (x, u, value of ``active``).
 
     ``at`` (a :func:`_branch_params`) maps the value to its parameter set,
-    so the caller can share the problem's memo.
+    so the caller can share the problem's cache.
     """
     def residual(y):
         x, u, value = y.tolist()
@@ -288,9 +288,8 @@ def continue_branch(p: ModelParams, active: str = "u_a",
                     "hopf", active, float(yh[2]),
                     State(float(np.clip(yh[0], 0, 1)), float(yh[1])), tr, det)
                 l1 = lyapunov_first_coeff(q, sp)
-                specials.append(SpecialPoint(
-                    sp.kind, sp.param_name, sp.param_value, sp.state, sp.trace,
-                    sp.det, l1=l1,
+                specials.append(replace(
+                    sp, l1=l1,
                     criticality="subcritical" if l1 > 0 else "supercritical",
                     after_index=i))
 

@@ -264,6 +264,20 @@ class TestExitCodes:
         assert man["command"] == command
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, flag, lo, hi", [
+        ("steady-branch", "--range", "0.036", "0.04"),
+        ("loci", "--f-window", "0.5", "10")])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_range_bounds_must_be_finite(self, tmp_path, capsys, command,
+                                         flag, lo, hi, bad):
+        bounds = f"{lo}:{bad}" if bad == "inf" else f"{bad}:{hi}"
+        out = tmp_path / "o"
+        assert run([command, "--preset", "mic-tank610", f"{flag}={bounds}",
+                    "-o", str(out)]) == 2
+        man = failure_manifest(out, 2, "configuration error: range: ", capsys)
+        assert man["command"] == command
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

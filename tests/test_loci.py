@@ -231,10 +231,9 @@ class TestRegionMapOracle:
 
 def augmented_reference(p: ModelParams, test: str, y: np.ndarray):
     """Residual and Jacobian of a locus system on the array kernels."""
-    grad_fn = loci._trace_grad if test == "trace" else loci._det_grad
     q = p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
     x, u = float(y[0]), float(y[1])
-    t, g = grad_fn(q, x, u)
+    t, g = loci._test_functions(q, x, u)[0 if test == "trace" else 1]
     res = np.array([*model._field_xu(q, x, u), t])
     J = np.zeros((3, 4))
     J[:2, :2] = model._jac_xu(q, x, u)
@@ -260,13 +259,31 @@ class TestLocusSystems:
         assert np.array_equal(prob.residual(y), res)
         assert np.array_equal(prob.jacobian(y), J)
 
+    def test_one_parameter_set_per_point(self, mic, monkeypatch):
+        p = mic.model.with_(u_boil=math.inf)
+        prob = loci._augmented_problem(p, "trace", np.ones(4))
+        built = []
+        with_ = ModelParams.with_
+        monkeypatch.setattr(ModelParams, "with_",
+                            lambda q, **kw: built.append(kw) or with_(q, **kw))
+        y1 = np.array([0.5, 0.04, 0.038, 0.5])
+        y2 = np.array([0.5, 0.04, 0.039, 0.5])
+        for y in (y1, y2, y1):
+            prob.residual(y)
+            prob.jacobian(y)
+        assert len(built) == 2
+
     @settings(max_examples=300, deadline=None)
-    @given(y=locus_states, grad=st.sampled_from(("_trace_grad", "_det_grad")))
-    def test_gradients_match_central_differences(self, mic, y, grad):
-        # Gradient w.r.t. (x, u, u_a, f); the floor bounds the rounding of
-        # the differenced value, whose largest term is about loss * rho/u^2.
+    @given(y=locus_states, k=st.sampled_from((0, 1)))
+    def test_gradients_match_central_differences(self, mic, y, k):
+        # Gradient w.r.t. (x, u, u_a, f) of the trace (k = 0) and the
+        # determinant (k = 1); the floor bounds the rounding of the
+        # differenced value, whose largest term is about loss * rho/u^2.
         x, u, u_a, ln_f = y
-        fn = getattr(loci, grad)
+
+        def fn(p, x, u):
+            return loci._test_functions(p, x, u)[k]
+
         p = mic.model.with_(u_a=u_a, f=math.exp(ln_f), u_boil=math.inf)
         _, g = fn(p, x, u)
         r = p.sigma * math.exp(-1.0 / u)
@@ -282,6 +299,63 @@ class TestLocusSystems:
 
             fd = (value(z[j] + h) - value(z[j] - h)) / ((z[j] + h) - (z[j] - h))
             assert abs(fd - g[j]) <= 1e-6 * abs(g[j]) + 1e-14 * scale / h
+
+
+@pytest.fixture(scope="module",
+                params=["mic-tank610", "cumene-hydroperoxide"])
+def preset_loci(request):
+    p = model.preset(request.param).model.with_(u_boil=math.inf)
+    window = loci.default_window(p)
+    return (p, window, continue_hopf_locus(p, window=window),
+            continue_fold_locus(p, window=window))
+
+
+def hopf_curve_residual(p: ModelParams, f, u) -> np.ndarray:
+    """tr J = 0 with x = f/(f + r): 2 eps f^2 + (3 eps r + ell - r') f
+    + r (eps r + ell) = 0, with r = sigma e^(-1/u) and r' = r/u^2; the
+    residual relative to the largest term."""
+    r = p.sigma * np.exp(-1.0 / u)
+    rp = r / u**2
+    terms = np.array([2 * p.eps * f**2, 3 * p.eps * r * f, p.ell * f,
+                      -rp * f, p.eps * r**2, p.ell * r])
+    return np.abs(terms.sum(axis=0)) / np.abs(terms).max(axis=0)
+
+
+class TestClosedFormLoci:
+    """Every locus point on the explicit curves u -> (u_a, f) of the trace
+    and determinant conditions, with the concentration eliminated."""
+
+    def test_hopf_points_on_the_quadratic(self, preset_loci):
+        p, _, hopf, _ = preset_loci
+        _, f, _, u = hopf.points.T
+        assert len(hopf) > 10
+        assert hopf_curve_residual(p, f, u).max() <= 1e-10
+
+    def test_fold_points_on_the_cubic(self, preset_loci):
+        # det J = 0: (eps f + ell)(f + r)^2 = f^2 r'.
+        p, _, _, fold = preset_loci
+        _, f, _, u = fold.points.T
+        assert len(fold) > 10
+        r = p.sigma * np.exp(-1.0 / u)
+        lhs, rhs = (p.eps * f + p.ell) * (f + r) ** 2, f**2 * r / u**2
+        assert (np.abs(lhs - rhs) / np.maximum(lhs, rhs)).max() <= 1e-10
+
+    def test_ambient_from_the_heat_balance(self, preset_loci):
+        p, _, hopf, fold = preset_loci
+        for locus in (hopf, fold):
+            u_a, f, x, u = locus.points.T
+            r = p.sigma * np.exp(-1.0 / u)
+            want = u - x * r / (p.eps * f + p.ell)
+            assert np.all(np.abs(want - u_a) <= 1e-12 * np.abs(u_a))
+
+    def test_hopf_seed_on_the_quadratic(self, preset_loci):
+        p, window, _, _ = preset_loci
+        seed = loci._auto_hopf_seed(p, window)
+        x, u = seed.state.x, seed.state.u
+        assert hopf_curve_residual(p, p.f, u) <= 1e-10
+        r = p.sigma * math.exp(-1.0 / u)
+        want = u - x * r / (p.eps * p.f + p.ell)
+        assert abs(want - seed.param_value) <= 1e-12 * seed.param_value
 
 
 class TestClassification:

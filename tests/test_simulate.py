@@ -334,6 +334,14 @@ class TestSolveIvpOracle:
         with pytest.raises(ValueError):
             simulate.solve_ivp(**call)
 
+    @pytest.mark.parametrize("option", [{"method": "Radau"}, {"rotl": 1e-10}])
+    def test_rejects_options_it_does_not_take(self, option):
+        # Always LSODA, and only its rtol, atol and jac: a misspelt or
+        # foreign option is an error, not a warning.
+        with pytest.raises(TypeError):
+            simulate.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                               **option)
+
     def test_settle_reports_what_scipy_gives(self, mic, monkeypatch):
         p = mic.model.with_(u_a=290.15 / mic.temp_scale * 1.0002,
                             u_boil=math.inf)

@@ -161,6 +161,13 @@ class TestBranchProblem:
         assert np.array_equal(prob.residual(y), res)
         assert np.array_equal(prob.jacobian(y), J)
 
+    def test_one_parameter_set_per_value(self, mic):
+        # The points built after a run find the corrector's parameter sets.
+        at = steady._branch_params(mic.model, "u_a")
+        first = at(0.038)
+        assert at(0.039) is not first
+        assert at(0.038) is first
+
 
 class TestContinueBranch:
     def test_hopf_in_band_and_subcritical(self, mic, mic_branch):

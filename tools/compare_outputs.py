@@ -5,10 +5,14 @@
 Runs each acceptance command below once against ``BASE_DIR/src`` and once
 against ``CHANGE_DIR/src``, one subprocess at a time, and compares what they
 wrote; the files in ``CONFIGS`` are written into its work directory first.
-A CSV or JSON output must be byte-identical; ``manifest.json`` must be
-equal apart from ``wall_time_s``.  Prints one line per file and exits 1
-on any difference or when a command exits non-zero on either side, 0
-otherwise.  Edit ``COMMANDS`` for a partial run.
+Then runs ``CHANGE_DIR/perfbench/workloads.py script NAME --seed S --draw D``
+for each entry of ``SCRIPTS`` against both ``src`` directories the same way,
+so the benchmark scripts' inputs are the same on both sides.  A CSV or JSON
+output (a script's ``fingerprint.json`` included) must be byte-identical;
+``manifest.json`` must be equal apart from ``wall_time_s``.  Prints one
+line per file and exits 1 on any difference or when a command exits
+non-zero on either side, 0 otherwise.  Edit ``COMMANDS`` and ``SCRIPTS``
+for a partial run.
 """
 
 from __future__ import annotations
@@ -80,16 +84,20 @@ COMMANDS = {
     "rates-config-params": ["rates", "--config", "params.json"],
     "rates-config-dimensional": ["rates", "--config", "dimensional.json"],
 }
+# The perfbench library scripts, each at three (seed, draw) input sets.
+SCRIPTS = {f"{name}-{seed}-{draw}": (name, seed, draw)
+           for name in ("attractor-mic", "steady-sweep")
+           for seed, draw in ((11, 0), (12, 1), (13, 2))}
 VOLATILE = {"wall_time_s"}
 
 
-def run(checkout: Path, argv: list[str], outdir: Path) -> int:
+def run(checkout: Path, argv: list[str]) -> int:
+    """``python ARGV`` with ``checkout/src`` first on the import path."""
     env = dict(os.environ)
     src = str(checkout / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "thermorun.cli", *argv,
-                           "-o", str(outdir)], env=env, cwd=checkout,
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=checkout,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True)
     if proc.returncode:
@@ -141,11 +149,17 @@ def main(argv: list[str] | None = None) -> int:
     work = Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     for fname, cfg in CONFIGS.items():
         (work / fname).write_text(json.dumps(cfg, indent=2) + "\n")
+    workloads = str(args.change.resolve() / "perfbench" / "workloads.py")
+    runs = {name: ["-m", "thermorun.cli",
+                   *(str(work / a) if a in CONFIGS else a for a in cmd), "-o"]
+            for name, cmd in COMMANDS.items()}
+    runs.update({key: [workloads, "script", name, "--seed", str(seed),
+                       "--draw", str(draw), "--out"]
+                 for key, (name, seed, draw) in SCRIPTS.items()})
     differs = False
-    for name, cmd in COMMANDS.items():
-        cmd = [str(work / a) if a in CONFIGS else a for a in cmd]
+    for name, argv in runs.items():
         dirs = {side: work / side / name for side in ("base", "change")}
-        codes = {side: run(root.resolve(), cmd, dirs[side])
+        codes = {side: run(root.resolve(), argv + [str(dirs[side])])
                  for side, root in (("base", args.base), ("change", args.change))}
         if any(codes.values()):
             print(f"{name}: exit code {codes['base']} -> {codes['change']}")
