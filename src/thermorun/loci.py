@@ -144,7 +144,8 @@ def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
         # Closure: returning to the seed closes the curve.
         pts = run.points
         for k in range(20, len(pts)):
-            if np.linalg.norm((pts[k] - y0) / scales) < CLOSURE_TOL:
+            d = (pts[k] - y0) / scales
+            if math.sqrt(d.dot(d)) < CLOSURE_TOL:
                 pts = pts[:k + 1]
                 run.stop_reason = "closed"
                 break

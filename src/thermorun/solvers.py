@@ -13,16 +13,31 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 
+try:  # the LAPACK gufunc under np.linalg.solve, a private numpy name
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    _solve1 = None
+
+
+def _opposite(a: float, b: float) -> bool:
+    """Whether ``a`` and ``b`` are non-zero with opposite signs; unlike
+    ``a * b < 0``, the answer survives the product's underflow."""
+    return a < 0 < b or b < 0 < a
+
 
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                max_iter: int = 200) -> float:
-    """Bisection to machine precision; lo/hi must bracket a sign change."""
+                max_iter: int = 2100) -> float:
+    """Bisection to machine precision; lo/hi must bracket a sign change.
+
+    2100 halvings take any finite bracket down to adjacent floats, a root
+    at 0 included.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if not _opposite(flo, fhi):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -31,7 +46,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         fm = fn(mid)
         if fm == 0.0:
             return mid
-        if flo * fm < 0:
+        if _opposite(flo, fm):
             hi = mid
         else:
             lo, flo = mid, fm
@@ -48,7 +63,8 @@ def bracket_roots(fn: Callable, grid) -> list[float]:
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(fn(grid), dtype=float)
     finite = np.isfinite(vals)
-    change = finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0)
+    sign = np.sign(vals)
+    change = finite[:-1] & finite[1:] & (sign[:-1] * sign[1:] < 0)
     hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
     return [float(grid[i]) if vals[i] == 0.0
             else float(bisect_root(fn, grid[i], grid[i + 1])) for i in hits]
@@ -98,6 +114,26 @@ class ContinuationRun:
 FAILED_ITERATE = (DomainError, ValidationError, OverflowError, FloatingPointError)
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(A, b)`` for a square float ``A`` and a 1-D ``b``.
+
+    Calls the gufunc that ``np.linalg.solve`` calls, under the same error
+    state, so the bits and the ``LinAlgError`` on a singular ``A`` are the
+    same; it skips the wrapper's checks and conversions, which cost about
+    as much as a 4×4 solve itself.  Falls back to ``np.linalg.solve`` when
+    numpy has no such gufunc.
+    """
+    if _solve1 is None:
+        return np.linalg.solve(A, b)
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _solve1(A, b, signature="dd->d")
+
+
 def _inf_norm(r: np.ndarray) -> float:
     """Infinity norm of ``r`` as a Python float, NaN if any entry is NaN."""
     rl = r.tolist()
@@ -134,7 +170,7 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 return norm
             if step == max_iter:
                 break
-            dx = np.linalg.solve(jacobian(y)[:, free], -r)
+            dx = _solve(jacobian(y)[:, free], -r)
             if not damped:
                 y[free] += dx
                 r = residual(y)
@@ -185,13 +221,13 @@ def _tangent(J: np.ndarray, scales: np.ndarray, prev: np.ndarray) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        t = np.linalg.solve(A, rhs)
+        t = _solve(A, rhs)
     except np.linalg.LinAlgError:
         # Fall back to SVD null space.
         _, _, vh = np.linalg.svd(J)
         t = vh[-1]
     t = t / scales
-    t /= np.linalg.norm(t)
+    t /= math.sqrt(t.dot(t))
     if float(np.dot(t, prev)) < 0:
         t = -t
     return t
@@ -240,7 +276,7 @@ def continue_curve(prob: ContinuationProblem, y0: np.ndarray,
     run = ContinuationRun()
     y = np.asarray(y0, dtype=float).copy()
     t = initial_direction / prob.scales
-    t = t / np.linalg.norm(t)
+    t = t / math.sqrt(t.dot(t))
     ds = ds0
     while True:
         if prob.rebase is not None:

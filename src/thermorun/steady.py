@@ -185,7 +185,7 @@ def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
         return yb
     if fa * fb > 0:
         raise ConvergenceError("test function does not change sign on segment")
-    y_best = ya if abs(fa) < abs(fb) else yb
+    y_best, f_best = (ya, fa) if abs(fa) < abs(fb) else (yb, fb)
     for _ in range(90):
         c = 0.5 * (a + b)
         if c == a or c == b:
@@ -194,8 +194,8 @@ def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
         y_guess = ya + w * (yb - ya)
         yc = solve_pinned(prob, y_guess, pivot, c, 1e-13, 29)
         fc = test_fn(yc)
-        if abs(fc) < abs(test_fn(y_best)):
-            y_best = yc
+        if abs(fc) < abs(f_best):
+            y_best, f_best = yc, fc
         if abs(fc) <= TEST_FN_TOL:
             return yc
         if fa * fc < 0:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import thermorun
-from thermorun import cycles, simulate
+from thermorun import cycles, simulate, solvers
 
 SRC = str(Path(thermorun.__file__).resolve().parents[1])
 HEAVY = ("scipy.integrate", "scipy.linalg")
@@ -36,14 +36,19 @@ print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
 """
 
 
-def loaded_after(argv: list[str]) -> list[str]:
+def run_fresh(code: str, argv=()) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    res = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout.strip().splitlines()[-1])
+    return res.stdout
+
+
+def loaded_after(argv: list[str]) -> list[str]:
+    return json.loads(run_fresh(PROBE, argv).strip().splitlines()[-1])
 
 
 PRESET = ["--preset", "mic-tank610"]
@@ -151,3 +156,33 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(f"thermorun.{mod}"),
                                        fn, None))]
     assert missing == []
+
+
+def test_small_solves_take_the_gufunc_fast_path():
+    """The installed numpy still has the LAPACK gufunc under
+    ``np.linalg.solve``; without it every Newton step and tangent pays the
+    wrapper again (about a tenth of a loci-steady pass)."""
+    assert solvers._solve1 is not None
+    assert solvers._solve1 is np.linalg._umath_linalg.solve1
+
+
+# Hides numpy's gufunc while thermorun is imported (as a numpy that renamed
+# it would), then prints whether solvers took the fallback and one solve's
+# bytes.
+NO_GUFUNC = """
+import numpy as np
+import numpy.linalg._umath_linalg as umath_linalg
+solve1 = umath_linalg.solve1
+del umath_linalg.solve1
+from thermorun import solvers
+umath_linalg.solve1 = solve1
+A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.25, 2.0, 5.0]])
+print(solvers._solve1 is None, solvers._solve(A, np.array([1.0, -2.0, 0.5])).tobytes().hex())
+"""
+
+
+def test_import_guard_falls_back_to_numpy_solve():
+    out = run_fresh(NO_GUFUNC)
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.25, 2.0, 5.0]])
+    want = np.linalg.solve(A, np.array([1.0, -2.0, 0.5])).tobytes().hex()
+    assert out.split() == ["True", want]

@@ -56,6 +56,36 @@ class TestBracketRoots:
         assert all(isinstance(r, float) for r in roots)
 
 
+class TestSignTestsSurviveUnderflow:
+    """A sign change of two tiny values is still a sign change, though their
+    product underflows to zero."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scale_exp=st.floats(0.0, 300.0),
+           root=st.one_of(st.just(0.0), st.floats(-0.99, 1.99)))
+    def test_scaled_linear_root_is_found(self, scale_exp, root):
+        scale = 10.0 ** -scale_exp
+
+        def fn(v):
+            return scale * (np.asarray(v) - root)
+
+        # Bisection stops at adjacent floats or where fn underflows to 0.
+        tol = 2.0 * np.spacing(abs(root)) + 5e-324 / scale
+        roots = bracket_roots(fn, np.linspace(-1.0, 2.0, 7))
+        assert len(roots) == 1 and abs(roots[0] - root) <= tol
+        assert abs(bisect_root(lambda v: float(fn(v)), -1.0, 2.0) - root) <= tol
+
+    def test_root_at_zero_is_bisected_to_zero(self):
+        assert bracket_roots(np.asarray, [-1.0, 2.0]) == [0.0]
+
+    @pytest.mark.parametrize("lo_val, hi_val", [(1e-200, 1e-200),
+                                                (-1e-200, -3e-200),
+                                                (math.nan, 1.0)])
+    def test_no_sign_change_raises(self, lo_val, hi_val):
+        with pytest.raises(ValueError, match="no sign change"):
+            bisect_root(lambda v: lo_val if v < 0.5 else hi_val, 0.0, 1.0)
+
+
 def recording_scans(calls: list) -> ExitStack:
     """Route every library ``bracket_roots`` call through a recorder."""
 
@@ -355,3 +385,122 @@ class TestEngineOracle:
         with pytest.raises(ConvergenceError, match="diverged"):
             solvers._correct(prob, np.zeros(3), np.array([0.0, 0.0, 1.0]),
                              1e-10)
+
+
+def solve_outcome(solve, A, b):
+    """The solution's bytes, or the LinAlgError's message."""
+    try:
+        return solve(A, b).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+def without_gufunc():
+    """Take ``solvers._solve`` down its ``np.linalg.solve`` fallback."""
+    return mock.patch.object(solvers, "_solve1", None)
+
+
+class TestSolve:
+    """``solvers._solve`` gives ``np.linalg.solve``'s bits and errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           spread=st.integers(0, 12),
+           form=st.sampled_from(["contiguous", "column view", "pinned copy"]))
+    def test_same_bits_as_numpy(self, n, seed, spread, form):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n + 1)) * 10.0 ** rng.integers(
+            -spread, spread + 1, size=(n, n + 1))
+        if form == "contiguous":
+            A = M[:, :n].copy()
+        elif form == "column view":
+            A = M[:, 1:]
+        else:  # solve_pinned's Jacobian without the pivot column
+            pivot = int(rng.integers(n + 1))
+            A = M[:, [i for i in range(n + 1) if i != pivot]]
+        b = -rng.standard_normal(n)
+        before = A.tobytes(), b.tobytes()
+        want = solve_outcome(np.linalg.solve, A, b)
+        assert solve_outcome(solvers._solve, A, b) == want
+        with without_gufunc():
+            assert solve_outcome(solvers._solve, A, b) == want
+        assert (A.tobytes(), b.tobytes()) == before
+
+    @pytest.mark.parametrize("case", ["repeated row", "zero column", "zeros",
+                                      "nan entry", "inf entry", "-inf in b",
+                                      "nan in b"])
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_singular_and_non_finite_inputs(self, case, n):
+        rng = np.random.default_rng(n)
+        A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        if case == "repeated row":
+            # Row 0 pivots first with a power-of-two pivot, so eliminating
+            # its copy leaves an exact zero row.
+            A[:, 0] = rng.uniform(-1.0, 1.0, n)
+            A[0, 0] = 8.0
+            A[-1] = A[0]
+        elif case == "zero column":
+            A[:, n // 2] = 0.0
+        elif case == "zeros":
+            A[:] = 0.0
+        elif case == "nan entry":
+            A[1, 0] = math.nan
+        elif case == "inf entry":
+            A[0, 1] = math.inf
+        elif case == "-inf in b":
+            b[0] = -math.inf
+        else:
+            b[-1] = math.nan
+        want = solve_outcome(np.linalg.solve, A, b)
+        if case in ("repeated row", "zero column", "zeros"):
+            assert want == "LinAlgError: Singular matrix"
+        assert solve_outcome(solvers._solve, A, b) == want
+        with without_gufunc():
+            assert solve_outcome(solvers._solve, A, b) == want
+
+    def test_fallback_gives_the_same_branch(self, mic):
+        p = mic.model
+        runs = []
+        for patch in (ExitStack(), without_gufunc()):
+            with patch:
+                runs.append(steady.continue_branch(
+                    p, prange=(0.95 * p.u_a, 1.05 * p.u_a)))
+        fast, slow = runs
+        assert len(fast.points) == len(slow.points) > 10
+        assert fast.points == slow.points
+        assert fast.specials == slow.specials
+
+
+class TestSingularSystems:
+    def test_newton_on_a_singular_jacobian(self):
+        # x^2 + 1 = 0 from x = 1: the full step lands on x = 0, where the
+        # Jacobian 2x is singular.
+        with pytest.raises(ConvergenceError,
+                           match="singular Jacobian: Singular matrix") as err:
+            solvers._newton(lambda y: y * y + 1.0, lambda y: np.diag(2.0 * y),
+                            np.ones(1), 1e-12, 10)
+        assert err.value.last_iterate.tolist() == [0.0]
+        assert err.value.residual == 1.0
+
+    def test_damped_newton_on_a_singular_jacobian(self):
+        # The full step lowers the residual from 2 to 1, so it is taken.
+        with pytest.raises(ConvergenceError,
+                           match="singular Jacobian: Singular matrix") as err:
+            solvers.damped_newton(lambda y: y * y + 1.0, [1.0],
+                                  jac=lambda y: np.diag(2.0 * y))
+        assert err.value.last_iterate.tolist() == [0.0]
+        assert err.value.residual == 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tangent_falls_back_to_the_null_vector(self, sign):
+        # prev is a row of J, so the bordered matrix has a repeated row; its
+        # null vector is (-1, -1, 1) up to length and sign.
+        J = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]])
+        scales = np.array([1.0, 2.0, 0.5])
+        prev = sign * J[0]
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            t = solvers._tangent(J, scales, prev)
+        assert svd.call_count == 1
+        assert np.allclose(J @ (t * scales), 0.0, rtol=0.0, atol=1e-15)
+        assert abs(math.sqrt(t.dot(t)) - 1.0) <= 1e-15
+        assert float(np.dot(t, prev)) > 0.5
