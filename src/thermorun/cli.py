@@ -225,16 +225,21 @@ def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
 
 
 def _verify_slice(payload):
-    p, f_val, ua_window, state = payload
-    q = p.with_(f=f_val, u_a=ua_window[0], u_boil=math.inf)
-    start = steady.solve_steady(q, state)
-    br = steady.continue_branch(q, "u_a", ua_window, ds0=5e-4, start=start)
+    p, ua, f_val, x, u = payload
+    q = p.with_(f=f_val, u_a=ua - 3e-4, u_boil=math.inf)
+    start = steady.solve_steady(q, (x, u))
+    br = steady.continue_branch(q, "u_a", (ua - 3e-4, ua + 3e-4), ds0=5e-4,
+                                start=start)
     return [sp.param_value for sp in br.specials if sp.kind == "hopf"]
 
 
 def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
     p = res.model
     n_ua, n_f = _parse_grid(args.grid)
+    for flag, value, least in (("verify-slices", args.verify_slices, 0),
+                               ("jobs", args.jobs, 1)):
+        if value < least:
+            raise ValidationError(flag, f"need at least {least}, got {value}")
     w = loci.default_window(p)
     window = loci.Window(
         _kelvin_range(res, args.Ta_window) if args.Ta_window else w.u_a,
@@ -263,10 +268,10 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
 
     verification = None
     if args.verify_slices:
-        targets = hopf.points[::max(1, len(hopf) // args.verify_slices)]
-        payloads = [(p, float(f_val), (float(ua) - 3e-4, float(ua) + 3e-4),
-                     (float(x), float(u)))
-                    for ua, f_val, x, u in targets]
+        n = min(args.verify_slices, len(hopf))  # evenly spaced, ends included
+        targets = [hopf.points[i * (len(hopf) - 1) // max(n - 1, 1)].tolist()
+                   for i in range(n)]
+        payloads = [(p, *point) for point in targets]
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -274,11 +279,9 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
                 found = list(pool.map(_verify_slice, payloads))
         else:
             found = [_verify_slice(pl) for pl in payloads]
-        verification = []
-        for (ua, f_val, _, _), hits in zip(targets, found):
-            err = min((abs(h - ua) for h in hits), default=None)
-            verification.append({"f": float(f_val), "u_a": float(ua),
-                                 "mismatch_u_a": err})
+        verification = [{"f": f_val, "u_a": ua,
+                         "mismatch_u_a": min((abs(h - ua) for h in hits), default=None)}
+                        for (ua, f_val, _, _), hits in zip(targets, found)]
     man.set("summary", {
         "hopf_points": len(hopf),
         "fold_points": len(fold),
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--f-window", dest="f_window", help="flow-rate lo:hi")
     lc.add_argument("--grid", default="50x50", help="region map grid, e.g. 60x40")
     lc.add_argument("--verify-slices", type=int, default=0,
-                    help="re-verify N locus points by one-parameter branches")
+                    help="re-verify N evenly spaced Hopf-locus points by branches")
     lc.add_argument("--jobs", type=int, default=1,
                     help="parallel workers for --verify-slices")
     lc.set_defaults(func=cmd_loci)

@@ -3,11 +3,12 @@
 Hopf and fold curves are traced in the (u_a, f) plane by pseudo-arclength
 continuation of the augmented systems {vector field = 0, trace = 0} and
 {vector field = 0, det = 0} in the unknowns (x, u, u_a, ln f); the log of
-the flow rate keeps the stepping well-scaled across decades.  Fold seeds
-are hunted through the one-variable fold condition (the u-derivative of the
-reduced balance vanishes), which fixes u and f first and back-solves the
-ambient temperature.  A classifier assigns regime labels to points of the
-plane by ray-parity against the computed loci.
+the flow rate keeps the stepping well-scaled across decades.  Seeds come
+from the steady curve at a fixed flow rate, which is explicit in u
+(x = f/(f + rho), u_a back-solved from the heat balance): a Hopf seed is a
+root of the trace along it, a fold seed a root of the fold condition (the
+u-derivative of the reduced balance vanishes).  A classifier assigns regime
+labels to points of the plane by ray-parity against the computed loci.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .model import ModelParams
 from .solvers import ContinuationProblem, bracket_roots, continue_curve
-from .steady import SpecialPoint, continue_branch
 
 LOCUS_TOL = 1e-10
 # Both loci's first and largest arclength step, and step budget per direction.
@@ -46,8 +46,8 @@ class Window:
     f: tuple[float, float]
 
     def __post_init__(self):
-        if not (self.u_a[0] < self.u_a[1] and 0 < self.f[0] < self.f[1]):
-            raise ValidationError("window", "need u_a_lo < u_a_hi and 0 < f_lo < f_hi")
+        if not (0 < self.u_a[0] < self.u_a[1] and 0 < self.f[0] < self.f[1]):
+            raise ValidationError("window", "need 0 < u_a_lo < u_a_hi, 0 < f_lo < f_hi")
 
     def contains(self, u_a: float, f: float) -> bool:
         return (self.u_a[0] <= u_a <= self.u_a[1]
@@ -179,19 +179,17 @@ def _locus_from_points(p: ModelParams, pts, test: str, reasons,
 
 
 def continue_hopf_locus(p: ModelParams, window: Window) -> Locus:
-    """Trace the Hopf locus through a verified Hopf point.
+    """Trace the Hopf locus through :func:`_hopf_seed`'s Hopf point.
 
-    A one-parameter branch at the template's flow rate is scanned for a
-    Hopf; if none exists (e.g. the reaction is switched off) an empty locus
-    is returned with the reason recorded.  Continuation runs both ways until
-    the window boundary, a vanishing determinant, or closure of the curve.
+    Without one (e.g. the reaction is switched off) the locus is empty, with
+    the reason recorded.  Continuation runs both ways until the window
+    boundary, a vanishing determinant, or closure of the curve.
     """
     p = p.with_(u_boil=math.inf)
-    start = _auto_hopf_seed(p, window)
-    if start is None:
+    y0 = _hopf_seed(p, window)
+    if y0 is None:
         return Locus("hopf", np.empty((0, 4)), np.empty(0),
                      empty_reason="no Hopf point found at the seed flow rate")
-    y0 = np.array([start.state.x, start.state.u, start.param_value, math.log(p.f)])
     pts_runs, reasons = _trace_locus(p, y0, "trace", window)
     return _locus_from_points(p, pts_runs[0], "trace", reasons)
 
@@ -214,13 +212,22 @@ def continue_fold_locus(p: ModelParams, window: Window) -> Locus:
     return _locus_from_points(p, pts_runs[0], "det", reasons, f_threshold=f_star)
 
 
-def _auto_hopf_seed(p: ModelParams, window: Window) -> SpecialPoint | None:
-    try:
-        br = continue_branch(p, "u_a", window.u_a, ds0=1e-3)
-    except ConvergenceError:
-        return None
-    hopfs = [sp for sp in br.specials if sp.kind == "hopf"]
-    return hopfs[0] if hopfs else None
+def _hopf_seed(p: ModelParams, window: Window) -> np.ndarray | None:
+    """Lowest-temperature Hopf point (x, u, u_a, ln f) at the template's flow
+    rate: the first root of tr J along the steady curve x = f/(f + rho), on
+    :func:`_fold_roots_at_f`'s grid, with u_a in the window and det > 0."""
+    def trace(u):  # u may be an array
+        r = model.rho(p, u)
+        return -(r + p.f) + (p.f / (p.f + r) * r / (u * u) - p.loss) / p.eps
+
+    grid = np.linspace(window.u_a[0], window.u_a[1] + p.f / p.loss, 2000)
+    for u in bracket_roots(trace, grid):
+        r = model.rho(p, u)
+        x = p.f / (p.f + r)
+        u_a = u - x * r / p.loss
+        if window.u_a[0] <= u_a <= window.u_a[1] and _test_functions(p, x, u)[1][0] > 0:
+            return np.array([x, u, u_a, math.log(p.f)])
+    return None
 
 
 # ---------------------------------------------------------------------------

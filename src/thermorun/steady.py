@@ -241,9 +241,7 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     prob = _branch_problem(active, scales, at)
 
     def stop(y):
-        if y[2] < lo - 1e-12 or y[2] > hi + 1e-12:
-            return "window boundary"
-        return None
+        return "window boundary" if y[2] < lo - 1e-12 or y[2] > hi + 1e-12 else None
 
     run = continue_curve(prob, y0, initial_direction=np.array([0.0, 0.0, 1.0]),
                          ds0=ds0, ds_min=BRANCH_DS_MIN, ds_max=BRANCH_DS_MAX,
@@ -318,14 +316,6 @@ def _complex_pair(A: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
     return q, pv
 
 
-def _apply2(B: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,j,k->i", B, v, w)
-
-
-def _apply3(C: np.ndarray, v: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.einsum("ijkl,j,k,l->i", C, v, w, z)
-
-
 def planar_lyapunov_coefficient(A: np.ndarray, B: np.ndarray, C: np.ndarray,
                                 omega: float) -> float:
     """First Lyapunov coefficient of a planar Hopf from derivative tensors.
@@ -336,9 +326,9 @@ def planar_lyapunov_coefficient(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     """
     q, pv = _complex_pair(A, omega)
     qb = np.conj(q)
-    g20 = np.vdot(pv, _apply2(B, q, q))
-    g11 = np.vdot(pv, _apply2(B, q, qb))
-    g21 = np.vdot(pv, _apply3(C, q, q, qb))
+    g20 = np.vdot(pv, np.einsum("ijk,j,k->i", B, q, q))
+    g11 = np.vdot(pv, np.einsum("ijk,j,k->i", B, q, qb))
+    g21 = np.vdot(pv, np.einsum("ijkl,j,k,l->i", C, q, q, qb))
     return float(np.real(1j * g20 * g11 + omega * g21) / (2.0 * omega ** 2))
 
 

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from thermorun import cycles, loci, model, steady
+from thermorun.model import ModelParams
+
+# Parameter distribution of acceptance criterion 5.
+criterion5_params = st.builds(
+    lambda f, ell, eps, u_a, ln_sigma: ModelParams(
+        f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma)),
+    st.floats(0.3, 4.0), st.floats(50.0, 1500.0), st.floats(2.0, 25.0),
+    st.floats(0.025, 0.055), st.floats(20.0, 32.0))
 
 
 @pytest.fixture(scope="session")

@@ -214,6 +214,44 @@ class TestJobsOption:
         assert args.jobs == 2
 
 
+class TestVerifySlices:
+    @pytest.mark.parametrize("n, rows", [(1, [0]), (3, [0, 81, 163]),
+                                         (4, [0, 54, 108, 163]),
+                                         (164, list(range(164))),
+                                         (500, list(range(164)))])
+    def test_n_evenly_spaced_points(self, tmp_path, mic_loci, n, rows):
+        hopf = mic_loci[1]["hopf"]
+        assert len(hopf) == 164
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
+                    f"--verify-slices={n}", "-o", str(out)]) == 0
+        found = json.loads(read(out / "manifest.json"))["summary"][
+            "slice_verification"]
+        assert [(e["u_a"], e["f"]) for e in found] == [
+            (hopf.points[i, 0], hopf.points[i, 1]) for i in rows]
+        assert all(e["mismatch_u_a"] < 1e-5 for e in found)
+
+    def test_zero_verifies_nothing(self, tmp_path):
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
+                    "--verify-slices", "0", "-o", str(out)]) == 0
+        man = json.loads(read(out / "manifest.json"))
+        assert man["summary"]["slice_verification"] is None
+
+    @pytest.mark.parametrize("flag, value", [("--verify-slices", "-1"),
+                                             ("--verify-slices", "-2"),
+                                             ("--jobs", "0"), ("--jobs", "-3")])
+    def test_negative_counts_are_config_errors(self, tmp_path, capsys, flag,
+                                               value):
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
+                    f"{flag}={value}", "-o", str(out)]) == 2
+        man = failure_manifest(out, 2, f"configuration error: {flag[2:]}: ",
+                               capsys)
+        assert man["command"] == "loci"
+        assert not list(out.glob("*.csv"))
+
+
 def failure_manifest(out: Path, code: int, prefix: str, capsys) -> dict:
     man = json.loads(read(out / "manifest.json"))
     assert man["status"] == "failed"
@@ -276,6 +314,15 @@ class TestExitCodes:
                     "-o", str(out)]) == 2
         man = failure_manifest(out, 2, "configuration error: range: ", capsys)
         assert man["command"] == command
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("window", ["-10:330", "0:330"])
+    def test_nonpositive_ambient_window_is_a_config_error(self, tmp_path,
+                                                          capsys, window):
+        out = tmp_path / "l"
+        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
+                    f"--Ta-window={window}", "-o", str(out)]) == 2
+        failure_manifest(out, 2, "configuration error: window: ", capsys)
         assert not list(out.glob("*.csv"))
 
     def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
@@ -496,3 +543,20 @@ class TestDeterminism:
             outs.append(out)
         for fname in ("branch.csv", "specials.csv"):
             assert read(outs[0] / fname) == read(outs[1] / fname)
+
+
+class TestCompareOutputs:
+    @pytest.mark.parametrize("base, change, verdict", [
+        ("u,T\n1,a\n2,b\n", "u,T\n1.0000000001,a\n2,b\n",
+         "1 of 2 rows changed, largest relative difference 1e-10, no label changed"),
+        ("u,T\n1,a\n-2,b\n", "u,T\n1,a\n-3,c\n",
+         "1 of 2 rows changed, largest relative difference 0.333, a label changed"),
+        ("u,T\n1,a\n", "u,K\n1,a\n",
+         "0 of 1 rows changed, largest relative difference 0, a label changed"),
+        ("u,T\n1,\n", "u,T\n1,0.5\n",
+         "1 of 1 rows changed, largest relative difference 0, a label changed"),
+        ("u\n1\n", "u\n1\n2\n", "1 -> 2 rows"),
+    ])
+    def test_reports_how_far_a_csv_moved(self, base, change, verdict):
+        csv_diff = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))["csv_diff"]
+        assert csv_diff(base, change) == "bytes differ: " + verdict

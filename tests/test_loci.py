@@ -12,6 +12,8 @@ from thermorun.loci import Window, classify_point, continue_fold_locus, \
     continue_hopf_locus
 from thermorun.model import ModelParams
 
+from conftest import criterion5_params
+
 
 def augmented_residual(p: ModelParams, locus: loci.Locus, row: int) -> float:
     u_a, f, x, u = locus.points[row]
@@ -67,9 +69,11 @@ class TestHopfLocus:
 
     def test_reaction_off_empty(self):
         p = ModelParams(f=1.7, ell=700.0, eps=10.0, u_a=0.0379, sigma=0.0)
+        assert loci._hopf_seed(p, loci.default_window(p)) is None
         locus = continue_hopf_locus(p, loci.default_window(p))
         assert len(locus) == 0
-        assert locus.empty_reason
+        assert locus.empty_reason == "no Hopf point found at the seed flow rate"
+        assert locus.points.shape == (0, 4) and locus.stop_reasons == ()
 
 
 class TestFoldLocus:
@@ -350,12 +354,90 @@ class TestClosedFormLoci:
 
     def test_hopf_seed_on_the_quadratic(self, preset_loci):
         p, window, _, _ = preset_loci
-        seed = loci._auto_hopf_seed(p, window)
-        x, u = seed.state.x, seed.state.u
+        x, u, u_a, ln_f = loci._hopf_seed(p, window)
+        assert ln_f == math.log(p.f)
         assert hopf_curve_residual(p, p.f, u) <= 1e-10
         r = p.sigma * math.exp(-1.0 / u)
         want = u - x * r / (p.eps * p.f + p.ell)
-        assert abs(want - seed.param_value) <= 1e-12 * seed.param_value
+        assert abs(want - u_a) <= 1e-12 * u_a
+
+
+def branch_skips(br: steady.Branch, u: float) -> bool:
+    """Whether ``continue_branch`` cannot report a Hopf point at temperature
+    ``u``: the branch left the window before reaching u, or u lies on a
+    segment whose trace changes sign with det <= 0 at one end (a fold in the
+    same step), which the detector skips."""
+    pts = br.points
+    if u > pts[-1].state.u:
+        return True
+    for a, b in zip(pts, pts[1:]):
+        if a.state.u <= u <= b.state.u:
+            return a.trace * b.trace < 0 and min(a.det, b.det) <= 0
+    return False
+
+
+def first_hopf(br: steady.Branch) -> np.ndarray | None:
+    hopfs = [sp for sp in br.specials if sp.kind == "hopf"]
+    return None if not hopfs else np.array(
+        [hopfs[0].state.x, hopfs[0].state.u, hopfs[0].param_value])
+
+
+# A criterion-5 draw whose branch has a genuine Hopf point one step before a
+# fold, with det <= 0 at the step's far end.
+NEAR_FOLD = ModelParams(f=3.322754007011098, ell=245.87715554279507,
+                        eps=14.533754817674131, u_a=0.04701061398379815,
+                        sigma=61126489600.717186)
+
+
+class TestHopfSeed:
+    """The closed-form seed against ``continue_branch`` over the window."""
+
+    @pytest.mark.parametrize("name", model.PRESET_NAMES)
+    def test_matches_first_branch_hopf_on_presets(self, name):
+        p = model.preset(name).model.with_(u_boil=math.inf)
+        window = loci.default_window(p)
+        seed = loci._hopf_seed(p, window)
+        ref = first_hopf(steady.continue_branch(p, "u_a", window.u_a, ds0=1e-3))
+        assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=criterion5_params)
+    def test_matches_first_branch_hopf(self, p):
+        window = loci.default_window(p)
+        seed = loci._hopf_seed(p, window)
+        br = steady.continue_branch(p, "u_a", window.u_a, ds0=1e-3)
+        ref = first_hopf(br)
+        if seed is None:
+            assert ref is None
+            return
+        x, u, u_a, _ = seed.tolist()
+        tr, det = model.trace_det(p.with_(u_a=u_a), (x, u))
+        assert abs(tr) <= 1e-8 and det > 0
+        if branch_skips(br, u):
+            assert ref is None or ref[1] > u
+        else:
+            assert ref is not None
+            assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
+
+    def test_near_fold_hopf_found(self):
+        window = loci.default_window(NEAR_FOLD)
+        x, u, u_a, _ = loci._hopf_seed(NEAR_FOLD, window)
+        tr, det = model.trace_det(NEAR_FOLD.with_(u_a=u_a), (x, u))
+        assert u == pytest.approx(0.03960705, rel=1e-6)
+        assert abs(tr) <= 1e-8 and det == pytest.approx(0.166, rel=1e-2)
+        br = steady.continue_branch(NEAR_FOLD, "u_a", window.u_a, ds0=1e-3)
+        folds = [sp.state.u for sp in br.specials if sp.kind == "fold"]
+        assert min(folds) == pytest.approx(0.03961256, rel=1e-6) and u < min(folds)
+        assert branch_skips(br, u)
+
+    @pytest.mark.xfail(strict=True, reason="continue_branch skips a Hopf point "
+                       "whose step ends past a fold, where det <= 0")
+    def test_branch_reports_near_fold_hopf(self):
+        window = loci.default_window(NEAR_FOLD)
+        seed = loci._hopf_seed(NEAR_FOLD, window)
+        ref = first_hopf(steady.continue_branch(NEAR_FOLD, "u_a", window.u_a,
+                                                ds0=1e-3))
+        assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
 
 
 class TestClassification:

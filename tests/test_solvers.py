@@ -14,6 +14,8 @@ from thermorun.errors import ConvergenceError, DomainError, ValidationError
 from thermorun.model import ModelParams
 from thermorun.solvers import bisect_root, bracket_roots
 
+from conftest import criterion5_params
+
 
 def reference_roots(fn, grid) -> list[float]:
     """The per-index scan that ``bracket_roots`` replaced.
@@ -98,14 +100,6 @@ def recording_scans(calls: list) -> ExitStack:
     for mod in (model, steady, loci):
         stack.enter_context(mock.patch.object(mod, "bracket_roots", spy))
     return stack
-
-
-# Parameter distribution of acceptance criterion 5.
-criterion5_params = st.builds(
-    lambda f, ell, eps, u_a, ln_sigma: ModelParams(
-        f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma)),
-    st.floats(0.3, 4.0), st.floats(50.0, 1500.0), st.floats(2.0, 25.0),
-    st.floats(0.025, 0.055), st.floats(20.0, 32.0))
 
 
 @settings(max_examples=15, deadline=None)

@@ -15,6 +15,8 @@ from thermorun.steady import (continue_branch, lyapunov_first_coeff,
                               planar_lyapunov_coefficient, reduced_scan,
                               solve_steady)
 
+from conftest import criterion5_params
+
 
 def numerical_tensors(fun, x0: np.ndarray, step: float = 1e-3,
                       scales: np.ndarray | None = None):
@@ -131,6 +133,21 @@ class TestReducedScan:
             for r in reduced_scan(p, p.u_a, p.u_a + p.f / p.loss * (1 + 1e-9),
                                   n=4000):
                 assert r.residual < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=criterion5_params, offset=st.floats(-1e-6, 1e-6))
+    def test_roots_are_fixed_points_of_solve_steady(self, p, offset):
+        # Started on a root, Newton takes no step (its residual is already
+        # below STEADY_TOL); started a relative offset away in u, it comes
+        # back to the root's temperature.
+        width = p.f / p.loss
+        roots = reduced_scan(p, p.u_a, p.u_a + width * (1 + 1e-9), n=10000)
+        assert roots
+        for root in roots:
+            x, u = root.state.x, root.state.u
+            assert solve_steady(p, (x, u)) == root
+            near = solve_steady(p, (x, u * (1 + offset)))
+            assert abs(near.state.u - u) <= 1e-12 * u
 
 
 def branch_problem_reference(p: ModelParams, active: str, y: np.ndarray):

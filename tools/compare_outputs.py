@@ -11,14 +11,19 @@ so the benchmark scripts' inputs are the same on both sides.  A CSV or JSON
 output (a script's ``fingerprint.json`` included) must be byte-identical;
 ``manifest.json`` must be equal apart from ``wall_time_s``.  Prints one
 line per file and exits 1 on any difference or when a command exits
-non-zero on either side, 0 otherwise.  Edit ``COMMANDS`` and ``SCRIPTS``
-for a partial run.
+non-zero on either side, 0 otherwise.  For a CSV that differs, the line
+says how much it moved: the rows changed, the largest relative difference
+of a numeric cell, and whether a non-numeric cell (a label) changed.  Edit
+``COMMANDS`` and ``SCRIPTS`` for a partial run.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +126,42 @@ def json_diff(a, b, path: str = "") -> list[str]:
     return [] if a == b else [f"{path}: {a!r} -> {b!r}"]
 
 
+def _relative(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numeric cells; None unless both parse."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:
+        return 0.0
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else math.inf
+
+
+def csv_diff(a: str, b: str) -> str:
+    """How far two CSV texts differ, for a pair that is not byte-identical.
+
+    The first row is the header; a changed header counts as a changed label.
+    """
+    rows_a, rows_b = (list(csv.reader(io.StringIO(t))) for t in (a, b))
+    n_a, n_b = max(len(rows_a) - 1, 0), max(len(rows_b) - 1, 0)
+    if n_a != n_b:
+        return f"bytes differ: {n_a} -> {n_b} rows"
+    changed, worst, label = 0, 0.0, rows_a[:1] != rows_b[:1]
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        if ra == rb:
+            continue
+        changed += 1
+        label |= len(ra) != len(rb)
+        for ca, cb in zip(ra, rb):
+            rel = _relative(ca, cb) if ca != cb else 0.0
+            label |= rel is None
+            worst = max(worst, rel or 0.0)
+    return (f"bytes differ: {changed} of {n_a} rows changed, largest "
+            f"relative difference {worst:.3g}, "
+            f"{'a label changed' if label else 'no label changed'}")
+
+
 def compare(base: Path, change: Path) -> list[tuple[str, str]]:
     """(file, verdict) for every file either run wrote; verdict '' = same."""
     rows = []
@@ -132,9 +173,11 @@ def compare(base: Path, change: Path) -> list[tuple[str, str]]:
         elif name == "manifest.json":
             diffs = json_diff(json.loads(a.read_text()), json.loads(b.read_text()))
             rows.append((name, "; ".join(diffs)))
+        elif a.read_bytes() == b.read_bytes():
+            rows.append((name, ""))
         else:
-            rows.append((name, "" if a.read_bytes() == b.read_bytes()
-                         else "bytes differ"))
+            rows.append((name, csv_diff(a.read_text(), b.read_text())
+                         if name.endswith(".csv") else "bytes differ"))
     return rows
 
 
