@@ -191,7 +191,7 @@ def cmd_steady_branch(args, res: Preset, man: ManifestWriter) -> int:
 def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
     p = res.model
     prange = _steady_range(args, res)
-    branch = steady.continue_branch(p, "u_a", prange, ds0=args.ds0)
+    branch = steady.continue_branch(p, "u_a", prange)
     hopfs = [sp for sp in branch.specials if sp.kind == "hopf"]
     if not hopfs:
         raise ConvergenceError("cycle-branch: no Hopf point in the range")
@@ -224,22 +224,19 @@ def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
     return EXIT_OK
 
 
-def _verify_slice(payload):
-    p, ua, f_val, x, u = payload
+def _verify_slice(p, ua, f_val, x, u):
     q = p.with_(f=f_val, u_a=ua - 3e-4, u_boil=math.inf)
     start = steady.solve_steady(q, (x, u))
-    br = steady.continue_branch(q, "u_a", (ua - 3e-4, ua + 3e-4), ds0=5e-4,
-                                start=start)
+    br = steady.continue_branch(q, "u_a", (ua - 3e-4, ua + 3e-4), start=start)
     return [sp.param_value for sp in br.specials if sp.kind == "hopf"]
 
 
 def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
     p = res.model
     n_ua, n_f = _parse_grid(args.grid)
-    for flag, value, least in (("verify-slices", args.verify_slices, 0),
-                               ("jobs", args.jobs, 1)):
-        if value < least:
-            raise ValidationError(flag, f"need at least {least}, got {value}")
+    if args.verify_slices < 0:
+        raise ValidationError("verify-slices",
+                              f"need at least 0, got {args.verify_slices}")
     w = loci.default_window(p)
     window = loci.Window(
         _kelvin_range(res, args.Ta_window) if args.Ta_window else w.u_a,
@@ -271,14 +268,7 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
         n = min(args.verify_slices, len(hopf))  # evenly spaced, ends included
         targets = [hopf.points[i * (len(hopf) - 1) // max(n - 1, 1)].tolist()
                    for i in range(n)]
-        payloads = [(p, *point) for point in targets]
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                found = list(pool.map(_verify_slice, payloads))
-        else:
-            found = [_verify_slice(pl) for pl in payloads]
+        found = [_verify_slice(p, *point) for point in targets]
         verification = [{"f": f_val, "u_a": ua,
                          "mismatch_u_a": min((abs(h - ua) for h in hits), default=None)}
                         for (ua, f_val, _, _), hits in zip(targets, found)]
@@ -398,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cb)
     cb.add_argument("--Ta", help="ambient range lo:hi (K)")
     cb.add_argument("--range", help="dimensionless range lo:hi")
-    cb.add_argument("--ds0", type=float, default=1e-3)
     cb.add_argument("--segments", type=int, default=12,
                     help="multiple-shooting segments")
     cb.add_argument("--max-orbits", type=int, default=120)
@@ -411,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--grid", default="50x50", help="region map grid, e.g. 60x40")
     lc.add_argument("--verify-slices", type=int, default=0,
                     help="re-verify N evenly spaced Hopf-locus points by branches")
-    lc.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for --verify-slices")
     lc.set_defaults(func=cmd_loci)
 
     sim = sp.add_parser("simulate", help="time integration with event detection")

@@ -1,18 +1,21 @@
-"""Steady states: solving, stability, continuation, Hopf classification.
+"""Steady states: solving, stability, one-parameter branches, Hopf
+classification.
 
 Steady states of the reactor equations are computed by damped Newton (the
 halving line-search mode of the one ``solvers`` Newton loop) and,
 independently, by bracketing the reduced one-variable heat balance.  A
-pseudo-arclength continuation traces branches through folds while watching
-the fold and Hopf test functions (determinant and trace of the Jacobian);
-detected special points are refined by bisection along the branch and Hopf
-points are classified by the sign of the first Lyapunov coefficient
-(positive = subcritical, the emergent cycle is unstable).
+one-parameter branch is an explicit curve in the steady temperature u:
+x = f/(f + rho(u)), and the heat balance gives the parameter in closed
+form (a quadratic's root for the flow rate).  Branches are walked along
+that curve through folds, with no corrector; fold and Hopf points are sign
+changes of the determinant and trace of the Jacobian between neighbouring
+points, bisected in u, and Hopf points are classified by the sign of the
+first Lyapunov coefficient (positive = subcritical, the emergent cycle is
+unstable).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,16 +24,12 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
-from .solvers import (ContinuationProblem, bracket_roots, continue_curve,
-                      damped_newton, solve_pinned)
+from .solvers import bisect_root, bracket_roots, damped_newton
 
 STEADY_TOL = 1e-12
-BRANCH_TOL = 1e-10
-# continue_branch's smallest and largest arclength step, and step budget.
-BRANCH_DS_MIN = 1e-6
+# continue_branch's largest scaled step, and step budget.
 BRANCH_DS_MAX = 1e-2
 BRANCH_MAX_STEPS = 3000
-TEST_FN_TOL = 1e-10
 HOPF_TRACE_TOL = 1e-8
 
 STABLE = "stable"
@@ -140,83 +139,74 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
 
 
 # ---------------------------------------------------------------------------
-# One-parameter continuation
+# One-parameter branches
 
 
-def _branch_params(p: ModelParams, active: str):
-    """``value -> p`` with ``active`` set to value, built once per value."""
-    return functools.cache(lambda value: p.with_(**{active: value}))
+def _f_quadratic(p: ModelParams, u: float) -> tuple[float, ...]:
+    """(a, b, c, discriminant, r): the heat balance at temperature u as
+    a f^2 + b f + c = 0 in the flow rate, with r = sigma e^(-1/u)."""
+    r = model._rates(p, u)[0]
+    w = u - p.u_a
+    a, b, c = p.eps * w, (p.eps * r + p.ell) * w - r, p.ell * w * r
+    return a, b, c, b * b - 4.0 * a * c, r
 
 
-def _branch_problem(active: str, scales: np.ndarray, at) -> ContinuationProblem:
-    """Steady system over y = (x, u, value of ``active``).
+def _curve(p: ModelParams, active: str, u: float, root: int) -> tuple[float, float]:
+    """(x, value of ``active``) of the steady state at temperature u, the
+    other parameters fixed at ``p``'s.
 
-    ``at`` (a :func:`_branch_params`) maps the value to its parameter set,
-    so the caller can share the problem's cache.
+    The heat balance x r = (eps f + ell)(u - u_a), with x = f/(f + r) and
+    r = sigma e^(-1/u), is linear in u_a, ell and eps, gives sigma through r,
+    and is a quadratic in f; ``root`` = 1 takes its larger root, -1 the
+    smaller.
     """
-    def residual(y):
-        x, u, value = y.tolist()
-        return np.array(model._field_scalar(at(value), x, u))
+    w = u - p.u_a
+    if active == "sigma":
+        r = p.f * p.loss * w / (p.f - p.loss * w)
+        return p.f / (p.f + r), r * math.exp(1.0 / u)
+    if active == "f":
+        a, b, c, disc, r = _f_quadratic(p, u)
+        q = 0.5 * (math.sqrt(max(disc, 0.0)) - b)
+        f = q / a if root > 0 else c / q
+        return f / (f + r), f
+    r = model._rates(p, u)[0]
+    x = p.f / (p.f + r)
+    if active == "u_a":
+        return x, u - x * r / p.loss
+    if active == "ell":
+        return x, x * r / w - p.eps * p.f
+    return x, (x * r / w - p.ell) / p.f
 
-    def jacobian(y):
-        x, u, value = y.tolist()
-        q = at(value)
-        (a, b), (c, d) = model._jac_scalar(q, x, u)
-        e, g = model._param_derivative_scalar(q, x, u, active)
-        return np.array([[a, b, e], [c, d, g]])
 
-    return ContinuationProblem(residual, jacobian, scales)
-
-
-def _refine_special(prob: ContinuationProblem, y0: np.ndarray, y1: np.ndarray,
-                    test_fn) -> np.ndarray:
-    """Bisect a test function between two branch points.
-
-    The segment is parametrized by its fastest-changing scaled coordinate;
-    each probe re-solves the steady equations with that coordinate pinned.
-    """
-    pivot = int(np.argmax(np.abs((y1 - y0) / prob.scales)))
-    a, b = float(y0[pivot]), float(y1[pivot])
-    ya, yb = y0.copy(), y1.copy()
-    fa, fb = test_fn(ya), test_fn(yb)
-    if fa == 0.0:
-        return ya
-    if fb == 0.0:
-        return yb
-    if fa * fb > 0:
-        raise ConvergenceError("test function does not change sign on segment")
-    y_best, f_best = (ya, fa) if abs(fa) < abs(fb) else (yb, fb)
-    for _ in range(90):
-        c = 0.5 * (a + b)
-        if c == a or c == b:
-            break
-        w = (c - a) / (b - a) if b != a else 0.5
-        y_guess = ya + w * (yb - ya)
-        yc = solve_pinned(prob, y_guess, pivot, c, 1e-13, 29)
-        fc = test_fn(yc)
-        if abs(fc) < abs(f_best):
-            y_best, f_best = yc, fc
-        if abs(fc) <= TEST_FN_TOL:
-            return yc
-        if fa * fc < 0:
-            b, yb, fb = c, yc, fc
-        else:
-            a, ya, fa = c, yc, fc
-    return y_best
+def _slope(q: ModelParams, x: float, u: float, active: str) -> tuple[float, float]:
+    """(dx/du, d(value of ``active``)/du) along the steady curve through the
+    steady state (x, u) of ``q``, by implicit differentiation."""
+    (a, b), (c, d) = model._jac_scalar(q, x, u)
+    e, g = model._param_derivative_scalar(q, x, u, active)
+    m = a * g - e * c
+    return (e * d - b * g) / m, (c * b - a * d) / m
 
 
 def continue_branch(p: ModelParams, active: str = "u_a",
                     prange: tuple[float, float] = None, ds0: float = 1e-3,
                     start: SteadyPoint | None = None) -> Branch:
-    """Trace a steady branch over a parameter range by pseudo-arclength.
+    """Trace a steady branch over a parameter range along its curve in u.
 
-    Starts from ``start`` or from the lowest-temperature steady state at the
-    lower end of the range, heads in the direction of increasing parameter,
-    and runs until the parameter leaves the range (folds are traversed, so
-    the exit may be at either end).  Fold points are flagged by a sign
-    reversal of the parameter component of the branch tangent, Hopf points
-    by a sign change of the Jacobian trace with positive determinant; both
-    are refined by bisection of their test function along the branch.
+    With the other parameters fixed, x and the parameter's value are
+    explicit functions of the steady temperature u (:func:`_curve`), so
+    every point is exact.  The walk starts from ``start`` or from the
+    lowest-temperature steady state at the lower end of the range, steps u
+    in the direction of increasing parameter, and ends where the parameter
+    first leaves the range, on the crossing itself (folds are passed, so
+    the exit may be at either end).  Each step is ``ds`` long along the
+    curve's tangent in the metric that scales x by 1, u by f/loss and the
+    parameter by the range width: ``ds0``, then 1.4 times the last, at most
+    ``BRANCH_DS_MAX``.  A flow-rate branch follows one root of its
+    quadratic; where the two roots meet it moves onto the other and turns
+    back in u.  Fold points are sign changes of det J between neighbouring
+    points, Hopf points sign changes of the trace with det > 0 at the root;
+    both are bisected in u on the curve.  With the reaction off (sigma = 0),
+    an f, ell or eps branch is the state (1, u_a) at 101 evenly spaced values.
     """
     if active not in ACTIVE_PARAMS:
         raise ValidationError("active", f"must be one of {ACTIVE_PARAMS}")
@@ -225,6 +215,11 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     # The boiling threshold constrains simulations, not steady analysis.
     p = p.with_(u_boil=math.inf)
     lo, hi = float(prange[0]), float(prange[1])
+    if p.sigma == 0 and active in ("f", "ell", "eps"):
+        # No reaction: (x, u) = (1, u_a) at every value, no curve in u.
+        return Branch(active, tuple(
+            _make_point(p.with_(**{active: lo + k / 100 * (hi - lo)}), 1.0,
+                        p.u_a, active) for k in range(101)), (), "window boundary")
 
     if start is None:
         q = p.with_(**{active: lo})
@@ -233,65 +228,75 @@ def continue_branch(p: ModelParams, active: str = "u_a",
         if not seeds:
             raise ConvergenceError(f"no steady state found at {active} = {lo}")
         start = seeds[0]
-    y0 = np.array([start.state.x, start.state.u, start.param_value])
 
+    def at(u, root):  # the parameter set and the state on the curve
+        x, value = _curve(p, active, u, root)
+        return p.with_(**{active: value}), (x, u)
+
+    def disc(u):
+        return _f_quadratic(p, u)[3]
+
+    u = start.state.u
+    root = min((1, -1), key=lambda k: abs(  # the root of f's quadratic
+        _curve(p, active, u, k)[1] - start.param_value))
+    q, s = at(u, root)
+    points, roots = [_make_point(q, *s, active)], []
     u_scale = max(p.f / p.loss, 1e-6)
-    scales = np.array([1.0, u_scale, hi - lo])
-    at = _branch_params(p, active)
-    prob = _branch_problem(active, scales, at)
-
-    def stop(y):
-        return "window boundary" if y[2] < lo - 1e-12 or y[2] > hi + 1e-12 else None
-
-    run = continue_curve(prob, y0, initial_direction=np.array([0.0, 0.0, 1.0]),
-                         ds0=ds0, ds_min=BRANCH_DS_MIN, ds_max=BRANCH_DS_MAX,
-                         max_steps=BRANCH_MAX_STEPS, tol=BRANCH_TOL, stop=stop)
-
-    points = []
-    for y in run.points:
-        points.append(_make_point(at(float(y[2])), y[0], y[1], active))
-
-    def trace_of(y):
-        return model.trace_det(at(float(y[2])), (y[0], y[1]))[0]
-
-    def det_of(y):
-        return model.trace_det(at(float(y[2])), (y[0], y[1]))[1]
+    direction = 1.0 if _slope(q, *s, active)[1] >= 0 else -1.0
+    ds, du = ds0, 0.0  # du: a u-step set in advance, back from a turn
+    stop_reason = "max steps"
+    while len(points) <= BRANCH_MAX_STEPS:
+        if not du:
+            dx, dv = _slope(q, *s, active)
+            du = ds / math.sqrt(dx * dx + u_scale ** -2 + (dv / (hi - lo)) ** 2)
+        u_next, du = u + direction * du, 0.0
+        if u_next == u:  # below u's resolution: u barely moves on the branch
+            u_next = math.nextafter(u, direction * math.inf)
+        if active == "f" and disc(u_next) < 0:
+            # Past the roots' meeting point: step onto it, then back over
+            # the same u-step on the other root.
+            u_next = bisect_root(disc, u, u_next)
+            du = abs(u_next - u)
+        value = _curve(p, active, u_next, root)[1]
+        if not lo <= value <= hi:
+            bound = lo if value < lo else hi
+            u_next = bisect_root(
+                lambda v: _curve(p, active, v, root)[1] - bound, u, u_next)
+            stop_reason = "window boundary"
+            if u_next == u:  # u's resolution puts the crossing on the last point
+                break
+        u = u_next
+        q, s = at(u, root)
+        points.append(_make_point(q, *s, active))
+        roots.append(root)
+        if stop_reason == "window boundary":
+            break
+        if du:
+            root, direction = -root, -direction
+        ds = min(BRANCH_DS_MAX, ds * 1.4)
 
     specials = []
-    for i in range(len(run.points) - 1):
-        ya, yb = run.points[i], run.points[i + 1]
-        ta, tb = run.tangents[i], run.tangents[i + 1]
-        pa, pb = points[i], points[i + 1]
-        # Fold: parameter component of the tangent reverses.
-        if ta[2] * tb[2] < 0:
-            try:
-                yf = _refine_special(prob, ya, yb, det_of)
-                tr, det = model.trace_det(at(float(yf[2])), (yf[0], yf[1]))
-                specials.append(SpecialPoint(
-                    "fold", active, float(yf[2]),
-                    State(float(np.clip(yf[0], 0, 1)), float(yf[1])), tr, det,
-                    after_index=i))
-            except ConvergenceError:
-                pass
-        # Hopf: trace changes sign while the determinant stays positive.
-        if pa.trace * pb.trace < 0 and pa.det > 0 and pb.det > 0:
-            try:
-                yh = _refine_special(prob, ya, yb, trace_of)
-            except ConvergenceError:
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        for kind, k, ends in (("hopf", 0, (a.trace, b.trace)),
+                              ("fold", 1, (a.det, b.det))):
+            if not min(ends) < 0 < max(ends):
                 continue
-            q = at(float(yh[2]))
-            tr, det = model.trace_det(q, (yh[0], yh[1]))
-            if det > 0:
-                sp = SpecialPoint(
-                    "hopf", active, float(yh[2]),
-                    State(float(np.clip(yh[0], 0, 1)), float(yh[1])), tr, det)
+            v = bisect_root(lambda v: model.trace_det(*at(v, roots[i]))[k],
+                            a.state.u, b.state.u)
+            q, s = at(v, roots[i])
+            tr, det = model.trace_det(q, s)
+            sp = SpecialPoint(kind, active, float(getattr(q, active)),
+                              State(min(max(s[0], 0.0), 1.0), v), tr, det,
+                              after_index=i)
+            if kind == "fold":
+                specials.append(sp)
+            elif det > 0:
                 l1 = lyapunov_first_coeff(q, sp)
                 specials.append(replace(
                     sp, l1=l1,
-                    criticality="subcritical" if l1 > 0 else "supercritical",
-                    after_index=i))
+                    criticality="subcritical" if l1 > 0 else "supercritical"))
 
-    return Branch(active, tuple(points), tuple(specials), run.stop_reason)
+    return Branch(active, tuple(points), tuple(specials), stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -190,28 +190,14 @@ class TestManifest:
         assert man["wall_time_s"] >= 0.2
 
 
-class TestJobsOption:
-    def test_worker_pool_matches_serial(self, tmp_path):
-        found = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            assert run(["loci", "--preset", "mic-tank610", "--grid", "12x12",
-                        "--verify-slices", "3", "--jobs", jobs,
-                        "-o", str(out)]) == 0
-            man = json.loads(read(out / "manifest.json"))
-            found[jobs] = man["summary"]["slice_verification"]
-        assert found["1"]
-        assert found["2"] == found["1"]
-
-    def test_rejected_outside_loci(self, tmp_path):
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [["loci", "--jobs", "2"],
+                                      ["cycle-branch", "--ds0", "1e-3"]],
+                             ids=["loci-jobs", "cycle-branch-ds0"])
+    def test_are_unknown(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            run(["rates", "--preset", "mic-tank610", "--jobs", "2",
-                 "-o", str(tmp_path / "r")])
+            run(argv + ["--preset", "mic-tank610", "-o", str(tmp_path / "r")])
         assert exc.value.code == 2
-
-    def test_accepted_by_loci(self):
-        args = cli.build_parser().parse_args(["loci", "--jobs", "2"])
-        assert args.jobs == 2
 
 
 class TestVerifySlices:
@@ -239,8 +225,7 @@ class TestVerifySlices:
         assert man["summary"]["slice_verification"] is None
 
     @pytest.mark.parametrize("flag, value", [("--verify-slices", "-1"),
-                                             ("--verify-slices", "-2"),
-                                             ("--jobs", "0"), ("--jobs", "-3")])
+                                             ("--verify-slices", "-2")])
     def test_negative_counts_are_config_errors(self, tmp_path, capsys, flag,
                                                value):
         out = tmp_path / "l"

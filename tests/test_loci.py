@@ -364,16 +364,8 @@ class TestClosedFormLoci:
 
 def branch_skips(br: steady.Branch, u: float) -> bool:
     """Whether ``continue_branch`` cannot report a Hopf point at temperature
-    ``u``: the branch left the window before reaching u, or u lies on a
-    segment whose trace changes sign with det <= 0 at one end (a fold in the
-    same step), which the detector skips."""
-    pts = br.points
-    if u > pts[-1].state.u:
-        return True
-    for a, b in zip(pts, pts[1:]):
-        if a.state.u <= u <= b.state.u:
-            return a.trace * b.trace < 0 and min(a.det, b.det) <= 0
-    return False
+    ``u``: the branch left the window before reaching u (ROADMAP defect n)."""
+    return u > br.points[-1].state.u
 
 
 def first_hopf(br: steady.Branch) -> np.ndarray | None:
@@ -382,22 +374,38 @@ def first_hopf(br: steady.Branch) -> np.ndarray | None:
         [hopfs[0].state.x, hopfs[0].state.u, hopfs[0].param_value])
 
 
-# A criterion-5 draw whose branch has a genuine Hopf point one step before a
-# fold, with det <= 0 at the step's far end.
+def assert_hopf_at_fixed_parameters(p: ModelParams, seed: np.ndarray):
+    """The oracle for a seed (x, u, u_a, ln f): ``solve_steady`` at its
+    parameters returns it, with trace 0 and det > 0, and from it on either
+    side of its u_a (1e-9 relative) finds traces of opposite sign."""
+    x, u, u_a, _ = seed.tolist()
+    at = steady.solve_steady(p.with_(u_a=u_a), (x, u))
+    assert abs(at.state.u - u) <= 1e-10 * u and abs(at.state.x - x) <= 1e-10
+    assert abs(at.trace) <= 1e-8 and at.det > 0
+    below, above = (steady.solve_steady(p.with_(u_a=u_a * (1 + s * 1e-9)), (x, u))
+                    for s in (-1, 1))
+    assert below.trace * above.trace < 0
+
+
+# A criterion-5 draw whose branch has a genuine Hopf point and a fold within
+# one step, with det <= 0 at the step's far end.
 NEAR_FOLD = ModelParams(f=3.322754007011098, ell=245.87715554279507,
                         eps=14.533754817674131, u_a=0.04701061398379815,
                         sigma=61126489600.717186)
 
 
 class TestHopfSeed:
-    """The closed-form seed against ``continue_branch`` over the window."""
+    """The closed-form seed against ``solve_steady`` and the trace's sign at
+    fixed parameters, and against ``continue_branch``'s first Hopf point,
+    which walks the same explicit curve but samples it differently."""
 
     @pytest.mark.parametrize("name", model.PRESET_NAMES)
     def test_matches_first_branch_hopf_on_presets(self, name):
         p = model.preset(name).model.with_(u_boil=math.inf)
         window = loci.default_window(p)
         seed = loci._hopf_seed(p, window)
-        ref = first_hopf(steady.continue_branch(p, "u_a", window.u_a, ds0=1e-3))
+        assert_hopf_at_fixed_parameters(p, seed)
+        ref = first_hopf(steady.continue_branch(p, "u_a", window.u_a))
         assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
 
     @settings(max_examples=150, deadline=None)
@@ -405,38 +413,35 @@ class TestHopfSeed:
     def test_matches_first_branch_hopf(self, p):
         window = loci.default_window(p)
         seed = loci._hopf_seed(p, window)
-        br = steady.continue_branch(p, "u_a", window.u_a, ds0=1e-3)
+        br = steady.continue_branch(p, "u_a", window.u_a)
         ref = first_hopf(br)
         if seed is None:
             assert ref is None
             return
-        x, u, u_a, _ = seed.tolist()
-        tr, det = model.trace_det(p.with_(u_a=u_a), (x, u))
-        assert abs(tr) <= 1e-8 and det > 0
-        if branch_skips(br, u):
-            assert ref is None or ref[1] > u
+        assert_hopf_at_fixed_parameters(p, seed)
+        if branch_skips(br, seed[1]):
+            assert ref is None or ref[1] > seed[1]
         else:
             assert ref is not None
             assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
 
     def test_near_fold_hopf_found(self):
         window = loci.default_window(NEAR_FOLD)
-        x, u, u_a, _ = loci._hopf_seed(NEAR_FOLD, window)
-        tr, det = model.trace_det(NEAR_FOLD.with_(u_a=u_a), (x, u))
-        assert u == pytest.approx(0.03960705, rel=1e-6)
-        assert abs(tr) <= 1e-8 and det == pytest.approx(0.166, rel=1e-2)
-        br = steady.continue_branch(NEAR_FOLD, "u_a", window.u_a, ds0=1e-3)
-        folds = [sp.state.u for sp in br.specials if sp.kind == "fold"]
-        assert min(folds) == pytest.approx(0.03961256, rel=1e-6) and u < min(folds)
-        assert branch_skips(br, u)
+        seed = loci._hopf_seed(NEAR_FOLD, window)
+        assert_hopf_at_fixed_parameters(NEAR_FOLD, seed)
+        assert seed[1] == pytest.approx(0.03960705, rel=1e-6)
+        br = steady.continue_branch(NEAR_FOLD, "u_a", window.u_a)
+        hopf, fold = br.specials[:2]
+        assert (hopf.kind, fold.kind) == ("hopf", "fold")
+        assert hopf.after_index == fold.after_index
+        assert hopf.state.u == pytest.approx(0.03960705, rel=1e-6)
+        assert hopf.det == pytest.approx(0.166, rel=1e-2)
+        assert fold.state.u == pytest.approx(0.03961256, rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="continue_branch skips a Hopf point "
-                       "whose step ends past a fold, where det <= 0")
     def test_branch_reports_near_fold_hopf(self):
         window = loci.default_window(NEAR_FOLD)
         seed = loci._hopf_seed(NEAR_FOLD, window)
-        ref = first_hopf(steady.continue_branch(NEAR_FOLD, "u_a", window.u_a,
-                                                ds0=1e-3))
+        ref = first_hopf(steady.continue_branch(NEAR_FOLD, "u_a", window.u_a))
         assert np.all(np.abs(seed[:3] - ref) <= 1e-10 * np.abs(ref))
 
 

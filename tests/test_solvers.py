@@ -314,7 +314,9 @@ def reference_branch_problem(p: ModelParams, active: str, scales):
 
 
 def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
-    """``continue_branch``'s continuation over [v / 2, 2 v] of ``active``."""
+    """The steady branch over [v / 2, 2 v] of ``active`` by pseudo-arclength
+    continuation, on the library's engine or, with ``reference``, on this
+    file's reference corrector and tangent."""
     v = getattr(p, active)
     lo, hi = 0.5 * v, 2.0 * v
     q = p.with_(**{active: lo})
@@ -324,9 +326,7 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
         return None
     y0 = np.array([seeds[0].state.x, seeds[0].state.u, lo])
     scales = np.array([1.0, max(p.f / p.loss, 1e-6), hi - lo])
-    prob = (reference_branch_problem(p, active, scales) if reference else
-            steady._branch_problem(active, scales,
-                                   steady._branch_params(p, active)))
+    prob = reference_branch_problem(p, active, scales)
 
     def stop(y):
         return "window boundary" if y[2] < lo or y[2] > hi else None
@@ -339,7 +339,7 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
                                                   reference_tangent))
         return solvers.continue_curve(
             prob, y0, np.array([0.0, 0.0, 1.0]), ds0=1e-3,
-            ds_min=1e-6, ds_max=ds_max, max_steps=600, tol=steady.BRANCH_TOL,
+            ds_min=1e-6, ds_max=ds_max, max_steps=600, tol=1e-10,
             stop=stop)
 
 
@@ -454,15 +454,15 @@ class TestSolve:
 
     def test_fallback_gives_the_same_branch(self, mic):
         p = mic.model
+        window = loci.default_window(p)
         runs = []
         for patch in (ExitStack(), without_gufunc()):
             with patch:
-                runs.append(steady.continue_branch(
-                    p, prange=(0.95 * p.u_a, 1.05 * p.u_a)))
+                runs.append(loci.continue_hopf_locus(p, window))
         fast, slow = runs
-        assert len(fast.points) == len(slow.points) > 10
-        assert fast.points == slow.points
-        assert fast.specials == slow.specials
+        assert len(fast) == len(slow) > 10
+        assert fast.points.tobytes() == slow.points.tobytes()
+        assert fast.stop_reasons == slow.stop_reasons
 
 
 class TestSingularSystems:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermorun import model, simulate, steady
-from thermorun.errors import (ConvergenceError, DomainError, NotAHopfError,
-                              ValidationError)
+from thermorun.errors import ConvergenceError, NotAHopfError, ValidationError
 from thermorun.model import ModelParams
+from thermorun.solvers import bisect_root, damped_newton
 from thermorun.steady import (continue_branch, lyapunov_first_coeff,
                               planar_lyapunov_coefficient, reduced_scan,
                               solve_steady)
@@ -104,7 +103,6 @@ class TestSolveSteady:
         def fn(y):
             return np.array([1.0, 1.0])  # no root anywhere
 
-        from thermorun.solvers import damped_newton
         with pytest.raises(ConvergenceError) as err:
             damped_newton(fn, np.array([0.0, 0.0]), lambda y: np.eye(2),
                           tol=1e-12, max_iter=5)
@@ -150,40 +148,36 @@ class TestReducedScan:
             assert abs(near.state.u - u) <= 1e-12 * u
 
 
-def branch_problem_reference(p: ModelParams, active: str, y: np.ndarray):
-    """Residual and Jacobian of the steady branch system on the array kernels."""
-    q = p.with_(**{active: float(y[2])})
-    res = np.array(model._field_xu(q, y[0], y[1]))
-    J = np.empty((2, 3))
-    J[:, :2] = model._jac_xu(q, y[0], y[1])
-    J[:, 2] = model.param_derivative(q, y[0], y[1], active)
-    return res, J
+def steady_at_temperature(p: ModelParams, active: str, u: float, guess):
+    """(x, value of ``active``) of the steady state at temperature u, by
+    Newton on the vector field in (x, value) with u held."""
+    def at(y):
+        return p.with_(**{active: float(y[1])})
+
+    def fn(y):
+        return np.array(model._field_scalar(at(y), float(y[0]), u))
+
+    def jac(y):
+        q = at(y)
+        (a, _), (c, _) = model._jac_scalar(q, float(y[0]), u)
+        e, g = model._param_derivative_scalar(q, float(y[0]), u, active)
+        return np.array([[a, e], [c, g]])
+
+    return damped_newton(fn, np.array(guess, dtype=float), jac, tol=1e-12)
 
 
-class TestBranchProblem:
-    @settings(max_examples=300, deadline=None)
-    @given(f=st.floats(0.3, 4.0), ell=st.floats(50.0, 1500.0),
-           eps=st.floats(2.0, 25.0), u_a=st.floats(0.025, 0.055),
-           ln_sigma=st.floats(20.0, 32.0), x=st.floats(0.0, 1.0),
-           u=st.floats(-0.1, 0.3), active=st.sampled_from(steady.ACTIVE_PARAMS),
-           factor=st.floats(0.5, 2.0))
-    def test_equals_array_kernel_reference(self, f, ell, eps, u_a, ln_sigma,
-                                           x, u, active, factor):
-        p = ModelParams(f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma))
-        y = np.array([x, u, factor * getattr(p, active)])
-        prob = steady._branch_problem(active, np.ones(3),
-                                      steady._branch_params(p, active))
-        with np.errstate(over="ignore"):        # -1/u for subnormal u
-            res, J = branch_problem_reference(p, active, y)
-        assert np.array_equal(prob.residual(y), res)
-        assert np.array_equal(prob.jacobian(y), J)
+def trace_root(p: ModelParams, active: str, a, b) -> tuple[float, float]:
+    """(u, det) where the trace vanishes between branch points a and b, by
+    bisection in u over pinned-temperature steady states."""
+    def trace_det(u):
+        w = (u - a.state.u) / (b.state.u - a.state.u)
+        guess = [a.state.x + w * (b.state.x - a.state.x),
+                 a.param_value + w * (b.param_value - a.param_value)]
+        x, value = steady_at_temperature(p, active, u, guess)
+        return model.trace_det(p.with_(**{active: value}), (x, u))
 
-    def test_one_parameter_set_per_value(self, mic):
-        # The points built after a run find the corrector's parameter sets.
-        at = steady._branch_params(mic.model, "u_a")
-        first = at(0.038)
-        assert at(0.039) is not first
-        assert at(0.038) is first
+    u = bisect_root(lambda u: trace_det(u)[0], a.state.u, b.state.u)
+    return u, trace_det(u)[1]
 
 
 class TestContinueBranch:
@@ -209,6 +203,15 @@ class TestContinueBranch:
         for pt in br.points:
             assert pt.state.x == pytest.approx(1.0, abs=1e-9)
             assert pt.state.u == pytest.approx(pt.param_value, abs=1e-9)
+        # In the other parameters the state stays at (1, u_a) over the range.
+        for active in ("f", "ell", "eps"):
+            v = getattr(p, active)
+            br = continue_branch(p, active, (0.5 * v, 2.0 * v))
+            assert br.stop_reason == "window boundary" and not br.specials
+            values = [pt.param_value for pt in br.points]
+            assert (values[0], values[-1]) == (0.5 * v, 2.0 * v)
+            assert {(pt.state.x, pt.state.u) for pt in br.points} == {(1.0, p.u_a)}
+            assert all(pt.residual == 0.0 for pt in br.points)
 
     def test_branch_invariants(self, mic_branch):
         assert all(pt.residual < 1e-10 for pt in mic_branch.points)
@@ -229,29 +232,6 @@ class TestContinueBranch:
                 assert a.eigenvalues[0].real * b.eigenvalues[0].real < 0
             else:
                 assert abs(sp.det) < 1e-8
-
-    @pytest.mark.parametrize("error", [ConvergenceError("forced failure"),
-                                       DomainError("u <= 0"),
-                                       ValidationError("u_a", "forced")])
-    def test_failed_refinement_keeps_the_branch(self, mic, mic_window,
-                                                mic_branch, monkeypatch, error):
-        # A special point whose refinement fails is dropped; the branch
-        # itself is returned whole.  A probe residual that leaves the
-        # domain fails the refinement like a Newton failure does.
-        real_solve_pinned = steady.solve_pinned
-
-        def failing(prob, *args):
-            def residual(y):
-                raise error
-
-            return real_solve_pinned(
-                dataclasses.replace(prob, residual=residual), *args)
-
-        monkeypatch.setattr(steady, "solve_pinned", failing)
-        br = continue_branch(mic.model, "u_a", mic_window, ds0=1e-3)
-        assert br.points == mic_branch.points
-        assert br.stop_reason == mic_branch.stop_reason
-        assert not br.specials
 
     def test_continuation_matches_scan_roots(self, rng):
         # At a fixed parameter slice the branch must hit the scan roots.
@@ -299,7 +279,70 @@ class TestContinueBranch:
         assert any(pt.stability == steady.SADDLE for pt in br.points)
         flips = [i for i in range(len(br.points) - 1)
                  if br.points[i].stability != br.points[i + 1].stability]
-        assert sorted(flips) == sorted(sp.after_index for sp in br.specials)
+        # The upper fold's segment also holds a Hopf point, at u_a 0.0362411.
+        assert flips == sorted({sp.after_index for sp in br.specials})
+        assert len(br.specials) == len(flips) + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=criterion5_params, active=st.sampled_from(steady.ACTIVE_PARAMS))
+    def test_drawn_branches_report_every_special_point(self, p, active):
+        # Over [v / 2, 2 v] of the parameter (u_a over default_window's
+        # range): points are steady states, a det sign change between
+        # neighbours holds a fold, and a trace root with det > 0, located by
+        # the pinned-temperature oracle below, a Hopf point.
+        v = getattr(p, active)
+        prange = (0.75 * v, 1.35 * v) if active == "u_a" else (0.5 * v, 2.0 * v)
+        br = continue_branch(p, active, prange)
+        assert all(pt.residual < 1e-10 for pt in br.points)
+        for i, (a, b) in enumerate(zip(br.points, br.points[1:])):
+            here = [sp for sp in br.specials if sp.after_index == i]
+            folds = [sp for sp in here if sp.kind == "fold"]
+            hopfs = [sp for sp in here if sp.kind == "hopf"]
+            assert len(folds) == (a.det * b.det < 0)
+            assert all(abs(sp.det) < 1e-8 for sp in folds)
+            if a.trace * b.trace < 0:
+                u, det = trace_root(p, active, a, b)
+                assert len(hopfs) == (det > 0)
+                for sp in hopfs:
+                    assert abs(sp.trace) <= 1e-8 and sp.det > 0
+                    assert sp.state.u == pytest.approx(u, rel=1e-9)
+            else:
+                assert not hopfs
+
+    def test_branch_nearly_flat_in_u(self):
+        # Reaction nearly off: the start lies 1.9e-12 above u_a, where
+        # adjacent floats of u are 0.3 % apart in f, so the walk crosses the
+        # range a float of u at a time.
+        p = ModelParams(f=0.3, ell=1068.0, eps=2.0, u_a=0.025,
+                        sigma=math.exp(20.0))
+        br = continue_branch(p, "f", (0.15, 0.6))
+        assert br.stop_reason == "window boundary"
+        values = [pt.param_value for pt in br.points]
+        assert values == sorted(set(values))
+        assert values[0] == pytest.approx(0.15, rel=1e-2)
+        assert values[-1] == pytest.approx(0.6, rel=1e-2)
+        assert all(pt.residual < 1e-10 for pt in br.points)
+
+    def test_flow_rate_branch_turns_where_the_roots_meet(self):
+        # The heat balance is a quadratic in f; here its two positive roots
+        # meet at u = 0.0580215 (f = 0.438785), the highest temperature of the
+        # branch, which the walk passes onto the other root.
+        p = ModelParams(f=0.35, ell=31.6, eps=4.19, u_a=0.0573, sigma=7.8e5)
+        br = continue_branch(p, "f", (0.35, 0.55))
+        assert br.stop_reason == "window boundary"
+        us = [pt.state.u for pt in br.points]
+        top = int(np.argmax(us))
+        assert 0 < top < len(us) - 1
+        _, b, _, disc, _ = steady._f_quadratic(p, us[top])
+        assert abs(disc) <= 1e-12 * b * b
+        assert us[top] == pytest.approx(0.0580215, rel=1e-6)
+        assert br.points[top].param_value == pytest.approx(0.438785, rel=1e-6)
+        values = [pt.param_value for pt in br.points]
+        assert values == sorted(values) and values[-1] == pytest.approx(0.55)
+        for pt in br.points:
+            ref = solve_steady(p.with_(f=pt.param_value), (pt.state.x, pt.state.u))
+            assert ref.state.u == pytest.approx(pt.state.u, rel=1e-12)
+            assert ref.state.x == pytest.approx(pt.state.x, rel=1e-10)
 
     def test_rejects_bad_range(self, mic):
         with pytest.raises(ValidationError):

@@ -61,7 +61,8 @@ COMMANDS = {
                                                        "--range", "5:20"],
     "steady-branch-sigma": ["steady-branch"] + PRESET + [
         "--active", "sigma", "--range", "1.32e11:1.32e12"],
-    # At a high flow rate: two steady folds and one Hopf point.
+    # At a high flow rate: two steady folds and two Hopf points, one of them
+    # within a step of the upper fold.
     "steady-branch-f10": ["steady-branch"] + PRESET + ["--f", "10",
                                                        "--Ta", "250:285"],
     "loci": ["loci"] + PRESET + ["--grid", "40x40"],
