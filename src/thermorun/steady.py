@@ -120,6 +120,20 @@ def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
         return np.array(model._jac_scalar(p, *y.tolist()))
 
     y = damped_newton(fn, np.array([x0, u0]), jac=jac, tol=STEADY_TOL, max_iter=50)
+    # A residual below STEADY_TOL still leaves u up to STEADY_TOL / |J| off
+    # the root: some 1e-12 of a temperature near 0.03.  One more full Newton
+    # step takes that out where it lowers the residual.  A step below 1e-13
+    # (of x's unit range, of u) is rounding and is not taken, so a start on
+    # a root comes back unchanged.
+    r = fn(y)
+    try:
+        step = np.linalg.solve(jac(y), -r)
+    except np.linalg.LinAlgError:
+        step = np.zeros(2)
+    if abs(step[0]) > 1e-13 or abs(step[1]) > 1e-13 * y[1]:
+        polished = y + step
+        if np.max(np.abs(fn(polished))) <= np.max(np.abs(r)):
+            y = polished
     return _make_point(p, y[0], y[1], param_name)
 
 

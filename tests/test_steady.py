@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermorun import model, simulate, steady
 from thermorun.errors import ConvergenceError, NotAHopfError, ValidationError
@@ -134,6 +134,12 @@ class TestReducedScan:
 
     @settings(max_examples=200, deadline=None)
     @given(p=criterion5_params, offset=st.floats(-1e-6, 1e-6))
+    # Starts whose residual is already below STEADY_TOL, 1e-12 and 3e-12
+    # of u off.
+    @example(p=ModelParams(f=1.0, ell=50.0, eps=2.0, u_a=0.03125,
+                           sigma=math.exp(20.0)), offset=1e-12)
+    @example(p=ModelParams(f=0.5, ell=50.0, eps=5.0, u_a=0.03125,
+                           sigma=math.exp(20.0)), offset=3e-12)
     def test_roots_are_fixed_points_of_solve_steady(self, p, offset):
         # Started on a root, Newton takes no step (its residual is already
         # below STEADY_TOL); started a relative offset away in u, it comes
