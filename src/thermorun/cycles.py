@@ -10,11 +10,12 @@ that integration, and an accepted trial's integration also gives the next
 step's Jacobian.  Floquet multipliers come from the monodromy matrix
 accumulated in chunks around the orbit, with the determinant identity
 against exp(integral of the Jacobian trace) kept as a consistency defect.
-The cycle branch emerging from a Hopf point is traced by the shared
-pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period,
-parameter), with the phase condition re-anchored on every accepted orbit;
-cycle folds are flagged by a reversal of the parameter tangent and refined
-by bisection with ``solvers.solve_pinned``.
+Cycle branches are continued in the ambient temperature u_a alone: the
+branch emerging from the Hopf point of a u_a branch is traced by the shared
+pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period, u_a),
+with the phase condition re-anchored on every accepted orbit; cycle folds
+are flagged by a reversal of the u_a tangent and refined by bisection with
+``solvers.solve_pinned``.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ class CycleSeed:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A converged periodic orbit with Floquet data."""
+    """A converged periodic orbit with Floquet data, labelled by its ``u_a``."""
 
-    param_name: str
     param_value: float
     period: float
     mesh: np.ndarray            # shape (k, 2), k >= 200
@@ -99,9 +99,8 @@ class Orbit:
 
 @dataclass(frozen=True)
 class CycleBranch:
-    """A continued family of periodic orbits with its turning points."""
+    """A continued family of periodic orbits in u_a with its turning points."""
 
-    param_name: str
     orbits: tuple[Orbit, ...]
     cycle_folds: tuple[float, ...]
     stop_reason: str
@@ -111,15 +110,15 @@ class CycleBranch:
 # Stacked segment integration
 
 
-def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
+def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     """RHS of the stacked segment system on the unit interval.
 
     Per-segment layout: y (2), flattened transition matrix M (4) and, when
-    ``param`` is set, the parameter sensitivity zeta (2).
+    ``sens`` is set, the sensitivity zeta (2) by u_a, whose field derivative
+    is the constant row (0, loss/eps).
     """
-    width = 8 if param else 6
-    if param:
-        dfdp = _param_derivative_on(p, param)
+    width = 8 if sens else 6
+    dfdp = np.array([0.0, p.loss / p.eps])
 
     def rhs(s, Y):
         Z = Y.reshape(m, width)
@@ -144,43 +143,32 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, param: str | None):
         out[:, 1] = (xr - p.loss * (u - p.u_a)) / p.eps
         M = Z[:, 2:6].reshape(m, 2, 2)
         out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
-        if param:
+        if sens:
             out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
-                           + dfdp(x, u))
+                           + dfdp)
         out *= h
         return out.ravel()
 
     return rhs, width
 
 
-def _param_derivative_on(p: ModelParams, param: str):
-    """``model.param_derivative`` as ``dfdp(x, u)`` on the stacked states.
-
-    The derivative by ``u_a``, which every cycle-branch shoot takes, is
-    constant and comes back as one row.
-    """
-    if param == "u_a":
-        const = np.array([0.0, p.loss / p.eps])
-        return lambda x, u: const
-    return lambda x, u: model.param_derivative(p, x, u, param)
-
-
-def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
+def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
     """Jacobian of ``_stacked_rhs``: one block per segment on the diagonal.
 
     All blocks are formed at once and returned in a dense matrix; a banded
-    one would change the rounding of LSODA's LU.
+    one would change the rounding of LSODA's LU.  The field derivative by
+    u_a is constant, so the sensitivity rows hold J and the Hessian term.
     """
-    width = 8 if param else 6
+    width = 8 if sens else 6
     seg = np.arange(m)
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
         x, u = Z[:, 0], Z[:, 1]
         J = model._jac_xu(p, x, u)                                   # (m, 2, 2)
-        xs, us = x.tolist(), u.tolist()
         # Per segment: the Hessian keeps rho_derivs' math.exp bits.
-        B = np.array([model._hessian_xu(p, xi, ui) for xi, ui in zip(xs, us)])
+        B = np.array([model._hessian_xu(p, xi, ui)
+                      for xi, ui in zip(x.tolist(), u.tolist())])
         blk = np.zeros((m, width, width))
         blk[:, 0:2, 0:2] = h * J
         # d(J M)/dy via the Hessian tensor.
@@ -190,11 +178,8 @@ def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
         # signs of its zeros.
         blk[:, 2:6, 2:6] = h * (J[:, :, None, :, None]
                                 * np.eye(2)[:, None, :]).reshape(m, 4, 4)
-        if param:
-            dJz = np.einsum("mjla,ml->mja", B, Z[:, 6:8])
-            S = np.array([model.param_derivative_state_jac(p, xi, ui, param)
-                          for xi, ui in zip(xs, us)])
-            blk[:, 6:8, 0:2] = h * (dJz + S)
+        if sens:
+            blk[:, 6:8, 0:2] = h * np.einsum("mjla,ml->mja", B, Z[:, 6:8])
             blk[:, 6:8, 6:8] = h * J
         out = np.zeros((m * width, m * width))
         out.reshape(m, width, m, width)[seg, :, seg, :] = blk
@@ -203,12 +188,13 @@ def _stacked_jac(p: ModelParams, m: int, h: float, param: str | None):
     return jac
 
 
-def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = None):
-    """Flow all segments over T/m; return endpoints and variational data."""
+def _shoot(p: ModelParams, starts: np.ndarray, T: float, sens: bool = False):
+    """Flow all segments over T/m; return endpoints and variational data,
+    with the sensitivities by u_a when ``sens`` is set."""
     m = len(starts)
     h = T / m
-    rhs, width = _stacked_rhs(p, m, h, param)
-    jac = _stacked_jac(p, m, h, param)
+    rhs, width = _stacked_rhs(p, m, h, sens)
+    jac = _stacked_jac(p, m, h, sens)
     Y0 = np.zeros((m, width))
     Y0[:, 0:2] = starts
     Y0[:, 2] = 1.0
@@ -220,7 +206,7 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, param: str | None = Non
         raise ConvergenceError(f"variational integration failed: {exc}") from None
     ends = Z[:, 0:2].copy()
     Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
-    zetas = Z[:, 6:8].copy() if param else None
+    zetas = Z[:, 6:8].copy() if sens else None
     return ends, Ms, zetas
 
 
@@ -236,7 +222,7 @@ def _residual(starts: np.ndarray, ends: np.ndarray, ref_states: np.ndarray,
 def _bvp_jacobian(p: ModelParams, starts: np.ndarray, ends: np.ndarray,
                   Ms: np.ndarray, zetas: np.ndarray | None,
                   ref_fields: np.ndarray) -> np.ndarray:
-    """Jacobian of (matching, phase) w.r.t. (segment states, period[, param])."""
+    """Jacobian of (matching, phase) w.r.t. (segment states, period[, u_a])."""
     m = len(starts)
     ncols = 2 * m + 1 + (1 if zetas is not None else 0)
     J = np.zeros((2 * m + 1, ncols))
@@ -258,11 +244,11 @@ def _fields_at(p: ModelParams, states: np.ndarray) -> np.ndarray:
 
 
 def _shooting_system(m: int, params_at: Callable[[np.ndarray], ModelParams],
-                     param: str | None, ref: dict):
+                     sens: bool, ref: dict):
     """Residual and Jacobian of the shooting BVP at z = (segment starts, T, ...).
 
-    ``params_at(z)`` gives the model parameters at z and ``param`` the
-    parameter the shoot differentiates by (None at fixed parameters); the
+    ``params_at(z)`` gives the model parameters at z, and ``sens`` says
+    whether z ends in u_a, which the shoot then differentiates by; the
     phase condition is anchored at ``ref["states"]`` with ``ref["fields"]``.
     Residual and Jacobian at one z share a single variational shoot: the last
     one is cached, so a Newton step or tangent at an accepted point reuses
@@ -277,7 +263,7 @@ def _shooting_system(m: int, params_at: Callable[[np.ndarray], ModelParams],
             if T <= 0:
                 raise ConvergenceError("nonpositive period")
             p = params_at(z)
-            last.update(key=key, shot=(p, starts, *_shoot(p, starts, T, param)))
+            last.update(key=key, shot=(p, starts, *_shoot(p, starts, T, sens)))
         return last["shot"]
 
     def residual(z):
@@ -427,15 +413,13 @@ def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     return ts, mesh, float(np.min(u_candidates)), float(np.max(u_candidates))
 
 
-def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float,
-                param_name: str) -> Orbit:
+def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float) -> Orbit:
     """The :class:`Orbit` of a corrected solution: mesh, extrema, Floquet data."""
     mults, defect = floquet(p, starts[0], T)
     _, mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
     nontrivial = mults[1]
     return Orbit(
-        param_name=param_name,
-        param_value=float(getattr(p, param_name)),
+        param_value=float(p.u_a),
         period=float(T),
         mesh=mesh,
         multipliers=mults,
@@ -541,7 +525,7 @@ def _solve_cycle_raw(p: ModelParams, seed: CycleSeed,
     if np.max(np.abs(starts - starts.mean(axis=0))) < 1e-8:
         raise GermError("seed amplitude below 1e-8")
     ref = {"states": starts.copy(), "fields": _fields_at(p, starts)}
-    residual, jacobian = _shooting_system(m, lambda z: p, None, ref)
+    residual, jacobian = _shooting_system(m, lambda z: p, False, ref)
     z = damped_newton(residual, np.append(starts.ravel(), seed.period),
                       jacobian, CYCLE_TOL, 24)
     # The converged iterate's shoot is the cached last one.
@@ -573,34 +557,34 @@ def find_cycle(p: ModelParams, seed: CycleSeed, m: int = 12) -> Orbit:
         starts, T, res = _solve_cycle_raw(p, CycleSeed(ts, mesh, T), m)
         if abs(T - coarse_T) <= FIND_CYCLE_PERIOD_RTOL * coarse_T:
             break
-    return _make_orbit(p, starts, T, res, "u_a")
+    return _make_orbit(p, starts, T, res)
 
 
 # ---------------------------------------------------------------------------
 # Cycle continuation
 
 
-def _params_at(p0: ModelParams, active: str, alpha: float) -> ModelParams:
+def _params_at(p0: ModelParams, alpha: float) -> ModelParams:
     try:
-        return p0.with_(**{active: float(alpha)})
+        return p0.with_(u_a=float(alpha))
     except ValidationError as exc:
         raise ConvergenceError(f"trial parameter rejected: {exc}") from None
 
 
-def _cycle_problem(p0: ModelParams, active: str, m: int,
+def _cycle_problem(p0: ModelParams, m: int,
                    scales: np.ndarray) -> ContinuationProblem:
-    """The shooting BVP over Y = (segment starts, T, parameter).
+    """The shooting BVP over Y = (segment starts, T, u_a).
 
     ``rebase`` re-anchors the integral phase condition on the orbit at Y;
     the tangent at an accepted point reuses the corrector's final shoot.
     """
     ref: dict = {}
     residual, jacobian = _shooting_system(
-        m, lambda Y: _params_at(p0, active, Y[2 * m + 1]), active, ref)
+        m, lambda Y: _params_at(p0, Y[2 * m + 1]), True, ref)
 
     def rebase(Y):
         ref["states"] = Y[:2 * m].reshape(m, 2).copy()
-        ref["fields"] = _fields_at(_params_at(p0, active, Y[2 * m + 1]),
+        ref["fields"] = _fields_at(_params_at(p0, Y[2 * m + 1]),
                                    ref["states"])
 
     return ContinuationProblem(residual, jacobian, scales, rebase)
@@ -609,19 +593,22 @@ def _cycle_problem(p0: ModelParams, active: str, m: int,
 def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                     prange: tuple[float, float], m: int = 12,
                     max_orbits: int = 120) -> CycleBranch:
-    """Continue the periodic-orbit family born at a Hopf point.
+    """Continue the periodic-orbit family born at a Hopf point of a u_a branch.
 
     Starts from two small germ orbits, then takes pseudo-arclength steps in
-    (segment states, period, parameter) with ``solvers.continue_curve``.
-    Cycle folds are detected by a sign reversal of the parameter tangent
-    component and refined by bisection to 1e-8 in the parameter; each
-    accepted orbit carries Floquet data, so the stability flip at a fold is
-    explicit.  Continuation stops at the range boundary, on a corrector
-    failure (truncated branch) or at ``max_orbits``.
+    (segment states, period, u_a) with ``solvers.continue_curve``.  Cycle
+    folds are detected by a sign reversal of the u_a tangent component and
+    refined by bisection to 1e-8 in u_a; each accepted orbit carries Floquet
+    data, so the stability flip at a fold is explicit.  Continuation stops
+    at the range boundary, on a corrector failure (truncated branch) or at
+    ``max_orbits``.  A Hopf point of a branch in any other parameter raises
+    :class:`ValidationError`.
     """
     if from_hopf.kind != "hopf":
         raise NotAHopfError("cycle continuation must start from a hopf point")
-    active = from_hopf.param_name
+    if from_hopf.param_name != "u_a":
+        raise ValidationError("from_hopf", "cycle branches are continued in "
+                              f"u_a, not in {from_hopf.param_name!r}")
     p = p.with_(u_boil=math.inf)
     lo, hi = float(prange[0]), float(prange[1])
     m = max(10, m)
@@ -634,7 +621,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     def germ(delta):
         p_off, seed = hopf_germ(p, from_hopf, delta)
         starts, T, res = _solve_cycle_raw(p_off, seed, m)
-        orbit = _make_orbit(p_off, starts, T, res, active)
+        orbit = _make_orbit(p_off, starts, T, res)
         return orbit, np.concatenate([starts.ravel(), [T, orbit.param_value]])
 
     no_start = "could not start the cycle branch from the germ"
@@ -656,7 +643,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
         np.tile([seg_w, seg_w * 0.02], m),
         [max(first.period, 1.0), max(hi - lo, 1e-6)],
     ])
-    prob = _cycle_problem(p, active, m, scales)
+    prob = _cycle_problem(p, m, scales)
 
     def stop(Y):
         return "window boundary" if Y[-1] < lo or Y[-1] > hi else None
@@ -666,10 +653,10 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                          tol=CYCLE_TOL, growth=1.3, stop=stop)
 
     orbits = [first, second] + [
-        _make_orbit(_params_at(p, active, Y[-1]), Y[:2 * m].reshape(m, 2),
-                    float(Y[2 * m]), res, active)
+        _make_orbit(_params_at(p, Y[-1]), Y[:2 * m].reshape(m, 2),
+                    float(Y[2 * m]), res)
         for Y, res in zip(run.points[1:], run.residuals)]
-    # Cycle fold: parameter component of the tangent reverses.
+    # Cycle fold: the u_a component of the tangent reverses.
     folds = []
     for (Y_a, t_a), (Y_b, t_b) in pairwise(zip(run.points, run.tangents)):
         if t_a[-1] * t_b[-1] < 0:
@@ -678,7 +665,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
             except ConvergenceError:
                 folds.append(float(0.5 * (Y_a[-1] + Y_b[-1])))
     stop_reason = "max orbits" if run.stop_reason == "max steps" else run.stop_reason
-    return CycleBranch(active, tuple(orbits), tuple(folds), stop_reason)
+    return CycleBranch(tuple(orbits), tuple(folds), stop_reason)
 
 
 def _refine_cycle_fold(prob: ContinuationProblem, Y_a: np.ndarray,

@@ -325,41 +325,15 @@ def trace_det(p: ModelParams, s) -> tuple[float, float]:
 CONTINUABLE_PARAMS = ("u_a", "f", "ell", "eps", "sigma")
 
 
-def param_derivative(p: ModelParams, x, u, name: str):
-    """d(vector field)/d(parameter) at fixed state; broadcasts over arrays.
-
-    Returns shape (..., 2).
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    shape = np.broadcast(x, u).shape
-    out = np.zeros(shape + (2,))
-    if name == "u_a":
-        out[..., 1] = p.loss / p.eps
-    elif name == "f":
-        out[..., 0] = 1.0 - x
-        out[..., 1] = -(u - p.u_a)
-    elif name == "ell":
-        out[..., 1] = -(u - p.u_a) / p.eps
-    elif name == "eps":
-        expu = _arrhenius(u)
-        out[..., 1] = -(x * p.sigma * expu - p.ell * (u - p.u_a)) / p.eps ** 2
-    elif name == "sigma":
-        expu = _arrhenius(u)
-        out[..., 0] = -x * expu
-        out[..., 1] = x * expu / p.eps
-    else:
-        raise ValidationError(
-            "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
-    return out
-
-
 def _param_derivative_scalar(p: ModelParams, x: float, u: float,
                              name: str) -> tuple[float, float]:
-    """``param_derivative`` for one state given as Python floats.
+    """d(vector field)/d(parameter ``name``) at one state given as Python
+    floats.
 
-    Same expression order, so the same bits: for ``eps`` the rate is
-    (x * sigma) * exp(-1/u), not x * ``_rates``' r.
+    Its array twin, ``param_derivative`` in ``tests/conftest.py``, is the
+    reference it is tested against; both share the expression order, so
+    the same bits: for ``eps`` the rate is (x * sigma) * exp(-1/u), not
+    x * ``_rates``' r.
     """
     if name == "u_a":
         return 0.0, p.loss / p.eps
@@ -374,34 +348,6 @@ def _param_derivative_scalar(p: ModelParams, x: float, u: float,
         return -x * expu, x * expu / p.eps
     raise ValidationError(
         "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
-
-
-def param_derivative_state_jac(p: ModelParams, x: float, u: float,
-                               name: str) -> np.ndarray:
-    """State Jacobian of d(vector field)/d(parameter), a 2x2 matrix."""
-    out = np.zeros((2, 2))
-    if name == "u_a":
-        pass
-    elif name == "f":
-        out[0, 0] = -1.0
-        out[1, 1] = -1.0
-    elif name == "ell":
-        out[1, 1] = -1.0 / p.eps
-    elif name == "eps":
-        r, d1, _, _ = _rho_derivs_raw(p, u)
-        out[1, 0] = -r / p.eps ** 2
-        out[1, 1] = -(x * d1 - p.ell) / p.eps ** 2
-    elif name == "sigma":
-        expu = float(_arrhenius(u))
-        d1u = expu / (u * u) if expu else 0.0   # no 0 / 0 when u * u underflows
-        out[0, 0] = -expu
-        out[0, 1] = -x * d1u
-        out[1, 0] = expu / p.eps
-        out[1, 1] = x * d1u / p.eps
-    else:
-        raise ValidationError(
-            "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from thermorun import cycles, loci, model, steady
-from thermorun.model import ModelParams
+from thermorun.errors import ValidationError
+from thermorun.model import CONTINUABLE_PARAMS, ModelParams, _arrhenius
 
 # Parameter distribution of acceptance criterion 5.
 criterion5_params = st.builds(
@@ -15,6 +16,38 @@ criterion5_params = st.builds(
         f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma)),
     st.floats(0.3, 4.0), st.floats(50.0, 1500.0), st.floats(2.0, 25.0),
     st.floats(0.025, 0.055), st.floats(20.0, 32.0))
+
+
+# The array form of ``model._param_derivative_scalar``: the reference for
+# its twin test, the stacked shooting kernels and the augmented loci
+# Jacobian.
+def param_derivative(p: ModelParams, x, u, name: str):
+    """d(vector field)/d(parameter) at fixed state; broadcasts over arrays.
+
+    Returns shape (..., 2).
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast(x, u).shape
+    out = np.zeros(shape + (2,))
+    if name == "u_a":
+        out[..., 1] = p.loss / p.eps
+    elif name == "f":
+        out[..., 0] = 1.0 - x
+        out[..., 1] = -(u - p.u_a)
+    elif name == "ell":
+        out[..., 1] = -(u - p.u_a) / p.eps
+    elif name == "eps":
+        expu = _arrhenius(u)
+        out[..., 1] = -(x * p.sigma * expu - p.ell * (u - p.u_a)) / p.eps ** 2
+    elif name == "sigma":
+        expu = _arrhenius(u)
+        out[..., 0] = -x * expu
+        out[..., 1] = x * expu / p.eps
+    else:
+        raise ValidationError(
+            "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -94,7 +94,7 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
         ts, mesh, lo, hi = cycles._finalize_orbit(p, starts[0], seed.period)
         mults, defect = cycles.floquet(p, starts[0], seed.period)
         sampled = cycles.seed_from_simulation(p, starts[0], seed.period)
-        return [*cycles._shoot(p, starts, seed.period, param="u_a"),
+        return [*cycles._shoot(p, starts, seed.period, sens=True),
                 ts, mesh, lo, hi, *mults, defect,
                 sampled.times, sampled.states,
                 simulate.integrate(p, (0.9, p.u_a), 5.0),
@@ -147,11 +147,14 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
 
 def test_traced_names_exist():
     """Every function the benchmark tracer wraps exists in the library, so a
-    deletion fails here rather than in a later ``--trace 1`` run.  Checks
-    the names only; the tracer is not installed."""
+    deletion fails here rather than in a later ``--trace 1`` run.  So does
+    every ``cycles`` function whose name labels an integration: a renamed
+    one would move its integrations to the ``other`` label.  Checks the
+    names only; the tracer is not installed."""
     tracing = runpy.run_path(str(Path(SRC).parent / "perfbench" / "tracing.py"))
     names = [(mod, fn) for mod, fn, _ in tracing["TRACED"]]
     names += [("simulate", "solve_ivp"), ("cycles", "solve_ivp")]
+    names += [("cycles", fn) for fn in tracing["IVP_LABELS"]]
     missing = [f"{mod}.{fn}" for mod, fn in names
                if not callable(getattr(importlib.import_module(f"thermorun.{mod}"),
                                        fn, None))]

@@ -12,7 +12,7 @@ from thermorun.loci import Window, classify_point, continue_fold_locus, \
     continue_hopf_locus
 from thermorun.model import ModelParams
 
-from conftest import criterion5_params
+from conftest import criterion5_params, param_derivative
 
 
 def augmented_residual(p: ModelParams, locus: loci.Locus, row: int) -> float:
@@ -241,8 +241,8 @@ def augmented_reference(p: ModelParams, test: str, y: np.ndarray):
     res = np.array([*model._field_xu(q, x, u), t])
     J = np.zeros((3, 4))
     J[:2, :2] = model._jac_xu(q, x, u)
-    J[:2, 2] = model.param_derivative(q, x, u, "u_a")
-    J[:2, 3] = q.f * model.param_derivative(q, x, u, "f")
+    J[:2, 2] = param_derivative(q, x, u, "u_a")
+    J[:2, 3] = q.f * param_derivative(q, x, u, "f")
     J[2, :3] = g[:3]
     J[2, 3] = q.f * g[3]
     return res, J

@@ -13,6 +13,8 @@ from thermorun.errors import CalibrationError, DomainError, ValidationError
 from thermorun.model import ModelParams, R_GAS, State
 from thermorun.solvers import bisect_root
 
+from conftest import param_derivative
+
 E_MIC = 64000.0
 
 
@@ -176,12 +178,10 @@ class TestJacobian:
         assert np.array_equal(model._hessian_xu(p, x, u), np.zeros((2, 2, 2)))
         assert np.array_equal(model.third_derivatives(p, (x, u)),
                               np.zeros((2, 2, 2, 2)))
-        rate_free = {"eps": [[0.0, 0.0], [0.0, p.ell / p.eps ** 2]],
-                     "sigma": np.zeros((2, 2))}
+        rate_free = {"eps": (0.0, p.ell * (u - p.u_a) / p.eps ** 2),
+                     "sigma": (0.0, 0.0)}
         for name, want in rate_free.items():
-            with np.errstate(over="ignore"):    # -1 / u for subnormal u
-                got = model.param_derivative_state_jac(p, x, u, name)
-            assert np.array_equal(got, want)
+            assert model._param_derivative_scalar(p, x, u, name) == want
 
     def test_stable_below_onset(self, mic):
         ts = mic.temp_scale
@@ -227,7 +227,7 @@ class TestScalarKernels:
         x, u = np.array(states).T
         for name in model.CONTINUABLE_PARAMS:
             with np.errstate(over="ignore"):
-                b = model.param_derivative(p, x, u, name)
+                b = param_derivative(p, x, u, name)
             for i, (xi, ui) in enumerate(states):
                 assert model._param_derivative_scalar(p, xi, ui, name) == tuple(b[i])
 
@@ -264,23 +264,14 @@ def field_scale(p: ModelParams, x: float, u: float) -> float:
     return max(1.0, p.f, x * r, p.loss * abs(u - p.u_a))
 
 
-def param_derivative_scale(p: ModelParams, x: float, u: float, name: str) -> float:
-    """Sum of the magnitudes of the terms of ``param_derivative``."""
-    expu = math.exp(-1.0 / u)
-    du = abs(u - p.u_a)
-    return {"u_a": p.loss / p.eps, "f": 1.0 + x + du, "ell": du / p.eps,
-            "eps": (x * p.sigma * expu + p.ell * du) / p.eps ** 2,
-            "sigma": x * expu * (1.0 + 1.0 / p.eps)}[name]
-
-
 def central_difference(fn, v: float, h: float) -> np.ndarray:
     return (np.asarray(fn(v + h)) - np.asarray(fn(v - h))) / ((v + h) - (v - h))
 
 
 class TestParamDerivatives:
-    # The field is linear in every parameter but eps, and so is each
-    # derivative in x; those differences carry rounding error only (the
-    # floor term).  The rest add O(h^2) truncation, far below 1e-6.
+    # The field is linear in every parameter but eps; those differences
+    # carry rounding error only (the floor term).  eps adds O(h^2)
+    # truncation, far below 1e-6.
 
     @settings(max_examples=300, deadline=None)
     @given(p=fd_params, s=fd_states,
@@ -291,25 +282,9 @@ class TestParamDerivatives:
         h = 1e-6 * v
         fd = central_difference(
             lambda w: model._field_xu(p.with_(**{name: w}), x, u), v, h)
-        exact = model.param_derivative(p, x, u, name)
+        exact = np.array(model._param_derivative_scalar(p, x, u, name))
         floor = 1e-14 * field_scale(p, x, u) / h
         assert np.all(np.abs(fd - exact) <= 1e-6 * np.abs(exact) + floor)
-
-    @settings(max_examples=300, deadline=None)
-    @given(p=fd_params, s=fd_states,
-           name=st.sampled_from(model.CONTINUABLE_PARAMS))
-    def test_state_jac_matches_central_differences(self, p, s, name):
-        x, u = s
-        J = model.param_derivative_state_jac(p, x, u, name)
-        for j, h in enumerate((1e-6, 1e-6 * u)):
-            def b(w, j=j):
-                state = [x, u]
-                state[j] = w
-                return model.param_derivative(p, *state, name)
-
-            fd = central_difference(b, s[j], h)
-            floor = 1e-14 * param_derivative_scale(p, x, u, name) / h
-            assert np.all(np.abs(fd - J[:, j]) <= 1e-6 * np.abs(J[:, j]) + floor)
 
 
 def rate_crossings_loop(d):
@@ -532,10 +507,10 @@ class TestArrheniusClamp:
             for arg in (u, np.array([u, 0.04])):
                 model._field_xu(p, x, arg)
                 model._jac_xu(p, x, arg)
-                for name in model.CONTINUABLE_PARAMS:
-                    model.param_derivative(p, x, arg, name)
-            jac = model.param_derivative_state_jac(p, x, u, "sigma")
-        assert np.array_equal(jac, np.zeros((2, 2)))
+            for name in model.CONTINUABLE_PARAMS:
+                model._param_derivative_scalar(p, x, u, name)
+            dfds = model._param_derivative_scalar(p, x, u, "sigma")
+        assert dfds == (0.0, 0.0)
 
 
 class TestWithFastPath:

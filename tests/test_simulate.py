@@ -8,16 +8,28 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermorun import cycles, model, simulate, steady
 from thermorun.errors import ConvergenceError, IntegrationFailure, ValidationError
 from thermorun.model import ModelParams
 from thermorun.simulate import AttractorReport, Trajectory, TrajectoryEvent
 
+from conftest import criterion5_params
+
 
 def linear_params(u_a=0.0379):
     return ModelParams(f=1.7, ell=700.0, eps=10.0, u_a=u_a, sigma=0.0)
+
+
+def mic_box_stream():
+    """mic-tank610 without its boiling threshold, and 100 starts as
+    fractions of the invariant box, drawn from the suite's fixed stream."""
+    rng = np.random.default_rng(20260808)
+    starts = [(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+              for _ in range(100)]
+    return {"p": model.preset("mic-tank610").model.with_(u_boil=math.inf),
+            "starts": starts}
 
 
 class TestIntegrate:
@@ -40,17 +52,18 @@ class TestIntegrate:
         assert boil[0].u == pytest.approx(p.u_boil, abs=1e-12)
         assert traj.times[-1] == pytest.approx(boil[0].time)
 
-    def test_invariant_box(self, mic, rng):
-        # Trajectories started inside the box stay there until boiling halts
-        # them; the sides x = 0, x = 1 and u = u_a are forward-invariant.
-        # A start at or above the threshold is a runaway at tau = 0, so
-        # those starts are followed on the flow without the threshold.
-        p = mic.model
-        for _ in range(100):
-            s0 = (float(rng.uniform(0, 1)),
-                  float(rng.uniform(p.u_a, p.u_boil * 1.5)))
-            q = p if s0[1] < p.u_boil else p.with_(u_boil=math.inf)
-            traj = simulate.integrate(q, s0, 20.0, tol_rel=1e-9, tol_abs=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(p=criterion5_params,
+           starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=4))
+    @example(**mic_box_stream())
+    def test_invariant_box(self, p, starts):
+        # The sides x = 0, x = 1 and u = u_a are forward-invariant: a
+        # trajectory started with x in [0, 1] and u in [u_a, u_a + 2 f/loss]
+        # keeps x in [0, 1] and u >= u_a.  The flow has no boiling threshold.
+        for a, b in starts:
+            s0 = (a, p.u_a + b * 2.0 * p.f / p.loss)
+            traj = simulate.integrate(p, s0, 20.0, tol_rel=1e-9, tol_abs=1e-12)
             assert np.all(traj.xs >= -1e-9)
             assert np.all(traj.xs <= 1 + 1e-9)
             assert np.all(traj.us >= p.u_a - 1e-9)
