@@ -224,19 +224,9 @@ def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
     return EXIT_OK
 
 
-def _verify_slice(p, ua, f_val, x, u):
-    q = p.with_(f=f_val, u_a=ua - 3e-4, u_boil=math.inf)
-    start = steady.solve_steady(q, (x, u))
-    br = steady.continue_branch(q, "u_a", (ua - 3e-4, ua + 3e-4), start=start)
-    return [sp.param_value for sp in br.specials if sp.kind == "hopf"]
-
-
 def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
     p = res.model
     n_ua, n_f = _parse_grid(args.grid)
-    if args.verify_slices < 0:
-        raise ValidationError("verify-slices",
-                              f"need at least 0, got {args.verify_slices}")
     w = loci.default_window(p)
     window = loci.Window(
         _kelvin_range(res, args.Ta_window) if args.Ta_window else w.u_a,
@@ -263,15 +253,6 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
                 ([ua] + _maybe_kelvin_row(res, ua) + [f_val, label]
                  for ua, f_val, label in rows))
 
-    verification = None
-    if args.verify_slices:
-        n = min(args.verify_slices, len(hopf))  # evenly spaced, ends included
-        targets = [hopf.points[i * (len(hopf) - 1) // max(n - 1, 1)].tolist()
-                   for i in range(n)]
-        found = [_verify_slice(p, *point) for point in targets]
-        verification = [{"f": f_val, "u_a": ua,
-                         "mismatch_u_a": min((abs(h - ua) for h in hits), default=None)}
-                        for (ua, f_val, _, _), hits in zip(targets, found)]
     man.set("summary", {
         "hopf_points": len(hopf),
         "fold_points": len(fold),
@@ -279,11 +260,10 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
         "fold_empty_reason": fold.empty_reason,
         "oscillatory_cells": sum(1 for _, _, lab in rows if lab == loci.OSCILLATORY),
         "bistable_cells": sum(1 for _, _, lab in rows if lab == loci.BISTABLE),
-        "slice_verification": verification,
         "hopf_stop_reasons": list(hopf.stop_reasons),
         "fold_stop_reasons": list(fold.stop_reasons),
     })
-    man.finish(partial="corrector failure" in hopf.stop_reasons + fold.stop_reasons)
+    man.finish(partial="corrector failure" in fold.stop_reasons)
     print(f"loci: hopf {len(hopf)} pts, fold {len(fold)} pts, "
           f"f* = {fold.f_threshold}")
     return EXIT_OK
@@ -398,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--Ta-window", dest="Ta_window", help="ambient lo:hi (K)")
     lc.add_argument("--f-window", dest="f_window", help="flow-rate lo:hi")
     lc.add_argument("--grid", default="50x50", help="region map grid, e.g. 60x40")
-    lc.add_argument("--verify-slices", type=int, default=0,
-                    help="re-verify N evenly spaced Hopf-locus points by branches")
     lc.set_defaults(func=cmd_loci)
 
     sim = sp.add_parser("simulate", help="time integration with event detection")

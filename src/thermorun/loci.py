@@ -1,14 +1,12 @@
 """Two-parameter bifurcation loci over ambient temperature and flow rate.
 
-Hopf and fold curves are traced in the (u_a, f) plane by pseudo-arclength
-continuation of the augmented systems {vector field = 0, trace = 0} and
-{vector field = 0, det = 0} in the unknowns (x, u, u_a, ln f); the log of
-the flow rate keeps the stepping well-scaled across decades.  Seeds come
-from the steady curve at a fixed flow rate, which is explicit in u
-(x = f/(f + rho), u_a back-solved from the heat balance): a Hopf seed is a
-root of the trace along it, a fold seed a root of the fold condition (the
-u-derivative of the reduced balance vanishes).  A classifier assigns regime
-labels to points of the plane by ray-parity against the computed loci.
+Both loci are curves in the steady temperature u on the steady manifold
+x = f/(f + rho), with u_a from the heat balance.  The Hopf locus is
+explicit, f being a root of a quadratic at each u, and is walked in u from
+:func:`_hopf_seed`'s point; the fold locus is traced by pseudo-arclength
+continuation of {vector field = 0, det = 0} in (x, u, u_a, ln f) from a
+root of the fold condition found by a flow-rate sweep.  A classifier
+assigns regime labels to points of the plane by ray-parity against them.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 from . import model
 from .errors import ValidationError
 from .model import ModelParams
-from .solvers import ContinuationProblem, bracket_roots, continue_curve
+from .solvers import ContinuationProblem, bisect_root, bracket_roots, continue_curve
 
 LOCUS_TOL = 1e-10
 # Both loci's first and largest arclength step, and step budget per direction.
@@ -75,33 +73,28 @@ class Locus:
 
 
 def _test_functions(p: ModelParams, x: float, u: float):
-    """Trace and determinant of the Jacobian, each as (value, gradient
-    w.r.t. (x, u, u_a, f)), from one ``rho_derivs`` evaluation."""
+    """Trace of the Jacobian, and its determinant with the gradient w.r.t.
+    (x, u, u_a, f), from one ``rho_derivs`` evaluation."""
     r, d1, _, _ = model.rho_derivs(p, u)
     dd1 = r / u**4 - 2 * r / u**3  # d/du of rho/u^2
     tr = -(r + p.f) + (x * d1 - p.loss) / p.eps
-    tr_grad = (d1 / p.eps, -d1 + x * dd1 / p.eps, 0.0, -2.0)
     det = (p.loss * (r + p.f) - p.f * x * d1) / p.eps
     det_grad = (-p.f * d1 / p.eps,
                 (p.loss * d1 - p.f * x * dd1) / p.eps,
                 0.0,
                 (p.eps * (r + p.f) + p.loss - x * d1) / p.eps)
-    return (tr, tr_grad), (det, det_grad)
+    return tr, det, det_grad
 
 
-def _augmented_problem(p: ModelParams, test: str,
-                       scales: np.ndarray) -> ContinuationProblem:
-    """{F = 0, test fn = 0} over y = (x, u, u_a, ln f); ``test`` is "trace"
-    or "det"."""
-    k = 0 if test == "trace" else 1
+def _augmented_problem(p: ModelParams, scales: np.ndarray) -> ContinuationProblem:
+    """{F = 0, det J = 0} over y = (x, u, u_a, ln f)."""
     at = functools.cache(lambda u_a, ln_f: p.with_(u_a=u_a, f=math.exp(ln_f)))
 
     def residual(y):
         x, u, u_a, ln_f = y.tolist()
         q = at(u_a, ln_f)
         fx, fu = model._field_scalar(q, x, u)
-        t, _ = _test_functions(q, x, u)[k]
-        return np.array([fx, fu, t])
+        return np.array([fx, fu, _test_functions(q, x, u)[1]])
 
     def jacobian(y):
         x, u, u_a, ln_f = y.tolist()
@@ -109,7 +102,7 @@ def _augmented_problem(p: ModelParams, test: str,
         (a, b), (c, d) = model._jac_scalar(q, x, u)
         a0, a1 = model._param_derivative_scalar(q, x, u, "u_a")
         f0, f1 = model._param_derivative_scalar(q, x, u, "f")
-        _, g = _test_functions(q, x, u)[k]
+        g = _test_functions(q, x, u)[2]
         return np.array([[a, b, a0, q.f * f0],
                          [c, d, a1, q.f * f1],
                          [g[0], g[1], g[2], q.f * g[3]]])
@@ -117,27 +110,18 @@ def _augmented_problem(p: ModelParams, test: str,
     return ContinuationProblem(residual, jacobian, scales)
 
 
-def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
-    """Run the augmented continuation in both directions from a seed."""
+def _trace_locus(p: ModelParams, y0: np.ndarray, window: Window):
+    """Run the fold continuation in both directions from a seed."""
     u_scale = max(p.f / p.loss, 1e-4)
     scales = np.array([1.0, u_scale, window.u_a[1] - window.u_a[0], 1.0])
-    prob = _augmented_problem(p, test, scales)
+    prob = _augmented_problem(p, scales)
 
     def stop(y):
-        x, u, u_a, ln_f = y.tolist()
-        f = math.exp(ln_f)
-        if not window.contains(u_a, f):
-            return "window boundary"
-        if test == "trace" and _test_functions(
-                p.with_(u_a=u_a, f=f), x, u)[1][0] <= 0:
-            return "determinant nonpositive (neutral saddle boundary)"
-        return None
+        return None if window.contains(y[2], math.exp(y[3])) else "window boundary"
 
-    halves = []
-    reasons = []
+    halves, reasons = [], []
     for sign in (+1.0, -1.0):
-        direction = np.zeros(4)
-        direction[3] = sign
+        direction = np.array([0.0, 0.0, 0.0, sign])
         run = continue_curve(prob, y0, direction, ds0=LOCUS_DS0, ds_min=1e-9,
                              ds_max=LOCUS_DS_MAX, max_steps=LOCUS_MAX_STEPS,
                              tol=LOCUS_TOL, stop=stop)
@@ -152,53 +136,94 @@ def _trace_locus(p: ModelParams, y0: np.ndarray, test: str, window: Window):
         halves.append(pts)
         reasons.append(run.stop_reason)
         if run.stop_reason == "closed":
-            return [pts], ("closed",)
-    merged = list(reversed(halves[1][1:])) + halves[0]
-    return [merged], tuple(reasons)
+            return pts, ("closed",)
+    return list(reversed(halves[1][1:])) + halves[0], tuple(reasons)
 
 
-def _locus_from_points(p: ModelParams, pts, test: str, reasons,
-                       f_threshold: float | None = None) -> Locus:
-    rows = []
-    extra = []
-    other = 1 if test == "trace" else 0  # det on a Hopf locus, trace on a fold
-    for y in pts:
-        x, u, u_a, ln_f = y.tolist()
-        f = math.exp(ln_f)
-        rows.append([u_a, f, x, u])
-        extra.append(_test_functions(p.with_(u_a=u_a, f=f), x, u)[other][0])
-    kind = "hopf" if test == "trace" else "fold"
-    rows = np.array(rows)
-    extra = np.array(extra)
-    if kind == "hopf":
-        # An endpoint where the determinant has crossed zero is a neutral
-        # saddle, not a Hopf point; it only marks where tracing stopped.
-        keep = extra > 0
-        rows, extra = rows[keep], extra[keep]
-    return Locus(kind, rows, extra, tuple(reasons), f_threshold=f_threshold)
+def _hopf_curve(p: ModelParams, u: float, root: int):
+    """((u_a, f, x, u, det J), discriminant) of the Hopf point at steady
+    temperature u: f is the larger (``root`` = 1) or smaller root of
+    2 eps f^2 + (3 eps r + ell - r') f + r (eps r + ell), r = sigma e^(-1/u),
+    r' = r/u^2, where tr J vanishes on x = f/(f + r)."""
+    r = model._rates(p, u)[0]
+    rp = r / (u * u)
+    a, b, c = 2.0 * p.eps, 3.0 * p.eps * r + p.ell - rp, r * (p.eps * r + p.ell)
+    disc = b * b - 4.0 * a * c
+    q = 0.5 * (math.sqrt(max(disc, 0.0)) - b)
+    f = q / a if root > 0 else c / q
+    x, loss = f / (f + r), p.eps * f + p.ell
+    return (u - x * r / loss, f, x, u, (loss * (r + f) - f * x * rp) / p.eps), disc
 
 
 def continue_hopf_locus(p: ModelParams, window: Window) -> Locus:
-    """Trace the Hopf locus through :func:`_hopf_seed`'s Hopf point.
-
-    Without one (e.g. the reaction is switched off) the locus is empty, with
-    the reason recorded.  Continuation runs both ways until the window
-    boundary, a vanishing determinant, or closure of the curve.
-    """
+    """The Hopf locus through :func:`_hopf_seed`'s point (empty, with the
+    reason, without one), walked both ways in u along :func:`_hopf_curve`
+    on the seed's root, onto the other root where the two meet, with the
+    fold continuation's step schedule and metric.  Each way ends, bisected
+    in u, on the window boundary, where det J falls to 0 (a Bogdanov-Takens
+    point), or back on the seed; each crossing of p.f is a bisected vertex."""
     p = p.with_(u_boil=math.inf)
     y0 = _hopf_seed(p, window)
     if y0 is None:
         return Locus("hopf", np.empty((0, 4)), np.empty(0),
                      empty_reason="no Hopf point found at the seed flow rate")
-    pts_runs, reasons = _trace_locus(p, y0, "trace", window)
-    return _locus_from_points(p, pts_runs[0], "trace", reasons)
+    x0, u0, u_a0, _ = y0.tolist()
+    seed = (u_a0, p.f, x0, u0, _test_functions(p, x0, u0)[1])
+    root0 = min((1, -1), key=lambda k: abs(_hopf_curve(p, u0, k)[0][1] - p.f))
+    scales = np.array([1.0, max(p.f / p.loss, 1e-4), window.u_a[1] - window.u_a[0], 1.0])
+
+    def arm(direction, root=root0):
+        rows, u, ds, du = [seed], u0, LOCUS_DS0, 0.0  # du: set back from a turn
+
+        def at(s):  # the point, its scaled (x, u, u_a, ln f), the discriminant
+            pt, disc = _hopf_curve(p, s, root)
+            return pt, np.array([pt[2], s, pt[0], math.log(pt[1])]) / scales, disc
+
+        def inside(s):
+            u_a, f, _, _, det = at(s)[0]
+            return det > 0 and window.contains(u_a, f)
+
+        for _ in range(LOCUS_MAX_STEPS):
+            h = direction * 1e-7 * u  # the tangent by a forward difference
+            v = u + (direction * du or ds * h / np.linalg.norm(at(u + h)[1] - at(u)[1]))
+            du = 0.0
+            if at(v)[2] < 0:  # onto the roots' meeting point, back on the other
+                v = bisect_root(lambda s: at(s)[2], u, v)
+                du = abs(v - u)
+            if root == root0 and u != u0 and (u - u0) * (v - u0) <= 0:
+                return rows + [seed], "closed"
+            reason = ""
+            if not inside(v):
+                v = bisect_root(lambda s: 1.0 if inside(s) else -1.0, u, v)
+                v = v if inside(v) else math.nextafter(v, u)  # the last inside
+                reason = ("determinant nonpositive (neutral saddle boundary)"
+                          if at(math.nextafter(v, direction * math.inf))[0][4] <= 0
+                          else "window boundary")
+            if (rows[-1][1] - p.f) * (at(v)[0][1] - p.f) < 0:
+                rows.append(at(bisect_root(lambda s: at(s)[0][1] - p.f, u, v))[0])
+            rows.append(at(v)[0])
+            if reason:
+                return rows, reason
+            if du:
+                root, direction = -root, -direction
+            u, ds = v, min(LOCUS_DS_MAX, ds * 1.4)
+        return rows, "max steps"
+
+    rows, reason = arm(1.0)
+    reasons = (reason,)
+    if reason != "closed":
+        back, reason = arm(-1.0)
+        rows, reasons = back[:0:-1] + rows, reasons + (reason,)
+    rows = np.array(rows)
+    return Locus("hopf", rows[:, :4], rows[:, 4], reasons)
 
 
 def continue_fold_locus(p: ModelParams, window: Window) -> Locus:
     """Trace the fold locus from a seed hunted by a flow-rate sweep.
 
     When no fold exists anywhere in the window the result is empty, with the
-    reason and the scanned threshold recorded.
+    reason and the scanned threshold recorded.  Continuation runs both ways
+    until the window boundary or closure of the curve.
     """
     p = p.with_(u_boil=math.inf)
     f_star = fold_threshold(p, window)
@@ -208,14 +233,16 @@ def continue_fold_locus(p: ModelParams, window: Window) -> Locus:
                      empty_reason="no fold point in the window "
                                   f"(flow rates up to {window.f[1]:g} scanned)",
                      f_threshold=f_star)
-    pts_runs, reasons = _trace_locus(p, seed, "det", window)
-    return _locus_from_points(p, pts_runs[0], "det", reasons, f_threshold=f_star)
+    pts, reasons = _trace_locus(p, seed, window)
+    rows = [[u_a, math.exp(ln_f), x, u] for x, u, u_a, ln_f in np.array(pts).tolist()]
+    extra = [_test_functions(p.with_(u_a=u_a, f=f), x, u)[0] for u_a, f, x, u in rows]
+    return Locus("fold", np.array(rows), np.array(extra), reasons, f_threshold=f_star)
 
 
 def _hopf_seed(p: ModelParams, window: Window) -> np.ndarray | None:
     """Lowest-temperature Hopf point (x, u, u_a, ln f) at the template's flow
     rate: the first root of tr J along the steady curve x = f/(f + rho), on
-    :func:`_fold_roots_at_f`'s grid, with u_a in the window and det > 0."""
+    :func:`_fold_roots_at_f`'s grid, with (u_a, f) in the window and det > 0."""
     def trace(u):  # u may be an array
         r = model.rho(p, u)
         return -(r + p.f) + (p.f / (p.f + r) * r / (u * u) - p.loss) / p.eps
@@ -225,7 +252,7 @@ def _hopf_seed(p: ModelParams, window: Window) -> np.ndarray | None:
         r = model.rho(p, u)
         x = p.f / (p.f + r)
         u_a = u - x * r / p.loss
-        if window.u_a[0] <= u_a <= window.u_a[1] and _test_functions(p, x, u)[1][0] > 0:
+        if window.contains(u_a, p.f) and _test_functions(p, x, u)[1] > 0:
             return np.array([x, u, u_a, math.log(p.f)])
     return None
 

@@ -401,15 +401,14 @@ def _extrema(sol, du) -> list[TrajectoryEvent]:
 
 
 def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
-           tol_abs: float = 1e-14,
-           section_level: float | None = None) -> AttractorReport:
+           tol_abs: float = 1e-14) -> AttractorReport:
     """Classify the long-time attractor reached from a starting state.
 
     Integrates over ``horizon`` and inspects the final 10%%: a runaway is a
     boiling-threshold crossing (a start at or above the threshold is one at
     tau = 0, and is not integrated); a steady state varies by less than
-    1e-9; a cycle returns to a Poincare section (u = tail mean by default,
-    increasing) with period repeatable to 1e-6 relative.  Anything else is
+    1e-9; a cycle returns to a Poincare section (u = tail mean, increasing)
+    with period repeatable to 1e-6 relative.  Anything else is
     reported as undetermined.
     """
     transient = 10.0 * p.eps / min(1.0, p.f)
@@ -448,7 +447,7 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
         return AttractorReport("steady", terminal, amplitude=0.0)
 
     u_tail = ys[1]
-    level = float(np.mean(u_tail)) if section_level is None else float(section_level)
+    level = float(np.mean(u_tail))
 
     def g(t):
         return sol.sol(t)[1] - level

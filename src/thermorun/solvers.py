@@ -1,7 +1,7 @@
 """Shared numerical machinery: root bracketing and bisection, the one Newton
 loop under every solve (full steps, or damped by a halving line search), and
-the pseudo-arclength continuation engine that traces the two-parameter loci
-and the cycle branches."""
+the pseudo-arclength continuation engine that traces the fold locus and
+the cycle branches."""
 
 from __future__ import annotations
 

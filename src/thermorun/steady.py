@@ -202,14 +202,13 @@ def _slope(q: ModelParams, x: float, u: float, active: str) -> tuple[float, floa
 
 
 def continue_branch(p: ModelParams, active: str = "u_a",
-                    prange: tuple[float, float] = None, ds0: float = 1e-3,
-                    start: SteadyPoint | None = None) -> Branch:
+                    prange: tuple[float, float] = None, ds0: float = 1e-3) -> Branch:
     """Trace a steady branch over a parameter range along its curve in u.
 
     With the other parameters fixed, x and the parameter's value are
     explicit functions of the steady temperature u (:func:`_curve`), so
-    every point is exact.  The walk starts from ``start`` or from the
-    lowest-temperature steady state at the lower end of the range, steps u
+    every point is exact.  The walk starts from the lowest-temperature
+    steady state at the lower end of the range, steps u
     in the direction of increasing parameter, and ends where the parameter
     first leaves the range, on the crossing itself (folds are passed, so
     the exit may be at either end).  Each step is ``ds`` long along the
@@ -235,13 +234,10 @@ def continue_branch(p: ModelParams, active: str = "u_a",
             _make_point(p.with_(**{active: lo + k / 100 * (hi - lo)}), 1.0,
                         p.u_a, active) for k in range(101)), (), "window boundary")
 
-    if start is None:
-        q = p.with_(**{active: lo})
-        window = (q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9))
-        seeds = reduced_scan(q, window[0], window[1], n=4000, param_name=active)
-        if not seeds:
-            raise ConvergenceError(f"no steady state found at {active} = {lo}")
-        start = seeds[0]
+    q = p.with_(**{active: lo})
+    seeds = reduced_scan(q, q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9), n=4000)
+    if not seeds:
+        raise ConvergenceError(f"no steady state found at {active} = {lo}")
 
     def at(u, root):  # the parameter set and the state on the curve
         x, value = _curve(p, active, u, root)
@@ -250,9 +246,8 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     def disc(u):
         return _f_quadratic(p, u)[3]
 
-    u = start.state.u
-    root = min((1, -1), key=lambda k: abs(  # the root of f's quadratic
-        _curve(p, active, u, k)[1] - start.param_value))
+    u = seeds[0].state.u  # and below, the root of f's quadratic through it
+    root = min((1, -1), key=lambda k: abs(_curve(p, active, u, k)[1] - lo))
     q, s = at(u, root)
     points, roots = [_make_point(q, *s, active)], []
     u_scale = max(p.f / p.loss, 1e-6)

@@ -124,15 +124,11 @@ class TestLoci:
         out = tmp_path / "l"
         code = run(["loci", "--preset", "mic-tank610",
                     "--Ta-window", "240:330", "--f-window", "0.5:50",
-                    "--grid", "12x12", "--verify-slices", "3",
-                    "-o", str(out)])
+                    "--grid", "12x12", "-o", str(out)])
         assert code == 0
         man = json.loads(read(out / "manifest.json"))
         assert man["summary"]["hopf_points"] > 5
         assert man["summary"]["oscillatory_cells"] > 0
-        for entry in man["summary"]["slice_verification"]:
-            assert entry["mismatch_u_a"] is not None
-            assert entry["mismatch_u_a"] < 1e-5
         assert (out / "region_map.csv").exists()
         assert (out / "hopf_locus.csv").exists()
         assert (out / "fold_locus.csv").exists()
@@ -192,49 +188,14 @@ class TestManifest:
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [["loci", "--jobs", "2"],
+                                      ["loci", "--verify-slices", "3"],
                                       ["cycle-branch", "--ds0", "1e-3"]],
-                             ids=["loci-jobs", "cycle-branch-ds0"])
+                             ids=["loci-jobs", "loci-verify-slices",
+                                  "cycle-branch-ds0"])
     def test_are_unknown(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--preset", "mic-tank610", "-o", str(tmp_path / "r")])
         assert exc.value.code == 2
-
-
-class TestVerifySlices:
-    @pytest.mark.parametrize("n, rows", [(1, [0]), (3, [0, 81, 163]),
-                                         (4, [0, 54, 108, 163]),
-                                         (164, list(range(164))),
-                                         (500, list(range(164)))])
-    def test_n_evenly_spaced_points(self, tmp_path, mic_loci, n, rows):
-        hopf = mic_loci[1]["hopf"]
-        assert len(hopf) == 164
-        out = tmp_path / "l"
-        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
-                    f"--verify-slices={n}", "-o", str(out)]) == 0
-        found = json.loads(read(out / "manifest.json"))["summary"][
-            "slice_verification"]
-        assert [(e["u_a"], e["f"]) for e in found] == [
-            (hopf.points[i, 0], hopf.points[i, 1]) for i in rows]
-        assert all(e["mismatch_u_a"] < 1e-5 for e in found)
-
-    def test_zero_verifies_nothing(self, tmp_path):
-        out = tmp_path / "l"
-        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
-                    "--verify-slices", "0", "-o", str(out)]) == 0
-        man = json.loads(read(out / "manifest.json"))
-        assert man["summary"]["slice_verification"] is None
-
-    @pytest.mark.parametrize("flag, value", [("--verify-slices", "-1"),
-                                             ("--verify-slices", "-2")])
-    def test_negative_counts_are_config_errors(self, tmp_path, capsys, flag,
-                                               value):
-        out = tmp_path / "l"
-        assert run(["loci", "--preset", "mic-tank610", "--grid", "4x4",
-                    f"{flag}={value}", "-o", str(out)]) == 2
-        man = failure_manifest(out, 2, f"configuration error: {flag[2:]}: ",
-                               capsys)
-        assert man["command"] == "loci"
-        assert not list(out.glob("*.csv"))
 
 
 def failure_manifest(out: Path, code: int, prefix: str, capsys) -> dict:

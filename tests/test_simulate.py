@@ -685,8 +685,8 @@ class TestSettle:
         assert rep.period is not None and rep.period > 0
         assert rep.amplitude is not None and rep.amplitude > 0.01
         for frac in (0.2, 0.8):
-            alt = simulate.settle(p, (1.0, p.u_a), horizon=130.0,
-                                  section_level=p.u_a + frac * rep.amplitude)
+            _, _, alt = two_event_settle(p, (1.0, p.u_a), horizon=130.0,
+                                         section_level=p.u_a + frac * rep.amplitude)
             assert alt.kind == "cycle"
             assert abs(alt.period - rep.period) / rep.period < 1e-6
 

@@ -458,7 +458,7 @@ class TestSolve:
         runs = []
         for patch in (ExitStack(), without_gufunc()):
             with patch:
-                runs.append(loci.continue_hopf_locus(p, window))
+                runs.append(loci.continue_fold_locus(p, window))
         fast, slow = runs
         assert len(fast) == len(slow) > 10
         assert fast.points.tobytes() == slow.points.tobytes()

@@ -66,10 +66,9 @@ COMMANDS = {
     "steady-branch-f10": ["steady-branch"] + PRESET + ["--f", "10",
                                                        "--Ta", "250:285"],
     "loci": ["loci"] + PRESET + ["--grid", "40x40"],
-    # The only path through the Hopf re-verification by fixed-f branches
-    # (continue_branch from a given start).
-    "loci-verify": ["loci"] + PRESET + ["--grid", "12x12",
-                                        "--verify-slices", "3"],
+    # The CLI's default 50x50 grid, whose row f = 10.138 passes just below
+    # the Hopf locus's Bogdanov-Takens end.
+    "loci-default": ["loci"] + PRESET,
     "cycle-branch-16": ["cycle-branch"] + PRESET + ["--Ta", "282:296",
                                                     "--max-orbits", "16"],
     "cycle-branch": ["cycle-branch"] + PRESET + ["--Ta", "282:296"],
