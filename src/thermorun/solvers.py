@@ -146,9 +146,8 @@ def _inf_norm(r: np.ndarray) -> float:
 
 def _newton(residual: Callable[[np.ndarray], np.ndarray],
             jacobian: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-            tol: float, max_iter: int, free=slice(None),
-            damped: bool = False) -> float:
-    """Newton steps on the coordinates ``free`` of ``y``, in place.
+            tol: float, max_iter: int, damped: bool = False) -> float:
+    """Newton steps on ``y``, in place.
 
     Returns the residual infinity norm once it is below ``tol``, after at
     most ``max_iter`` steps.  A plain step is the full step; a damped one is
@@ -170,15 +169,14 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 return norm
             if step == max_iter:
                 break
-            dx = _solve(jacobian(y)[:, free], -r)
+            dx = _solve(jacobian(y), -r)
             if not damped:
-                y[free] += dx
+                y += dx
                 r = residual(y)
                 continue
             lam = 1.0
             for _ in range(40):
-                trial = y.copy()
-                trial[free] += lam * dx
+                trial = y + lam * dx
                 try:
                     r_trial = residual(trial)
                     if _inf_norm(r_trial) < norm:
@@ -195,20 +193,6 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
         raise ConvergenceError(f"iterate left the domain: {exc}", y,
                                norm) from None
     raise ConvergenceError(f"no convergence in {max_iter} iterations", y, norm)
-
-
-def solve_pinned(prob: ContinuationProblem, y, pivot: int, value: float,
-                 tol: float, max_iter: int) -> np.ndarray:
-    """Solve ``prob.residual(y) = 0`` with coordinate ``pivot`` held at ``value``.
-
-    At most ``max_iter`` plain Newton steps from ``y`` on the other
-    coordinates; the square system is the Jacobian without column ``pivot``.
-    """
-    y = np.array(y, dtype=float)
-    y[pivot] = value
-    free = [i for i in range(len(y)) if i != pivot]
-    _newton(prob.residual, prob.jacobian, y, tol, max_iter, free)
-    return y
 
 
 def _tangent(J: np.ndarray, scales: np.ndarray, prev: np.ndarray) -> np.ndarray:

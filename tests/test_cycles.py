@@ -469,9 +469,6 @@ class TestCycleBranch:
         assert outside.kind == "cycle"
         assert inside.kind != outside.kind
 
-    @pytest.mark.xfail(strict=True, reason="defect l: _refine_cycle_fold stops "
-                       "once its bracket is FOLD_PARAM_TOL wide and returns "
-                       "the last probe, which moved the upper end")
     def test_fold_is_the_branch_minimum_of_u_a(self, mic_cycle_branch):
         # The cycle fold is the minimum of u_a along the branch:
         # 0.0376710620897 over 39 pinned solves of the traced step.
@@ -483,14 +480,39 @@ class TestCycleBranch:
 
     def test_fold_between_the_last_two_orbits(self, mic, mic_h1, mic_window,
                                               mic_cycle_branch):
-        # The 16th orbit is the first stable one past the cycle fold.
+        # The 16th orbit is the first stable one past the cycle fold.  The
+        # fold comes from those two orbits and their tangents alone, which
+        # the full branch shares.
         cb = cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12,
                                     max_orbits=16)
         assert cb.orbits[-2].stability == "unstable"
         assert cb.orbits[-1].stability == "stable"
         assert len(cb.cycle_folds) == 1
-        assert (abs(cb.cycle_folds[0] - mic_cycle_branch.cycle_folds[0])
-                <= cycles.FOLD_PARAM_TOL)
+        assert cb.cycle_folds[0] == mic_cycle_branch.cycle_folds[0]
+
+    def test_no_shoot_after_the_continuation(self, mic, mic_h1, mic_window,
+                                             monkeypatch):
+        # The fold is read off the accepted orbits and tangents: once
+        # continue_curve returns, no orbit is solved again.
+        events = []
+        shoot, curve = cycles._shoot, cycles.continue_curve
+
+        def recording_shoot(*args, **kwargs):
+            events.append("shoot")
+            return shoot(*args, **kwargs)
+
+        def recording_curve(*args, **kwargs):
+            run = curve(*args, **kwargs)
+            events.append("continue_curve")
+            return run
+
+        monkeypatch.setattr(cycles, "_shoot", recording_shoot)
+        monkeypatch.setattr(cycles, "continue_curve", recording_curve)
+        cb = cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12,
+                                    max_orbits=16)
+        assert len(cb.cycle_folds) == 1
+        assert events.count("continue_curve") == 1
+        assert events[-1] == "continue_curve" and "shoot" in events
 
     def test_no_shoot_repeated_back_to_back(self, mic, mic_h1, mic_window,
                                             monkeypatch):
@@ -537,3 +559,51 @@ class TestCycleBranch:
         assert hopf.param_value == pytest.approx(1.6407, abs=1e-4)
         with pytest.raises(ValidationError, match="'f'"):
             cycles.continue_cycles(p, hopf, (0.85, 3.4), m=12, max_orbits=3)
+
+
+def hermite_chord(seed, a, b, ma, mb, n):
+    """Two points on a straight chord in n coordinates whose last one, u_a,
+    goes from a to b, with tangents whose u_a components make the slopes
+    d(u_a)/dv = ma and mb, v running over [0, 1] along the chord."""
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.1, 10.0, n)
+    Y_a, Y_b = rng.standard_normal(n), rng.standard_normal(n)
+    Y_a[-1], Y_b[-1] = a, b
+    d = (Y_b - Y_a) / scales
+    h = math.sqrt(d.dot(d))
+    t_a, t_b = d / h, d / h
+    t_a[-1], t_b[-1] = ma / (h * scales[-1]), mb / (h * scales[-1])
+    return Y_a, Y_b, t_a, t_b, scales
+
+
+slopes = st.floats(1e-3, 10.0)
+chords = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+
+
+class TestHermiteFold:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), ma=slopes,
+           mb=slopes, rising=st.booleans(), **chords)
+    def test_returns_the_extremum_of_a_cubic(self, a, b, ma, mb, rising,
+                                             seed, n):
+        # u_a(v) = a + ma v + c2 v^2 + c3 v^3 with u_a'(0) = ma and
+        # u_a'(1) = mb of opposite signs: one interior extremum.
+        ma, mb = (ma, -mb) if rising else (-ma, mb)
+        c2, c3 = 3.0 * (b - a) - 2.0 * ma - mb, 2.0 * (a - b) + ma + mb
+        roots = np.roots([3.0 * c3, 2.0 * c2, ma])
+        v = min(roots.real, key=lambda r: abs(r - min(max(r, 0.0), 1.0)))
+        want = a + v * (ma + v * (c2 + v * c3))
+        got = cycles._hermite_fold(*hermite_chord(seed, a, b, ma, mb, n))
+        scale = abs(a) + abs(b) + abs(ma) + abs(mb)
+        assert abs(got - want) <= 16 * np.finfo(float).eps * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(top=st.floats(-1.0, 1.0), k=slopes, is_max=st.booleans(),
+           v0=st.floats(0.01, 0.99), **chords)
+    def test_exact_on_a_quadratic(self, top, k, is_max, v0, seed, n):
+        # u_a(v) = top - k (v - v0)^2 turns at v0, at u_a = top.
+        k = k if is_max else -k
+        a, b = top - k * v0 * v0, top - k * (1.0 - v0) ** 2
+        ma, mb = 2.0 * k * v0, -2.0 * k * (1.0 - v0)
+        got = cycles._hermite_fold(*hermite_chord(seed, a, b, ma, mb, n))
+        assert abs(got - top) <= 4 * np.finfo(float).eps * (abs(top) + abs(k))

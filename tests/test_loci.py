@@ -125,7 +125,8 @@ class TestHopfLocus:
         assert loci._hopf_seed(mic.model, window) is None
         locus = continue_hopf_locus(mic.model, window)
         assert len(locus) == 0 and locus.stop_reasons == ()
-        assert locus.empty_reason == "no Hopf point found at the seed flow rate"
+        assert locus.empty_reason == ("the seed flow rate f = 1.7 lies outside "
+                                      "the window's flow rates 5:50")
 
     def test_closed_curve_returns_to_its_seed(self):
         # A Hopf isola with det > 0 all round it, inside the default window.

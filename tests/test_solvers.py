@@ -143,27 +143,27 @@ def sphere_problem(calls: list | None = None) -> solvers.ContinuationProblem:
                                        rebase if calls is not None else None)
 
 
-class TestSolvePinned:
-    def test_holds_pivot_and_solves_the_rest(self):
-        y = solvers.solve_pinned(sphere_problem(), [0.5, 0.6, 0.3], 2, 0.0,
-                                 1e-13, 30)
-        assert y[2] == 0.0
-        assert np.allclose(y[:2], math.sqrt(0.5), rtol=0.0, atol=1e-13)
-
-    def test_input_left_untouched(self):
-        guess = np.array([0.5, 0.6, 0.3])
-        solvers.solve_pinned(sphere_problem(), guess, 2, 0.0, 1e-13, 30)
-        assert guess.tolist() == [0.5, 0.6, 0.3]
+class TestCorrect:
+    # The tangent e_2 holds y[2] at the prediction's 0.3, and the sphere
+    # problem then has its root at x = y = sqrt(0.455).
+    tangent = np.array([0.0, 0.0, 1.0])
 
     def test_no_convergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            solvers.solve_pinned(sphere_problem(), [0.5, 0.6, 0.3], 2, 0.0,
-                                 1e-13, 2)
+        # The triple root of x^3 = 0 slows Newton down to a factor 2/3 a
+        # step, so 11 steps from x = 0.5 stay far above the tolerance.
+        prob = solvers.ContinuationProblem(
+            lambda y: np.array([y[0] ** 3, y[0] - y[1]]),
+            lambda y: np.array([[3.0 * y[0] ** 2, 0.0, 0.0], [1.0, -1.0, 0.0]]),
+            np.ones(3))
+        with pytest.raises(ConvergenceError, match="no convergence in 11 "):
+            solvers._correct(prob, np.array([0.5, 0.5, 0.3]), self.tangent,
+                             1e-13)
 
     @pytest.mark.parametrize("error", [DomainError("u <= 0"),
                                        ValidationError("u_a", "forced"),
                                        OverflowError("math range error")])
     def test_leaving_the_domain_raises_convergence_error(self, error):
+        # The first step from (0.5, 0.6) lands on x = 0.69.
         def residual(y):
             if y[0] > 0.6:
                 raise error
@@ -171,7 +171,8 @@ class TestSolvePinned:
 
         prob = dataclasses.replace(sphere_problem(), residual=residual)
         with pytest.raises(ConvergenceError, match="left the domain"):
-            solvers.solve_pinned(prob, [0.5, 0.6, 0.3], 2, 0.0, 1e-13, 30)
+            solvers._correct(prob, np.array([0.5, 0.6, 0.3]), self.tangent,
+                             1e-13)
 
 
 def test_damped_newton_rejects_a_trial_that_raises_convergence_error():
@@ -400,7 +401,7 @@ class TestSolve:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
            spread=st.integers(0, 12),
-           form=st.sampled_from(["contiguous", "column view", "pinned copy"]))
+           form=st.sampled_from(["contiguous", "column view", "column copy"]))
     def test_same_bits_as_numpy(self, n, seed, spread, form):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n, n + 1)) * 10.0 ** rng.integers(
@@ -409,7 +410,7 @@ class TestSolve:
             A = M[:, :n].copy()
         elif form == "column view":
             A = M[:, 1:]
-        else:  # solve_pinned's Jacobian without the pivot column
+        else:  # a Jacobian without one column, copied by an index list
             pivot = int(rng.integers(n + 1))
             A = M[:, [i for i in range(n + 1) if i != pivot]]
         b = -rng.standard_normal(n)

@@ -86,6 +86,9 @@ COMMANDS = {
     # The second preset's continuation and loci.
     "steady-branch-cumene": ["steady-branch"] + CUMENE + ["--Ta", "282:296"],
     "loci-cumene": ["loci"] + CUMENE + ["--grid", "40x40"],
+    # Up to the 24th orbit, the first one past the cycle fold.
+    "cycle-branch-cumene": ["cycle-branch"] + CUMENE + ["--Ta", "282:296",
+                                                        "--max-orbits", "24"],
     "rates-config-params": ["rates", "--config", "params.json"],
     "rates-config-dimensional": ["rates", "--config", "dimensional.json"],
 }
