@@ -7,9 +7,13 @@ parameter sensitivities obtained from one stacked variational integration
 per Newton iterate.  Seeds at fixed parameters are corrected by the damped
 mode of the ``solvers`` Newton loop: its line search judges each trial on
 that integration, and an accepted trial's integration also gives the next
-step's Jacobian.  Floquet multipliers come from the monodromy matrix
-accumulated in chunks around the orbit, with the determinant identity
-against exp(integral of the Jacobian trace) kept as a consistency defect.
+step's Jacobian.  ``find_cycle`` doubles the segment count until the
+period settles, seeding each doubled level with the converged coarser
+orbit's flow sampled at the new segment starts, so that level's Newton loop
+mostly only confirms the orbit.  Floquet multipliers come from the
+monodromy matrix accumulated in chunks around the orbit, with the
+determinant identity against exp(integral of the Jacobian trace) kept as a
+consistency defect.
 Cycle branches are continued in the ambient temperature u_a alone: the
 branch emerging from the Hopf point of a u_a branch is traced by the shared
 pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period, u_a),
@@ -61,6 +65,11 @@ CYCLE_DS_MAX = 0.25
 GERM_RADIUS = 2e-3
 
 
+def _check_period(period: float) -> None:
+    if not (math.isfinite(period) and period > 0):
+        raise ValidationError("period", f"must be finite and positive, got {period!r}")
+
+
 @dataclass(frozen=True)
 class CycleSeed:
     """A sampled approximation of one period, used to start the BVP solve."""
@@ -68,6 +77,9 @@ class CycleSeed:
     times: np.ndarray   # ascending, spanning [0, period]
     states: np.ndarray  # shape (k, 2)
     period: float
+
+    def __post_init__(self):
+        _check_period(self.period)
 
     def segment_starts(self, m: int) -> np.ndarray:
         ts = np.linspace(0.0, self.period, m, endpoint=False)
@@ -390,9 +402,8 @@ def floquet(p: ModelParams, y0: np.ndarray,
 def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     """Sample a corrected orbit over one period from ``y0``.
 
-    Returns the uniform mesh times, the mesh (the orbit an :class:`Orbit`
-    carries, and the seed of the next segment doubling) and the u extrema,
-    located exactly by an event on du/dt.
+    Returns the uniform mesh (the orbit an :class:`Orbit` carries) and the u
+    extrema, located exactly by an event on du/dt.
     """
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
@@ -414,13 +425,13 @@ def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     u_candidates = list(mesh[:, 1])
     if sol.y_events and len(sol.y_events[0]):
         u_candidates.extend(sol.y_events[0][:, 1])
-    return ts, mesh, float(np.min(u_candidates)), float(np.max(u_candidates))
+    return mesh, float(np.min(u_candidates)), float(np.max(u_candidates))
 
 
 def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float) -> Orbit:
     """The :class:`Orbit` of a corrected solution: mesh, extrema, Floquet data."""
     mults, defect = floquet(p, starts[0], T)
-    _, mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
+    mesh, min_u, max_u = _finalize_orbit(p, starts[0], T)
     nontrivial = mults[1]
     return Orbit(
         param_value=float(p.u_a),
@@ -499,21 +510,31 @@ def hopf_germ(p: ModelParams, hopf: SpecialPoint,
     return p_off, CycleSeed(ts, states, period)
 
 
-def seed_from_simulation(p: ModelParams, state, period: float) -> CycleSeed:
-    """Sample one period of the flow from a settled point on a cycle."""
+def _sample_flow(p: ModelParams, y0, period: float, n: int) -> CycleSeed:
+    """The flow from ``y0`` at ``n`` uniform times over [0, ``period``), one
+    event-free integration at the shooting tolerances."""
+    _check_period(period)
+
     def rhs(t, y):
         return model._field_scalar(p, *y.tolist())
 
     def jac(t, y):
         return model._jac_scalar(p, *y.tolist())
 
-    ts = np.linspace(0.0, period, SEED_SAMPLES, endpoint=False)
+    ts = np.linspace(0.0, period, n, endpoint=False)
     try:
-        states = lsoda(rhs, jac, model._as_state(state), ts, SHOOT_RTOL,
-                       SHOOT_ATOL)
+        states = lsoda(rhs, jac, y0, ts, SHOOT_RTOL, SHOOT_ATOL)
     except IntegrationFailure as exc:
         raise ConvergenceError(f"seed sampling failed: {exc}") from None
     return CycleSeed(ts, states, period)
+
+
+def seed_from_simulation(p: ModelParams, state, period: float) -> CycleSeed:
+    """Sample one period of the flow from a settled point on a cycle.
+
+    Raises :class:`ValidationError` unless ``period`` is finite and positive.
+    """
+    return _sample_flow(p, model._as_state(state), period, SEED_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +567,20 @@ def find_cycle(p: ModelParams, seed: CycleSeed, m: int = 12) -> Orbit:
 
     The segment count doubles from ``m`` (at most to ``FIND_CYCLE_M_MAX``)
     until the period is stable to ``FIND_CYCLE_PERIOD_RTOL`` relative, so
-    the returned orbit's discretization is self-validated.  Each coarser
-    level only samples the seed of the next; Floquet data are computed for
-    the returned orbit alone.  Raises :class:`GermError` for degenerate
-    seeds and :class:`ConvergenceError` when Newton fails (with the final
-    residual).
+    the returned orbit's discretization is self-validated.  Each doubled
+    level starts from the converged coarser orbit itself, its flow from the
+    first segment start sampled at the 2m new start times, so its first
+    residual is that orbit's own and usually already meets ``CYCLE_TOL``;
+    the mesh, extrema and Floquet data are computed for the returned orbit
+    alone.  Raises :class:`GermError` for degenerate seeds and
+    :class:`ConvergenceError` when Newton fails (with the final residual).
     """
     m = max(10, m)
     starts, T, res = _solve_cycle_raw(p, seed, m)
     while 2 * m <= FIND_CYCLE_M_MAX:
-        ts, mesh, _, _ = _finalize_orbit(p, starts[0], T)
         m *= 2
         coarse_T = T
-        starts, T, res = _solve_cycle_raw(p, CycleSeed(ts, mesh, T), m)
+        starts, T, res = _solve_cycle_raw(p, _sample_flow(p, starts[0], T, m), m)
         if abs(T - coarse_T) <= FIND_CYCLE_PERIOD_RTOL * coarse_T:
             break
     return _make_orbit(p, starts, T, res)

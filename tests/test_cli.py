@@ -506,3 +506,25 @@ class TestCompareOutputs:
     def test_reports_how_far_a_csv_moved(self, base, change, verdict):
         csv_diff = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))["csv_diff"]
         assert csv_diff(base, change) == "bytes differ: " + verdict
+
+    @pytest.mark.parametrize("base, change, verdict", [
+        ({"T": 2.0, "n": 24, "ok": True}, {"T": 2.0000000002, "n": 24, "ok": True},
+         "1 key(s) differ, largest relative difference 1e-10, no label changed: "
+         "T: 2.0 -> 2.0000000002 (1e-10)"),
+        ({"a": {"b": [1, 2]}, "k": "x"}, {"a": {"b": [1, 3]}, "k": "y"},
+         "2 key(s) differ, largest relative difference 0.333, a label changed: "
+         "a.b[1]: 2 -> 3 (0.333); k: 'x' -> 'y'"),
+        ({"ok": True, "v": [1]}, {"ok": False, "v": [1, 2], "w": 0},
+         "3 key(s) differ, largest relative difference 0, a label changed: "
+         "ok: True -> False; v: [1] -> [1, 2]; w: only in change"),
+        ({"x": float("nan"), "wall_time_s": 1.0}, {"x": float("nan"), "wall_time_s": 2.0},
+         "1 key(s) differ, largest relative difference 0.5, no label changed: "
+         "wall_time_s: 1.0 -> 2.0 (0.5)"),
+    ])
+    def test_reports_how_far_a_json_file_moved(self, base, change, verdict):
+        tool = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))
+        a, b = json.dumps(base), json.dumps(change)
+        assert tool["json_verdict"](a, b) == verdict
+        # A manifest's wall time is left out.
+        assert tool["json_verdict"](a, b, tool["VOLATILE"]) == (
+            "" if "wall_time_s" in base else verdict)

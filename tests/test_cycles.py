@@ -60,9 +60,10 @@ class TestFindCycle:
             return floquet(p, y0, period, *args, **kwargs)
 
         monkeypatch.setattr(cycles, "floquet", counting)
-        # Stopped by the period test at 24 segments, by the segment cap
-        # after one doubling (a zero period tolerance never passes), and
-        # before any doubling.
+        # Stopped by the period test at 24 segments; after one doubling with
+        # a zero period tolerance, by the segment cap or, when the doubled
+        # level takes no Newton step and keeps the period exactly, by the
+        # period test; and before any doubling.
         for m_max, period_rtol, segments in ((96, 1e-8, 24), (24, 0.0, 24),
                                              (12, 1e-8, 12)):
             calls.clear()
@@ -73,6 +74,42 @@ class TestFindCycle:
             assert calls == [orbit.period]
             assert abs(orbit.multipliers[0] - 1.0) < 1e-4
             assert len(orbit.mesh) == cycles.MESH_SAMPLES
+
+    @pytest.mark.parametrize("source", ("settled_cycle", "hopf_germ"))
+    def test_doubled_level_starts_on_the_coarse_orbit(self, source, request,
+                                                      monkeypatch):
+        # The 24-segment level is seeded with the 12-segment orbit's own
+        # flow: it starts within CYCLE_TOL and keeps the coarse period, and
+        # only the returned orbit is meshed.
+        if source == "settled_cycle":
+            p, rep = request.getfixturevalue("settled_cycle")
+            seed = cycles.seed_from_simulation(
+                p, (rep.terminal_state.x, rep.terminal_state.u), rep.period)
+        else:
+            p, seed = hopf_germ(request.getfixturevalue("mic").model,
+                                request.getfixturevalue("mic_h1"), 1e-6)
+        newton, finalize = cycles.damped_newton, cycles._finalize_orbit
+        levels, meshed = [], []
+
+        def recording_newton(fn, x0, *args):
+            # The first residual's shoot is cached for newton's own first look.
+            first = float(np.max(np.abs(fn(np.asarray(x0, dtype=float)))))
+            z = newton(fn, x0, *args)
+            levels.append((first, float(z[-1])))
+            return z
+
+        def recording_finalize(p_, y0, T):
+            meshed.append(T)
+            return finalize(p_, y0, T)
+
+        monkeypatch.setattr(cycles, "damped_newton", recording_newton)
+        monkeypatch.setattr(cycles, "_finalize_orbit", recording_finalize)
+        orbit = find_cycle(p, seed, m=12)
+        assert orbit.segments == 24 and len(levels) == 2
+        (_, coarse_T), (first, T) = levels
+        assert meshed == [orbit.period] == [T]
+        assert first < cycles.CYCLE_TOL
+        assert abs(T - coarse_T) <= cycles.FIND_CYCLE_PERIOD_RTOL * coarse_T
 
     def test_germ_amplitude_square_root_law(self, mic, mic_h1):
         # Orbit amplitude near the onset follows amp ~ sqrt(offset): the
@@ -86,6 +123,23 @@ class TestFindCycle:
             amps.append(orbit.amplitude)
         slope = np.polyfit(np.log(deltas), np.log(amps), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.05)
+
+
+class TestSeedPeriod:
+    @pytest.mark.parametrize("period", (0.0, -1.0, math.nan, math.inf))
+    def test_rejected_before_integrating(self, mic, period, monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(cycles, "lsoda", no_integration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                cycles.seed_from_simulation(mic.model, (0.5, 0.04), period)
+            assert err.value.field == "period"
+            with pytest.raises(ValidationError) as err:
+                CycleSeed(np.zeros(4), np.tile([0.5, 0.04], (4, 1)), period)
+            assert err.value.field == "period"
 
 
 def stacked_rhs_reference(p, m, h, sens, Y):

@@ -91,11 +91,11 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     boiling = mic.model.with_(u_a=p.u_a)
 
     def integrations():
-        ts, mesh, lo, hi = cycles._finalize_orbit(p, starts[0], seed.period)
+        mesh, lo, hi = cycles._finalize_orbit(p, starts[0], seed.period)
         mults, defect = cycles.floquet(p, starts[0], seed.period)
         sampled = cycles.seed_from_simulation(p, starts[0], seed.period)
         return [*cycles._shoot(p, starts, seed.period, sens=True),
-                ts, mesh, lo, hi, *mults, defect,
+                mesh, lo, hi, *mults, defect,
                 sampled.times, sampled.states,
                 simulate.integrate(p, (0.9, p.u_a), 5.0),
                 simulate.integrate(boiling, (0.9, p.u_a), 5.0)]
@@ -126,7 +126,7 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
             # floquet integrates leg by leg; this orbit takes two legs.
             ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
             ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
-            ("thermorun.cycles", "lsoda", "odeint", "seed_from_simulation"),
+            ("thermorun.cycles", "lsoda", "odeint", "_sample_flow"),
             # Without a boiling threshold integrate has no event.
             ("thermorun.simulate", "lsoda", "odeint", "_callbacks"),
             ("thermorun.simulate", "solve_ivp", "LSODA", "_callbacks")):

@@ -11,10 +11,12 @@ so the benchmark scripts' inputs are the same on both sides.  A CSV or JSON
 output (a script's ``fingerprint.json`` included) must be byte-identical;
 ``manifest.json`` must be equal apart from ``wall_time_s``.  Prints one
 line per file and exits 1 on any difference or when a command exits
-non-zero on either side, 0 otherwise.  For a CSV that differs, the line
-says how much it moved: the rows changed, the largest relative difference
-of a numeric cell, and whether a non-numeric cell (a label) changed.  Edit
-``COMMANDS`` and ``SCRIPTS`` for a partial run.
+non-zero on either side, 0 otherwise.  For a file that differs, the line
+says how much it moved: for a CSV, the rows changed; for a JSON file, each
+key that changed with both values and, for numbers, their relative
+difference; for both, the largest relative difference of a number and
+whether anything else (a label) changed.  Edit ``COMMANDS`` and
+``SCRIPTS`` for a partial run.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ COMMANDS = {
 SCRIPTS = {f"{name}-{seed}-{draw}": (name, seed, draw)
            for name in ("attractor-mic", "steady-sweep")
            for seed, draw in ((11, 0), (12, 1), (13, 2))}
-VOLATILE = {"wall_time_s"}
+VOLATILE = frozenset({"wall_time_s"})
 
 
 def run(checkout: Path, argv: list[str]) -> int:
@@ -113,32 +115,61 @@ def run(checkout: Path, argv: list[str]) -> int:
     return proc.returncode
 
 
-def json_diff(a, b, path: str = "") -> list[str]:
-    """Paths where two JSON values differ, with both values."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        out = []
-        for key in sorted(set(a) | set(b)):
-            if key in VOLATILE and not path:
-                continue
-            sub = f"{path}.{key}" if path else key
-            if key not in a or key not in b:
-                out.append(f"{sub}: only in {'change' if key in b else 'base'}")
-            else:
-                out += json_diff(a[key], b[key], sub)
-        return out
-    return [] if a == b else [f"{path}: {a!r} -> {b!r}"]
-
-
-def _relative(a: str, b: str) -> float | None:
-    """|a - b| / max(|a|, |b|) of two numeric cells; None unless both parse."""
+def _relative(a, b) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numbers or numeric cells; None unless
+    both are one (a JSON true or false is a label)."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
     try:
         x, y = float(a), float(b)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
     if x == y:
         return 0.0
     rel = abs(x - y) / max(abs(x), abs(y))
     return rel if math.isfinite(rel) else math.inf
+
+
+def json_diff(a, b, path: str = "",
+              skip: frozenset[str] = frozenset()) -> list[tuple[str, str, float | None]]:
+    """(path, "a -> b", relative difference or None) where two JSON values
+    differ; dicts and equal-length lists are compared item by item, and the
+    top-level keys in ``skip`` are left out."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            if key in skip and not path:
+                continue
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                out.append((sub, f"only in {'change' if key in b else 'base'}", None))
+            else:
+                out += json_diff(a[key], b[key], sub)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in json_diff(x, y, f"{path}[{i}]")]
+    if a == b or (a != a and b != b):      # NaN reads back unequal to itself
+        return []
+    return [(path, f"{a!r} -> {b!r}", _relative(a, b))]
+
+
+def _moved(worst: float, label: bool) -> str:
+    return (f"largest relative difference {worst:.3g}, "
+            f"{'a label changed' if label else 'no label changed'}")
+
+
+def json_verdict(a: str, b: str, skip: frozenset[str] = frozenset()) -> str:
+    """How far two JSON texts differ, key by key; '' when their values are
+    equal apart from ``skip``."""
+    diffs = json_diff(json.loads(a), json.loads(b), skip=skip)
+    if not diffs:
+        return ""
+    worst = max(rel or 0.0 for _, _, rel in diffs)
+    label = any(rel is None for _, _, rel in diffs)
+    keys = "; ".join(f"{path}: {change}" + ("" if rel is None else f" ({rel:.3g})")
+                     for path, change, rel in diffs)
+    return f"{len(diffs)} key(s) differ, {_moved(worst, label)}: {keys}"
 
 
 def csv_diff(a: str, b: str) -> str:
@@ -160,9 +191,7 @@ def csv_diff(a: str, b: str) -> str:
             rel = _relative(ca, cb) if ca != cb else 0.0
             label |= rel is None
             worst = max(worst, rel or 0.0)
-    return (f"bytes differ: {changed} of {n_a} rows changed, largest "
-            f"relative difference {worst:.3g}, "
-            f"{'a label changed' if label else 'no label changed'}")
+    return f"bytes differ: {changed} of {n_a} rows changed, {_moved(worst, label)}"
 
 
 def compare(base: Path, change: Path) -> list[tuple[str, str]]:
@@ -174,13 +203,15 @@ def compare(base: Path, change: Path) -> list[tuple[str, str]]:
         if not a.exists() or not b.exists():
             rows.append((name, f"only in {'change' if b.exists() else 'base'}"))
         elif name == "manifest.json":
-            diffs = json_diff(json.loads(a.read_text()), json.loads(b.read_text()))
-            rows.append((name, "; ".join(diffs)))
+            rows.append((name, json_verdict(a.read_text(), b.read_text(), VOLATILE)))
         elif a.read_bytes() == b.read_bytes():
             rows.append((name, ""))
+        elif name.endswith(".csv"):
+            rows.append((name, csv_diff(a.read_text(), b.read_text())))
         else:
-            rows.append((name, csv_diff(a.read_text(), b.read_text())
-                         if name.endswith(".csv") else "bytes differ"))
+            verdict = (json_verdict(a.read_text(), b.read_text())
+                       if name.endswith(".json") else "")
+            rows.append((name, verdict or "bytes differ"))
     return rows
 
 
