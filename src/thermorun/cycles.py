@@ -132,38 +132,80 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     Per-segment layout: y (2), flattened transition matrix M (4) and, when
     ``sens`` is set, the sensitivity zeta (2) by u_a, whose field derivative
     is the constant row (0, loss/eps).
+
+    The work arrays are allocated once per closure, and each call refills
+    them with ``out=`` ufuncs in the order of operations of the allocating
+    form (``stacked_rhs_allocating`` in ``tests/conftest.py``), so the bits
+    are its.  The derivative returned is one of them, overwritten by the
+    next call: that is safe only because ``odeint`` (like scipy's
+    ``LSODA``) copies it before it calls again.  A caller that keeps one
+    must copy it.
     """
     width = 8 if sens else 6
+    # 0-d arrays, not floats: a ufunc converts a Python float operand anew
+    # on every call.
+    f, eps, loss, u_a, sigma, h, one, minus_one, floor, floor2 = map(
+        np.array, (p.f, p.eps, p.loss, p.u_a, p.sigma, h, 1.0, -1.0, U_FLOOR,
+                   U_FLOOR * U_FLOOR))
     dfdp = np.array([0.0, p.loss / p.eps])
+    a, e, r, rp, xr, xrp = work = np.empty((6, m))
+    rates, xrates = work[2:4], work[4:6]
+    # Columns of each segment's J, shape (m, 2, 1); J M and J zeta are the
+    # two-term sums einsum forms.
+    J0, J1 = np.empty((2, m, 2, 1))
+    J0c, J1c = J0[:, :, 0], J1[:, :, 0]
+    (j00, j10), (j01, j11) = J0c.T, J1c.T
+    JM0, JM1 = np.empty((2, m, 2, 2))
+    Jz0, Jz1 = np.empty((2, m, 2))
+    out = np.empty((m, width))
+    dx, du = out[:, 0], out[:, 1]
+    # Views, as every reshape of a contiguous array is: M's and zeta's
+    # columns of the derivative.
+    pairs = out.reshape(m, width // 2, 2)
+    dM = pairs[:, 1:3]
+    dz = pairs[:, 3] if sens else None
+    flat = out.reshape(m * width)
 
     def rhs(s, Y):
         Z = Y.reshape(m, width)
         x, u = Z[:, 0], Z[:, 1]
         # The field and J of model._field_xu/_jac_xu on one Arrhenius
         # evaluation, clamped instead of branched: the same bits for every
-        # finite u.
-        e = np.exp(-1.0 / np.maximum(u, U_FLOOR))
-        r = p.sigma * e
-        rp = r / np.maximum(u * u, U_FLOOR * U_FLOOR)
-        xr, xrp = x * r, x * rp                          # -(x r) == (-x) r
-        # Columns of each segment's J, shape (m, 2, 1); J M and J zeta are
-        # the two-term sums einsum forms.
-        J0 = np.empty((m, 2, 1))
-        J1 = np.empty((m, 2, 1))
-        J0[:, 0, 0] = -(r + p.f)
-        J0[:, 1, 0] = r / p.eps
-        J1[:, 0, 0] = -xrp
-        J1[:, 1, 0] = (xrp - p.loss) / p.eps
-        out = np.empty_like(Z)
-        out[:, 0] = -xr + p.f * (1.0 - x)
-        out[:, 1] = (xr - p.loss * (u - p.u_a)) / p.eps
+        # finite u.  e = exp(-1 / max(u, U_FLOOR)), r = sigma e and
+        # rp = r / max(u u, U_FLOOR**2).
+        np.maximum(u, floor, out=a)
+        np.divide(minus_one, a, out=a)
+        np.exp(a, out=e)
+        np.multiply(sigma, e, out=r)
+        np.multiply(u, u, out=a)
+        np.maximum(a, floor2, out=a)
+        np.divide(r, a, out=rp)
+        np.multiply(x, rates, out=xrates)       # x r, x rp; -(x r) == (-x) r
+        np.add(r, f, out=j00)                   # -(r + f)
+        np.negative(j00, out=j00)
+        np.divide(r, eps, out=j10)
+        np.negative(xrp, out=j01)
+        np.subtract(xrp, loss, out=j11)         # (x rp - loss) / eps
+        np.divide(j11, eps, out=j11)
+        np.subtract(one, x, out=a)              # -x r + f (1 - x)
+        np.multiply(f, a, out=a)
+        np.negative(xr, out=dx)
+        np.add(dx, a, out=dx)
+        np.subtract(u, u_a, out=a)              # (x r - loss (u - u_a)) / eps
+        np.multiply(loss, a, out=a)
+        np.subtract(xr, a, out=du)
+        np.divide(du, eps, out=du)
         M = Z[:, 2:6].reshape(m, 2, 2)
-        out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
+        np.multiply(J0, M[:, 0:1], out=JM0)
+        np.multiply(J1, M[:, 1:2], out=JM1)
+        np.add(JM0, JM1, out=dM)
         if sens:
-            out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
-                           + dfdp)
-        out *= h
-        return out.ravel()
+            np.multiply(J0c, Z[:, 6:7], out=Jz0)
+            np.multiply(J1c, Z[:, 7:8], out=Jz1)
+            np.add(Jz0, Jz1, out=Jz0)
+            np.add(Jz0, dfdp, out=dz)
+        np.multiply(out, h, out=out)
+        return flat
 
     return rhs, width
 
@@ -331,14 +373,18 @@ def floquet(p: ModelParams, y0: np.ndarray,
     multiplier closest to unity.
     """
     # State layout: y (2), M (4), q = int trace, qa = int |trace|.
+    field_jac = model._callbacks(p)[2]
+    J = np.empty((2, 2))
+
     def rhs(t, Y):
         x, u = Y[:2].tolist()
-        J = model._jac_scalar(p, x, u)
-        tr = J[0][0] + J[1][1]
+        fx, fu, a, b, c, d = field_jac(x, u)
+        J[0, 0], J[0, 1], J[1, 0], J[1, 1] = a, b, c, d
+        tr = a + d
         # Keep the matmul: written-out sums round differently from it and
         # move the Floquet multipliers.
-        Mdot = np.array(J) @ Y[2:6].reshape(2, 2)
-        return [*model._field_scalar(p, x, u), *Mdot.ravel().tolist(), tr, abs(tr)]
+        Mdot = J @ Y[2:6].reshape(2, 2)
+        return [fx, fu, *Mdot.ravel().tolist(), tr, abs(tr)]
 
     def jac(t, Y):
         x, u = float(Y[0]), float(Y[1])
@@ -405,14 +451,10 @@ def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     Returns the uniform mesh (the orbit an :class:`Orbit` carries) and the u
     extrema, located exactly by an event on du/dt.
     """
-    def rhs(t, y):
-        return model._field_scalar(p, *y.tolist())
-
-    def jac(t, y):
-        return model._jac_scalar(p, *y.tolist())
+    rhs, jac, _ = model._callbacks(p)
 
     def du(t, y):
-        return model._field_scalar(p, *y.tolist())[1]
+        return rhs(t, y)[1]
 
     du.direction = 0
     du.terminal = False
@@ -514,13 +556,7 @@ def _sample_flow(p: ModelParams, y0, period: float, n: int) -> CycleSeed:
     """The flow from ``y0`` at ``n`` uniform times over [0, ``period``), one
     event-free integration at the shooting tolerances."""
     _check_period(period)
-
-    def rhs(t, y):
-        return model._field_scalar(p, *y.tolist())
-
-    def jac(t, y):
-        return model._jac_scalar(p, *y.tolist())
-
+    rhs, jac, _ = model._callbacks(p)
     ts = np.linspace(0.0, period, n, endpoint=False)
     try:
         states = lsoda(rhs, jac, y0, ts, SHOOT_RTOL, SHOOT_ATOL)

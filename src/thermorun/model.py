@@ -227,10 +227,12 @@ def _field_xu(p: ModelParams, x, u):
 def _rates(p: ModelParams, u: float) -> tuple[float, float]:
     """Scalar rate r = sigma * exp(-1/u) and dr/du, both zero for u <= 0.
 
-    The per-step integrator callbacks use this instead of the array
-    kernels.  ``np.exp`` on a Python float matches the array path bit for
-    bit; ``math.exp`` differs from it by one ulp on some u.  r is exactly 0
-    wherever u * u underflows, so dr/du never divides by zero.
+    The scalar kernels of the steady and loci solvers use this instead of
+    the array kernels; the integrator callbacks of :func:`_callbacks`
+    inline the same arithmetic.  ``np.exp`` on a Python float matches the
+    array path bit for bit; ``math.exp`` differs from it by one ulp on some
+    u.  r is exactly 0 wherever u * u underflows, so dr/du never divides by
+    zero.
     """
     if u > 0:
         r = p.sigma * float(np.exp(-1.0 / u))
@@ -248,6 +250,43 @@ def _jac_scalar(p: ModelParams, x: float, u: float):
     """``_jac_xu`` for one state given as Python floats, as nested tuples."""
     r, rp = _rates(p, u)
     return ((-(r + p.f), -x * rp), (r / p.eps, (x * rp - p.loss) / p.eps))
+
+
+def _callbacks(p: ModelParams):
+    """The integrator callbacks of the vector field at ``p``: ``rhs(t, y)``,
+    ``jac(t, y)`` and ``field_jac(x, u)``.
+
+    ``rhs`` and ``jac`` are ``_field_scalar`` and ``_jac_scalar`` at the
+    state ``y``; ``field_jac`` takes the state as two floats and returns
+    the field and the Jacobian's rows flattened, (fx, fu, a, b, c, d), from
+    one exponential (``jac``, called once per LSODA Jacobian, reads it).  The arithmetic is ``_rates``' and theirs, so the bits
+    are the same; what is left out is the per-call work that depends on
+    ``p`` alone: the parameters are read, and ``loss`` summed, once here.
+    Every integrator callback of ``simulate`` and ``cycles`` is built on
+    this, so a test that patches it changes the field of all of them.
+    """
+    f, eps, loss, u_a, sigma = p.f, p.eps, p.loss, p.u_a, p.sigma
+    exp = np.exp
+
+    def rhs(t, y):
+        x, u = y.tolist()
+        r = sigma * float(exp(-1.0 / u)) if u > 0 else 0.0
+        return -x * r + f * (1.0 - x), (x * r - loss * (u - u_a)) / eps
+
+    def field_jac(x, u):
+        if u > 0:
+            r = sigma * float(exp(-1.0 / u))
+            rp = r / (u * u) if r else 0.0
+        else:
+            r = rp = 0.0
+        return (-x * r + f * (1.0 - x), (x * r - loss * (u - u_a)) / eps,
+                -(r + f), -x * rp, r / eps, (x * rp - loss) / eps)
+
+    def jac(t, y):
+        _, _, a, b, c, d = field_jac(*y.tolist())
+        return ((a, b), (c, d))
+
+    return rhs, jac, field_jac
 
 
 def vector_field(p: ModelParams, s) -> tuple[float, float]:

@@ -41,11 +41,13 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
     as scipy does, and ``t_eval`` points are read off the step's dense
     output in one call per step.  So ``t``, ``y``, ``t_events``,
     ``y_events``, ``sol``, ``status``, ``nfev``, ``njev`` and ``nlu`` all
-    equal scipy's, except on two kinds of run, which fail here with status
-    -1: one with a step that leaves ``t`` where it was (on an infinite
-    field LSODA reports such steps as successes forever, and scipy's loop
-    never ends), and one whose last state is not finite (a NaN state can
-    also step on under a successful status).  What is left out is scipy's
+    equal scipy's, except on three kinds of run.  An empty span (tf = t0)
+    raises the ``ValueError`` of a backward one, where scipy returns a
+    success at t0.  Two fail here with status -1: one with a step that
+    leaves ``t`` where it was (on an infinite field LSODA reports such
+    steps as successes forever, and scipy's loop never ends), and one whose
+    last state is not finite (a NaN state can also step on under a
+    successful status).  What is left out is scipy's
     generic per-step work: event signs are compared as scalars, and a step
     that holds no event root or output time builds no array (scipy's
     ``find_active_events`` and its ``t_eval`` search and slice build
@@ -64,8 +66,9 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
     from scipy.optimize import OptimizeResult, brentq
 
     t0, tf = map(float, t_span)
-    if tf < t0:
-        raise ValueError("integrates forward in time only")
+    if tf <= t0:
+        raise ValueError("integrates forward in time only, over a span of "
+                         "positive length")
     if t_eval is not None and dense_output:
         raise ValueError("dense_output is not supported with t_eval")
     if t_eval is not None:
@@ -289,13 +292,9 @@ def _clamped_state(x: float, u: float) -> State:
 
 
 def _callbacks(p: ModelParams):
-    """The vector field and its Jacobian as LSODA callbacks ``f(t, y)``."""
-    def rhs(t, y):
-        return model._field_scalar(p, *y.tolist())
-
-    def jac(t, y):
-        return model._jac_scalar(p, *y.tolist())
-
+    """The vector field and its Jacobian as LSODA callbacks ``f(t, y)``,
+    those of :func:`model._callbacks`."""
+    rhs, jac, _ = model._callbacks(p)
     return rhs, jac
 
 
@@ -424,9 +423,10 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     # The extremum event carries a deadband well above the integrator noise
     # so that a trajectory parked on a steady state emits no spurious events.
     floor = 1000.0 * tol_abs * max(1.0, p.loss / p.eps)
+    field = model._callbacks(p)[0]
 
     def du(t, y):
-        v = model._field_scalar(p, *y.tolist())[1]
+        v = field(t, y)[1]
         return v if abs(v) > floor else -floor
 
     du.direction, du.terminal = 0, False

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from thermorun import cycles, loci, model, steady
 from thermorun.errors import ValidationError
-from thermorun.model import CONTINUABLE_PARAMS, ModelParams, _arrhenius
+from thermorun.model import CONTINUABLE_PARAMS, U_FLOOR, ModelParams, _arrhenius
 
 # Parameter distribution of acceptance criterion 5.
 criterion5_params = st.builds(
@@ -48,6 +48,54 @@ def param_derivative(p: ModelParams, x, u, name: str):
         raise ValidationError(
             "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
     return out
+
+
+# Allocating forms of the integrator callbacks of ``cycles``: fresh arrays on
+# every call and the parameters read from ``p`` each time.  The callbacks,
+# which reuse their arrays, are tested against them bit for bit.
+def stacked_rhs_allocating(p: ModelParams, m: int, h: float, sens: bool):
+    """``cycles._stacked_rhs`` with its work arrays allocated per call."""
+    width = 8 if sens else 6
+    dfdp = np.array([0.0, p.loss / p.eps])
+
+    def rhs(s, Y):
+        Z = Y.reshape(m, width)
+        x, u = Z[:, 0], Z[:, 1]
+        e = np.exp(-1.0 / np.maximum(u, U_FLOOR))
+        r = p.sigma * e
+        rp = r / np.maximum(u * u, U_FLOOR * U_FLOOR)
+        xr, xrp = x * r, x * rp
+        J0 = np.empty((m, 2, 1))
+        J1 = np.empty((m, 2, 1))
+        J0[:, 0, 0] = -(r + p.f)
+        J0[:, 1, 0] = r / p.eps
+        J1[:, 0, 0] = -xrp
+        J1[:, 1, 0] = (xrp - p.loss) / p.eps
+        out = np.empty_like(Z)
+        out[:, 0] = -xr + p.f * (1.0 - x)
+        out[:, 1] = (xr - p.loss * (u - p.u_a)) / p.eps
+        M = Z[:, 2:6].reshape(m, 2, 2)
+        out[:, 2:6] = (J0 * M[:, 0:1] + J1 * M[:, 1:2]).reshape(m, 4)
+        if sens:
+            out[:, 6:8] = (J0[:, :, 0] * Z[:, 6:7] + J1[:, :, 0] * Z[:, 7:8]
+                           + dfdp)
+        out *= h
+        return out.ravel()
+
+    return rhs, width
+
+
+def floquet_rhs_allocating(p: ModelParams):
+    """The RHS of ``cycles.floquet``'s variational legs, J built per call
+    from ``model._jac_scalar`` and the field from ``model._field_scalar``."""
+    def rhs(t, Y):
+        x, u = Y[:2].tolist()
+        J = model._jac_scalar(p, x, u)
+        tr = J[0][0] + J[1][1]
+        Mdot = np.array(J) @ Y[2:6].reshape(2, 2)
+        return [*model._field_scalar(p, x, u), *Mdot.ravel().tolist(), tr, abs(tr)]
+
+    return rhs
 
 
 @pytest.fixture(scope="session")

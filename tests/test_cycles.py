@@ -12,7 +12,8 @@ from thermorun import cycles, model, simulate, steady
 from thermorun.cycles import CycleSeed, find_cycle, floquet, hopf_germ
 from thermorun.errors import ConvergenceError, GermError, ValidationError
 
-from conftest import param_derivative
+from conftest import (criterion5_params, floquet_rhs_allocating, param_derivative,
+                      stacked_rhs_allocating)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +275,78 @@ class TestStackedKernels:
             warnings.simplefilter("error")
             for got, want in kernels:
                 assert got(0.0, Y).tobytes() == want(0.0, Y).tobytes()
+
+
+class _Captured(Exception):
+    pass
+
+
+def floquet_rhs(p):
+    """The RHS ``cycles.floquet`` integrates its legs with, taken from its
+    first ``solve_ivp`` call, which is not made."""
+    captured = []
+
+    def capture(fun, *args, **kwargs):
+        captured.append(fun)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "solve_ivp", capture)
+        with pytest.raises(_Captured):
+            floquet(p, np.array([0.5, 0.04]), 1.0)
+    return captured[0]
+
+
+# One segment's state, transition matrix and sensitivity, or one floquet
+# state (y, M, int trace, int |trace|).
+kernel_rows = st.tuples(st.floats(-0.5, 1.5), kernel_us, *[kernel_entries] * 6)
+
+
+class TestBufferedCallbacks:
+    """The callbacks that keep their work arrays from call to call give the
+    bits of the allocating ones in ``conftest`` on every call, whatever the
+    call before left in them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=criterion5_params,
+           draws=st.lists(st.lists(kernel_rows, min_size=1, max_size=12),
+                          min_size=2, max_size=3),
+           m=st.sampled_from([10, 12, 24]), sens=st.booleans(),
+           h=st.floats(0.01, 3.0))
+    def test_stacked_rhs_bytes_equal_the_allocating_one(self, p, draws, m,
+                                                        sens, h):
+        width = 8 if sens else 6
+        rhs, w = cycles._stacked_rhs(p, m, h, sens)
+        ref, _ = stacked_rhs_allocating(p, m, h, sens)
+        assert w == width
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for segments in draws:
+                Y = np.resize(np.array(segments)[:, :width], (m, width)).ravel()
+                assert rhs(0.0, Y).tobytes() == ref(0.0, Y).tobytes()
+
+    # Each id names the parameter the shoot differentiates by, if any.
+    @pytest.mark.parametrize("sens", (False, True), ids=("None", "u_a"))
+    @pytest.mark.parametrize("m", [10, 12, 24])
+    def test_shoot_bytes_equal_on_the_allocating_rhs(self, mic, mic_h1,
+                                                     monkeypatch, m, sens):
+        # odeint reads the returned buffer; the shoot must not tell.
+        p, seed = hopf_germ(mic.model, mic_h1, 1e-3)
+        starts = seed.segment_starts(m)
+        got = cycles._shoot(p, starts, seed.period, sens=sens)
+        monkeypatch.setattr(cycles, "_stacked_rhs", stacked_rhs_allocating)
+        want = cycles._shoot(p, starts, seed.period, sens=sens)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=criterion5_params,
+           states=st.lists(kernel_rows, min_size=2, max_size=4))
+    def test_floquet_rhs_bytes_equal_the_allocating_one(self, p, states):
+        rhs, ref = floquet_rhs(p), floquet_rhs_allocating(p)
+        for Y in map(np.array, states):
+            assert (np.array(rhs(0.0, Y)).tobytes()
+                    == np.array(ref(0.0, Y)).tobytes())
 
 
 def shoot_reference(p, starts, T, sens=False, var=True):

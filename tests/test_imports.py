@@ -122,11 +122,12 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     expected = Counter()
     for module, forwarder, driver, owner in (
             ("thermorun.cycles", "lsoda", "odeint", "_stacked_rhs"),
-            ("thermorun.cycles", "solve_ivp", "LSODA", "_finalize_orbit"),
+            # The scalar callbacks are model._callbacks' closures.
+            ("thermorun.cycles", "solve_ivp", "LSODA", "_callbacks"),
             # floquet integrates leg by leg; this orbit takes two legs.
             ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
             ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
-            ("thermorun.cycles", "lsoda", "odeint", "_sample_flow"),
+            ("thermorun.cycles", "lsoda", "odeint", "_callbacks"),
             # Without a boiling threshold integrate has no event.
             ("thermorun.simulate", "lsoda", "odeint", "_callbacks"),
             ("thermorun.simulate", "solve_ivp", "LSODA", "_callbacks")):

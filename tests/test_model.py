@@ -235,6 +235,25 @@ class TestScalarKernels:
         with pytest.raises(ValidationError):
             model._param_derivative_scalar(mic.model, 0.5, 0.04, "u_boil")
 
+    # u outside the domain, below and at U_FLOOR, where u * u underflows
+    # (below ~2e-162) and subnormal; x of both signs of zero.
+    callback_us = st.sampled_from(
+        [-0.01, -0.0, 0.0, 5e-324, 1e-300, 1e-170, 1.5e-162, 1e-4,
+         model.U_FLOOR, 0.0013]) | st.floats(-0.1, 0.3)
+    callback_xs = st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params, x=callback_xs, u=callback_us)
+    def test_callbacks_bit_identical_to_scalar_kernels(self, p, x, u):
+        rhs, jac, field_jac = model._callbacks(p)
+        y = np.array([x, u])
+        field = np.array(model._field_scalar(p, x, u))
+        J = np.array(model._jac_scalar(p, x, u))
+        assert np.array(rhs(0.0, y)).tobytes() == field.tobytes()
+        assert np.array(jac(0.0, y)).tobytes() == J.tobytes()
+        assert (np.array(field_jac(x, u)).tobytes()
+                == np.concatenate([field, J.ravel()]).tobytes())
+
     def test_tiny_u_gives_zero_rate_slope(self, mic):
         p = mic.model
         assert model._rates(p, 1e-300) == (0.0, 0.0)

@@ -105,6 +105,26 @@ class TestIntegrate:
         assert abs(a.u - b.u) < 10 * tol / 2
 
 
+def blow_up_past_three_quarters(monkeypatch):
+    """Patch ``model._callbacks``, which every integrator callback is built
+    on, so that the field it gives is infinite once x passes 0.75."""
+    callbacks = model._callbacks
+
+    def blowing_up(p_):
+        rhs, jac, field_jac = callbacks(p_)
+
+        def rhs_inf(t, y):
+            return (math.inf, math.inf) if y[0] > 0.75 else rhs(t, y)
+
+        def field_jac_inf(x, u):
+            fj = field_jac(x, u)
+            return (math.inf, math.inf, *fj[2:]) if x > 0.75 else fj
+
+        return rhs_inf, jac, field_jac_inf
+
+    monkeypatch.setattr(model, "_callbacks", blowing_up)
+
+
 class TestEventFreeIntegrate:
     """``integrate`` without a boiling threshold runs on ``simulate.lsoda``
     (odeint)."""
@@ -138,12 +158,7 @@ class TestEventFreeIntegrate:
         # The field turns infinite once x passes 0.75 (x rises from 0.5 at
         # rate 1.7, so at tau = ln 2 / 1.7 = 0.41).
         p = linear_params()
-        field = model._field_scalar
-
-        def blowing_up(p_, x, u):
-            return (math.inf, math.inf) if x > 0.75 else field(p_, x, u)
-
-        monkeypatch.setattr(model, "_field_scalar", blowing_up)
+        blow_up_past_three_quarters(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationFailure, match="LSODA failed") as err:
@@ -340,7 +355,7 @@ class TestSolveIvpOracle:
 
     @pytest.mark.parametrize("kwargs", [
         {"t_eval": [0.5, 0.0]}, {"t_span": (1.0, 0.0)},
-        {"t_eval": [0.0, 0.5], "dense_output": True}])
+        {"t_eval": [0.0, 0.5], "dense_output": True}, {"t_span": (0.0, 0.0)}])
     def test_rejects_what_it_does_not_support(self, kwargs):
         call = {"fun": lambda t, y: -y, "t_span": (0.0, 1.0),
                 "y0": np.array([1.0]), **kwargs}
@@ -568,12 +583,7 @@ class TestInfiniteField:
     @pytest.fixture(autouse=True)
     def blowing_up(self, monkeypatch):
         # The reaction-off field turns infinite once x passes 0.75.
-        field = model._field_scalar
-
-        def blowing_up(p_, x, u):
-            return (math.inf, math.inf) if x > 0.75 else field(p_, x, u)
-
-        monkeypatch.setattr(model, "_field_scalar", blowing_up)
+        blow_up_past_three_quarters(monkeypatch)
 
     @pytest.mark.parametrize("name, message", [
         ("integrate", "zero-length step"),
