@@ -11,9 +11,11 @@ step's Jacobian.  ``find_cycle`` doubles the segment count until the
 period settles, seeding each doubled level with the converged coarser
 orbit's flow sampled at the new segment starts, so that level's Newton loop
 mostly only confirms the orbit.  Floquet multipliers come from the
-monodromy matrix accumulated in chunks around the orbit, with the
-determinant identity against exp(integral of the Jacobian trace) kept as a
-consistency defect.
+monodromy matrix accumulated in legs around the orbit, each leg's ends on a
+uniform sample grid of the period, with the determinant identity against
+exp(integral of the Jacobian trace) kept as a consistency defect.  Every
+integration is an event-free ``simulate.lsoda`` run; an orbit's u extrema
+are located between its mesh samples by a Newton iteration in time.
 Cycle branches are continued in the ambient temperature u_a alone: the
 branch emerging from the Hopf point of a u_a branch is traced by the shared
 pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period, u_a),
@@ -36,7 +38,10 @@ from . import model
 from .errors import (ConvergenceError, GermError, IntegrationFailure,
                      NotAHopfError, ValidationError)
 from .model import U_FLOOR, ModelParams
-from .simulate import lsoda, solve_ivp
+from .simulate import lsoda
+# Nothing here integrates through solve_ivp: only the benchmark tracer reads
+# this name, until it spans lsoda instead (ROADMAP item A).
+from .simulate import solve_ivp  # noqa: F401
 from .solvers import (ContinuationProblem, bisect_root, continue_curve,
                       damped_newton)
 from .steady import SpecialPoint, _complex_pair, lyapunov_first_coeff, solve_steady
@@ -120,6 +125,15 @@ class CycleBranch:
     orbits: tuple[Orbit, ...]
     cycle_folds: tuple[float, ...]
     stop_reason: str
+
+
+def _flow(rhs, jac, y0, ts, what: str) -> np.ndarray:
+    """``lsoda`` at the shooting tolerances; a failed integration is a
+    :class:`ConvergenceError` naming ``what``."""
+    try:
+        return lsoda(rhs, jac, y0, ts, SHOOT_RTOL, SHOOT_ATOL)
+    except IntegrationFailure as exc:
+        raise ConvergenceError(f"{what} failed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +271,8 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, sens: bool = False):
     Y0[:, 0:2] = starts
     Y0[:, 2] = 1.0
     Y0[:, 5] = 1.0
-    try:
-        Z = lsoda(rhs, jac, Y0.ravel(), [0.0, 1.0], SHOOT_RTOL,
-                  SHOOT_ATOL)[-1].reshape(m, width)
-    except IntegrationFailure as exc:
-        raise ConvergenceError(f"variational integration failed: {exc}") from None
+    Z = _flow(rhs, jac, Y0.ravel(), [0.0, 1.0],
+              "variational integration")[-1].reshape(m, width)
     ends = Z[:, 0:2].copy()
     Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
     zetas = Z[:, 6:8].copy() if sens else None
@@ -352,8 +363,9 @@ def _stable_multipliers(tr: float, det: float) -> tuple[float, float]:
 
 
 LEG_TRACE_BUDGET = 12.0
-"""Renormalize the variational flow whenever int |trace J| grows this much,
-so every leg's transition-matrix determinant stays well-conditioned."""
+"""A Floquet leg spans at most this much of int |trace J|, unless it is a
+single sample interval, so every leg's transition-matrix determinant stays
+well-conditioned."""
 
 
 def floquet(p: ModelParams, y0: np.ndarray,
@@ -362,15 +374,22 @@ def floquet(p: ModelParams, y0: np.ndarray,
     ``period``, and the Liouville defect.
 
     Integrates the variational equations around the orbit at the shooting
-    tolerances ``SHOOT_RTOL`` and ``SHOOT_ATOL``, restarting from
-    the identity whenever the accumulated |trace| budget is exhausted
-    (strongly contracting relaxation orbits would otherwise lose the tiny
-    determinant to cancellation).  The monodromy matrix is the ordered
-    product of the legs, its determinant the product of well-conditioned leg
-    determinants.  The defect reported is the relative mismatch between that
-    determinant and exp(integral of trace J), an identity in exact
-    arithmetic.  Returns ((trivial, nontrivial), defect), trivial being the
-    multiplier closest to unity.
+    tolerances ``SHOOT_RTOL`` and ``SHOOT_ATOL`` in legs, each restarted
+    from the identity (strongly contracting relaxation orbits would
+    otherwise lose the tiny determinant to cancellation).  One run over the
+    ``MESH_SAMPLES + 1`` uniform times of [0, period] places the legs: each
+    ends at the last sample whose int |trace J| since the leg's start is
+    within ``LEG_TRACE_BUDGET``, and spans at least one interval.  That run
+    gives the first leg; each later leg is one more run over its own
+    samples, from the state where the leg before it ended (starting from
+    the first run's state at that sample makes near-homoclinic orbits'
+    multipliers up to 20 times less accurate).  A single interval over the
+    budget is cut the same way on its own uniform grid.  The monodromy matrix is the ordered product of the
+    legs, its determinant the product of well-conditioned leg determinants.
+    The defect reported is the relative mismatch between that determinant
+    and exp(integral of trace J), an identity in exact arithmetic.  Returns
+    ((trivial, nontrivial), defect), trivial being the multiplier closest to
+    unity.
     """
     # State layout: y (2), M (4), q = int trace, qa = int |trace|.
     field_jac = model._callbacks(p)[2]
@@ -401,26 +420,33 @@ def floquet(p: ModelParams, y0: np.ndarray,
         out[7, 0:2] = math.copysign(1.0, tr) * dtr
         return out
 
-    def budget(t, Y):
-        return Y[7] - LEG_TRACE_BUDGET
+    def run(y, ts):
+        Y0 = np.concatenate([y, np.eye(2).ravel(), [0.0, 0.0]])
+        return _flow(rhs, jac, Y0, ts, "variational integration")
 
-    budget.direction = 1
-    budget.terminal = True
+    def legs(y, t0, t1):
+        """The last row of each leg of the flow from ``y`` over [t0, t1]."""
+        ts = np.linspace(t0, t1, MESH_SAMPLES + 1)
+        Z = run(y, ts)
+        s = 0
+        while s < MESH_SAMPLES:
+            # The leg ends just before the first sample past the budget.
+            over = np.flatnonzero(Z[s + 1:, 7] - Z[s, 7] > LEG_TRACE_BUDGET)
+            e = s + int(over[0]) if over.size else MESH_SAMPLES
+            if e == s:
+                for end in legs(y, ts[s], ts[s + 1]):
+                    yield end
+                e = s + 1
+            else:
+                end = Z[e] if s == 0 else run(y, ts[s:e + 1])[-1]
+                yield end
+            y, s = end[0:2], e
 
     Mtot = np.eye(2)
     log_det = 0.0
     det_sign = 1.0
     q_total = 0.0
-    y = np.array(y0, dtype=float)
-    t_done = 0.0
-    for _ in range(10000):
-        Y0 = np.concatenate([y, np.eye(2).ravel(), [0.0, 0.0]])
-        sol = solve_ivp(rhs, (0.0, period - t_done), Y0, rtol=SHOOT_RTOL,
-                        atol=SHOOT_ATOL, jac=jac, events=[budget])
-        if not sol.success:
-            raise ConvergenceError(f"variational integration failed: {sol.message}")
-        Z = sol.y[:, -1]
-        y = Z[0:2].copy()
+    for Z in legs(np.array(y0, dtype=float), 0.0, period):
         Mk = Z[2:6].reshape(2, 2)
         Mtot = Mk @ Mtot
         det_k = float(np.linalg.det(Mk))
@@ -429,11 +455,6 @@ def floquet(p: ModelParams, y0: np.ndarray,
         det_sign *= math.copysign(1.0, det_k)
         log_det += math.log(abs(det_k))
         q_total += float(Z[6])
-        t_done += float(sol.t[-1])
-        if t_done >= period * (1 - 1e-14):
-            break
-    else:
-        raise ConvergenceError("variational renormalization did not terminate")
 
     det_prod = det_sign * math.exp(log_det)
     defect = abs(math.expm1(log_det - q_total)) if det_sign > 0 else np.inf
@@ -449,25 +470,37 @@ def _finalize_orbit(p: ModelParams, y0: np.ndarray, T: float):
     """Sample a corrected orbit over one period from ``y0``.
 
     Returns the uniform mesh (the orbit an :class:`Orbit` carries) and the u
-    extrema, located exactly by an event on du/dt.
+    extrema.  Each extremum is bracketed by a sign change of du/dt between
+    two samples of one run over the ``MESH_SAMPLES + 1`` uniform times of
+    [0, T], and located by a safeguarded Newton iteration in t on
+    du/dt = 0, with d2u/dt2 = c fx + d fu from ``field_jac``: a step that
+    leaves the bracket bisects it instead, and each iterate is a short run
+    from the sample that opens the bracket.  The search stops when the
+    bracket or the Newton step is within 4 eps of t, as ``brentq`` does.
     """
-    rhs, jac, _ = model._callbacks(p)
-
-    def du(t, y):
-        return rhs(t, y)[1]
-
-    du.direction = 0
-    du.terminal = False
-    ts = np.linspace(0.0, T, MESH_SAMPLES, endpoint=False)
-    sol = solve_ivp(rhs, (0.0, T), y0, rtol=SHOOT_RTOL, atol=SHOOT_ATOL,
-                    jac=jac, t_eval=ts, events=[du])
-    if not sol.success:
-        raise ConvergenceError(f"orbit sampling failed: {sol.message}")
-    mesh = sol.y.T.copy()
-    u_candidates = list(mesh[:, 1])
-    if sol.y_events and len(sol.y_events[0]):
-        u_candidates.extend(sol.y_events[0][:, 1])
-    return mesh, float(np.min(u_candidates)), float(np.max(u_candidates))
+    rhs, jac, field_jac = model._callbacks(p)
+    ts = np.linspace(0.0, T, MESH_SAMPLES + 1)
+    states = _flow(rhs, jac, y0, ts, "orbit sampling")
+    mesh = states[:-1].copy()
+    du = np.array([field_jac(x, u)[1] for x, u in states.tolist()])
+    us = mesh[:, 1].tolist()
+    tol = 4 * np.finfo(float).eps
+    for i in np.flatnonzero(np.sign(du[:-1]) * np.sign(du[1:]) < 0):
+        a, b, t, y = ts[i], ts[i + 1], ts[i], states[i]
+        while True:
+            fx, fu, _, _, c, d = field_jac(*y.tolist())
+            if (fu < 0) == (du[i] < 0):
+                a = t
+            else:
+                b = t
+            ddu = c * fx + d * fu
+            step = -fu / ddu if ddu else math.inf
+            if fu == 0 or min(b - a, abs(step)) <= tol * (1 + abs(t)):
+                break
+            t = t + step if a < t + step < b else 0.5 * (a + b)
+            y = _flow(rhs, jac, states[i], [ts[i], t], "orbit sampling")[-1]
+        us.append(float(y[1]))
+    return mesh, min(us), max(us)
 
 
 def _make_orbit(p: ModelParams, starts: np.ndarray, T: float, res: float) -> Orbit:
@@ -558,11 +591,7 @@ def _sample_flow(p: ModelParams, y0, period: float, n: int) -> CycleSeed:
     _check_period(period)
     rhs, jac, _ = model._callbacks(p)
     ts = np.linspace(0.0, period, n, endpoint=False)
-    try:
-        states = lsoda(rhs, jac, y0, ts, SHOOT_RTOL, SHOOT_ATOL)
-    except IntegrationFailure as exc:
-        raise ConvergenceError(f"seed sampling failed: {exc}") from None
-    return CycleSeed(ts, states, period)
+    return CycleSeed(ts, _flow(rhs, jac, y0, ts, "seed sampling"), period)
 
 
 def seed_from_simulation(p: ModelParams, state, period: float) -> CycleSeed:

@@ -60,7 +60,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
     only ``rtol``, ``atol`` and ``jac`` are taken, with scipy's defaults.
     ``scipy.integrate`` and ``scipy.optimize`` are imported on the first
     call, so commands that never integrate never import them.
-    ``cycles`` integrates through this same function.
+    ``settle`` and ``integrate`` with the boiling event run on it;
+    ``cycles`` needs no events and integrates through :func:`lsoda` only.
     """
     from scipy.integrate import LSODA, OdeSolution
     from scipy.optimize import OptimizeResult, brentq

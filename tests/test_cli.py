@@ -494,14 +494,23 @@ class TestDeterminism:
 class TestCompareOutputs:
     @pytest.mark.parametrize("base, change, verdict", [
         ("u,T\n1,a\n2,b\n", "u,T\n1.0000000001,a\n2,b\n",
-         "1 of 2 rows changed, largest relative difference 1e-10, no label changed"),
+         "1 of 2 rows changed, largest relative difference 1e-10, no label changed"
+         "; by column: u 1e-10"),
         ("u,T\n1,a\n-2,b\n", "u,T\n1,a\n-3,c\n",
-         "1 of 2 rows changed, largest relative difference 0.333, a label changed"),
+         "1 of 2 rows changed, largest relative difference 0.333, a label changed"
+         "; by column: u 0.333, T label"),
         ("u,T\n1,a\n", "u,K\n1,a\n",
          "0 of 1 rows changed, largest relative difference 0, a label changed"),
         ("u,T\n1,\n", "u,T\n1,0.5\n",
-         "1 of 1 rows changed, largest relative difference 0, a label changed"),
+         "1 of 1 rows changed, largest relative difference 0, a label changed"
+         "; by column: T label"),
         ("u\n1\n", "u\n1\n2\n", "1 -> 2 rows"),
+        # Each column that moved, with its own largest difference; the
+        # unchanged ones are not listed.
+        ("p,amp,mult,kind\n1,2,4,s\n2,5,8,u\n",
+         "p,amp,mult,kind\n1,2.0000002,4,s\n2,5.000002,8.000008,u\n",
+         "2 of 2 rows changed, largest relative difference 1e-06, no label changed"
+         "; by column: amp 4e-07, mult 1e-06"),
     ])
     def test_reports_how_far_a_csv_moved(self, base, change, verdict):
         csv_diff = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))["csv_diff"]

@@ -283,7 +283,7 @@ class _Captured(Exception):
 
 def floquet_rhs(p):
     """The RHS ``cycles.floquet`` integrates its legs with, taken from its
-    first ``solve_ivp`` call, which is not made."""
+    first ``lsoda`` call, which is not made."""
     captured = []
 
     def capture(fun, *args, **kwargs):
@@ -291,7 +291,7 @@ def floquet_rhs(p):
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "solve_ivp", capture)
+        mp.setattr(cycles, "lsoda", capture)
         with pytest.raises(_Captured):
             floquet(p, np.array([0.5, 0.04]), 1.0)
     return captured[0]
@@ -527,6 +527,76 @@ class TestFloquet:
         for orbit in mic_cycle_branch.orbits:
             assert orbit.liouville_defect < 1e-6
             assert abs(orbit.multipliers[0] - 1.0) < 1e-4
+
+
+DOP853 = {"method": "DOP853", "rtol": 1e-13, "atol": 1e-16}
+
+
+def dop853_orbit(p, y0, period):
+    """An orbit's u extrema and nontrivial multiplier from scipy's DOP853 at
+    rtol 1e-13 and atol 1e-16, an integrator that ``cycles`` does not use.
+
+    The extrema are the flow's u at its du/dt event; the monodromy matrix
+    is the product of variational legs, each cut by a terminal event where
+    its int |trace J| reaches ``LEG_TRACE_BUDGET``, and its determinant the
+    product of theirs, so that a stable orbit's tiny multiplier is kept.
+    """
+    from scipy.integrate import solve_ivp
+
+    rhs, _, field_jac = model._callbacks(p)
+
+    def du(t, y):
+        return rhs(t, y)[1]
+
+    sol = solve_ivp(rhs, (0.0, period), y0, events=[du], **DOP853)
+    us = np.concatenate([sol.y[1], sol.y_events[0][:, 1]])
+
+    def variational(t, Y):
+        fx, fu, a, b, c, d = field_jac(*Y[:2])
+        M = np.array([[a, b], [c, d]]) @ Y[2:6].reshape(2, 2)
+        return [fx, fu, *M.ravel(), abs(a + d)]
+
+    def spent(t, Y):
+        return Y[6] - cycles.LEG_TRACE_BUDGET
+
+    spent.terminal = True
+    monodromy, det, t = np.eye(2), 1.0, 0.0
+    y = np.array(y0, dtype=float)
+    while t < period:
+        leg = solve_ivp(variational, (t, period), [*y, 1.0, 0.0, 0.0, 1.0, 0.0],
+                        events=[spent], **DOP853)
+        M = leg.y[2:6, -1].reshape(2, 2)
+        monodromy, det = M @ monodromy, det * np.linalg.det(M)
+        t, y = leg.t[-1], leg.y[:2, -1]
+    lams = cycles._stable_multipliers(float(np.trace(monodromy)), float(det))
+    return float(us.min()), float(us.max()), max(lams, key=lambda v: abs(v - 1.0))
+
+
+class TestOrbitAccuracy:
+    """Orbit data against an independent DOP853 reference from the orbit's
+    own start: the amplitude to the simulation's period repeatability, the
+    nontrivial multiplier to 1e-6.  The worst amplitude error, 3.0e-7, is
+    orbit 15's, next to the cycle fold; it is the mesh run's LSODA error,
+    not the extremum search's."""
+
+    @pytest.mark.parametrize("k", [1, 15, 16])
+    def test_branch_orbit(self, mic, mic_cycle_branch, k):
+        orbit = mic_cycle_branch.orbits[k - 1]
+        p = mic.model.with_(u_a=orbit.param_value, u_boil=math.inf)
+        lo, hi, nontrivial = dop853_orbit(p, orbit.mesh[0], orbit.period)
+        assert (abs(orbit.amplitude - (hi - lo))
+                <= simulate.PERIOD_REPEATABILITY * (hi - lo))
+        if k in (1, 15):
+            assert (abs(orbit.nontrivial_multiplier - nontrivial)
+                    <= 1e-6 * abs(nontrivial))
+
+    def test_relaxation_cycle(self, relaxation_seed):
+        p, seed = relaxation_seed
+        orbit = find_cycle(p, seed, m=12)
+        lo, hi, _ = dop853_orbit(p, orbit.mesh[0], orbit.period)
+        assert orbit.stability == "stable"
+        assert (abs(orbit.amplitude - (hi - lo))
+                <= simulate.PERIOD_REPEATABILITY * (hi - lo))
 
 
 class TestCycleBranch:

@@ -122,12 +122,13 @@ def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     expected = Counter()
     for module, forwarder, driver, owner in (
             ("thermorun.cycles", "lsoda", "odeint", "_stacked_rhs"),
-            # The scalar callbacks are model._callbacks' closures.
-            ("thermorun.cycles", "solve_ivp", "LSODA", "_callbacks"),
+            # The scalar callbacks are model._callbacks' closures: the
+            # orbit mesh, then one run per Newton iterate of its two u
+            # extrema (three here), then seed_from_simulation.
+            *[("thermorun.cycles", "lsoda", "odeint", "_callbacks")] * 5,
             # floquet integrates leg by leg; this orbit takes two legs.
-            ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
-            ("thermorun.cycles", "solve_ivp", "LSODA", "floquet"),
-            ("thermorun.cycles", "lsoda", "odeint", "_callbacks"),
+            ("thermorun.cycles", "lsoda", "odeint", "floquet"),
+            ("thermorun.cycles", "lsoda", "odeint", "floquet"),
             # Without a boiling threshold integrate has no event.
             ("thermorun.simulate", "lsoda", "odeint", "_callbacks"),
             ("thermorun.simulate", "solve_ivp", "LSODA", "_callbacks")):

@@ -12,10 +12,11 @@ output (a script's ``fingerprint.json`` included) must be byte-identical;
 ``manifest.json`` must be equal apart from ``wall_time_s``.  Prints one
 line per file and exits 1 on any difference or when a command exits
 non-zero on either side, 0 otherwise.  For a file that differs, the line
-says how much it moved: for a CSV, the rows changed; for a JSON file, each
-key that changed with both values and, for numbers, their relative
-difference; for both, the largest relative difference of a number and
-whether anything else (a label) changed.  Edit ``COMMANDS`` and
+says how much it moved: for a CSV, the rows changed and, for each column
+that moved, its largest relative difference or that a label in it changed;
+for a JSON file, each key that changed with both values and, for numbers,
+their relative difference; for both, the largest relative difference of a
+number and whether anything else (a label) changed.  Edit ``COMMANDS`` and
 ``SCRIPTS`` for a partial run.
 """
 
@@ -176,22 +177,36 @@ def csv_diff(a: str, b: str) -> str:
     """How far two CSV texts differ, for a pair that is not byte-identical.
 
     The first row is the header; a changed header counts as a changed label.
+    Each column with a changed cell, named by the base header, is listed
+    with its largest relative difference, or "label" if a cell in it is not
+    a number on both sides.
     """
     rows_a, rows_b = (list(csv.reader(io.StringIO(t))) for t in (a, b))
     n_a, n_b = max(len(rows_a) - 1, 0), max(len(rows_b) - 1, 0)
     if n_a != n_b:
         return f"bytes differ: {n_a} -> {n_b} rows"
+    header = rows_a[0] if rows_a else []
     changed, worst, label = 0, 0.0, rows_a[:1] != rows_b[:1]
+    columns: dict[str, float | None] = {}   # None: a label changed
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         if ra == rb:
             continue
         changed += 1
         label |= len(ra) != len(rb)
-        for ca, cb in zip(ra, rb):
-            rel = _relative(ca, cb) if ca != cb else 0.0
+        for j, (ca, cb) in enumerate(zip(ra, rb)):
+            if ca == cb:
+                continue
+            name = header[j] if j < len(header) else f"column {j + 1}"
+            rel, was = _relative(ca, cb), columns.get(name, 0.0)
             label |= rel is None
             worst = max(worst, rel or 0.0)
-    return f"bytes differ: {changed} of {n_a} rows changed, {_moved(worst, label)}"
+            columns[name] = None if rel is None or was is None else max(was, rel)
+    verdict = f"bytes differ: {changed} of {n_a} rows changed, {_moved(worst, label)}"
+    if columns:
+        verdict += "; by column: " + ", ".join(
+            f"{name} {'label' if rel is None else f'{rel:.3g}'}"
+            for name, rel in columns.items())
+    return verdict
 
 
 def compare(base: Path, change: Path) -> list[tuple[str, str]]:
