@@ -43,10 +43,12 @@ def resolve_inputs(args) -> Preset:
     if args.preset and isinstance(cfg, dict):
         cfg = {**cfg, "preset": args.preset}
     Ta = getattr(args, "Ta", None)
+    # The branch commands read a lo:hi --Ta as their range, not as T_a.
+    ranged = args.command in ("steady-branch", "cycle-branch") and ":" in (Ta or "")
     flags = {name: v for name in PARAM_FLAGS
              if (v := getattr(args, f"param_{name}")) is not None}
     return Preset.from_config(cfg).with_overrides(
-        T_a=None if Ta is None or ":" in Ta else _parse_kelvin(Ta), **flags)
+        T_a=None if Ta is None or ranged else _parse_kelvin(Ta), **flags)
 
 
 def _parse_kelvin(text: str) -> float:

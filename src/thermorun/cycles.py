@@ -637,10 +637,12 @@ def find_cycle(p: ModelParams, seed: CycleSeed, m: int = 12) -> Orbit:
     first segment start sampled at the 2m new start times, so its first
     residual is that orbit's own and usually already meets ``CYCLE_TOL``;
     the mesh, extrema and Floquet data are computed for the returned orbit
-    alone.  Raises :class:`GermError` for degenerate seeds and
-    :class:`ConvergenceError` when Newton fails (with the final residual).
+    alone.  Raises :class:`ValidationError` for fewer than 10 segments,
+    :class:`GermError` for degenerate seeds and :class:`ConvergenceError`
+    when Newton fails (with the final residual).
     """
-    m = max(10, m)
+    if m < 10:
+        raise ValidationError("m", f"need at least 10 segments, got {m}")
     starts, T, res = _solve_cycle_raw(p, seed, m)
     while 2 * m <= FIND_CYCLE_M_MAX:
         m *= 2
@@ -692,7 +694,9 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     located by :func:`_hermite_fold` from the two orbits around the reversal;
     each accepted orbit carries Floquet data, so the stability flip at a
     fold is explicit.  Continuation stops at the range boundary, on a
-    corrector failure (truncated branch) or at ``max_orbits``.  A Hopf point of a branch in any other parameter raises
+    corrector failure (truncated branch) or at ``max_orbits``.  A Hopf
+    point of a branch in any other parameter, fewer than 10 segments ``m``
+    or a ``max_orbits`` below the two germ orbits raises
     :class:`ValidationError`.
     """
     if from_hopf.kind != "hopf":
@@ -700,9 +704,13 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     if from_hopf.param_name != "u_a":
         raise ValidationError("from_hopf", "cycle branches are continued in "
                               f"u_a, not in {from_hopf.param_name!r}")
+    if m < 10:
+        raise ValidationError("m", f"need at least 10 segments, got {m}")
+    if max_orbits < 2:
+        raise ValidationError("max_orbits", "the branch starts from two germ "
+                              f"orbits, so need at least 2, got {max_orbits}")
     p = p.with_(u_boil=math.inf)
     lo, hi = float(prange[0]), float(prange[1])
-    m = max(10, m)
 
     # Germ offset sized so the first orbit has a workable radius.
     omega = math.sqrt(from_hopf.det)

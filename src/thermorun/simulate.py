@@ -31,8 +31,8 @@ _MESSAGES = {
     1: "A termination event occurred."}
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
-              *, rtol=1e-3, atol=1e-6, jac=None):
+def solve_ivp(fun, t_span, y0, t_eval=None, events=None, *, rtol=1e-3,
+              atol=1e-6, jac=None):
     """``scipy.integrate.solve_ivp(method="LSODA")``'s result, bit for bit.
 
     The same loop over ``scipy.integrate.LSODA``'s ``step()`` with the same
@@ -52,26 +52,24 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
     that holds no event root or output time builds no array (scipy's
     ``find_active_events`` and its ``t_eval`` search and slice build
     several on every step).  A step's dense output is built, as in scipy,
-    only on such a step, or on every step for ``dense_output``.
+    only on such a step.
 
     Forward in time only, with scipy's keywords less ``method`` (always
-    LSODA) and ``args``, and ``dense_output`` only without ``t_eval``; an
-    event's ``terminal`` is a flag, not a count.  Of ``LSODA``'s options
-    only ``rtol``, ``atol`` and ``jac`` are taken, with scipy's defaults.
+    LSODA), ``dense_output`` and ``args``; an event's ``terminal`` is a
+    flag, not a count.  Of ``LSODA``'s options only ``rtol``, ``atol`` and
+    ``jac`` are taken, with scipy's defaults.
     ``scipy.integrate`` and ``scipy.optimize`` are imported on the first
     call, so commands that never integrate never import them.
     ``settle`` and ``integrate`` with the boiling event run on it;
     ``cycles`` needs no events and integrates through :func:`lsoda` only.
     """
-    from scipy.integrate import LSODA, OdeSolution
+    from scipy.integrate import LSODA
     from scipy.optimize import OptimizeResult, brentq
 
     t0, tf = map(float, t_span)
     if tf <= t0:
         raise ValueError("integrates forward in time only, over a span of "
                          "positive length")
-    if t_eval is not None and dense_output:
-        raise ValueError("dense_output is not supported with t_eval")
     if t_eval is not None:
         t_eval = np.asarray(t_eval)
         if t_eval.ndim != 1:
@@ -99,7 +97,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
         ts, ys = [], []
         i_eval = 0
         next_eval = float(t_eval[0]) if t_eval.size else math.inf
-    interpolants = []
 
     status = None
     while status is None:
@@ -115,10 +112,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
             message = f"zero-length step at t = {t!r}"
             break
         sol = None
-        if dense_output:
-            sol = solver.dense_output()
-            interpolants.append(sol)
-
         if events:
             g_new = [ev(t, y) for ev in events]
             # scipy's find_active_events: up- and down-crossings, each
@@ -127,8 +120,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
                       if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
             g = g_new
             if active:
-                if sol is None:
-                    sol = solver.dense_output()
+                sol = solver.dense_output()
                 roots = [brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
                                 xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
                 terminate = any(terminal[i] for i in active)
@@ -150,11 +142,8 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
                     y = sol(t)
 
         if t_eval is None:
-            if dense_output and len(ts) > 1 and ts[-1] == t:
-                interpolants.pop()
-            else:
-                ts.append(t)
-                ys.append(y)
+            ts.append(t)
+            ys.append(y)
         elif t >= next_eval:
             i_new = int(np.searchsorted(t_eval, t, side="right"))
             if sol is None:
@@ -176,8 +165,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, dense_output=False, events=None,
     elif ts:
         ts = np.hstack(ts)
         ys = np.hstack(ys)
-    sol = OdeSolution(ts, interpolants, alt_segment=True) if dense_output else None
-    return OptimizeResult(t=ts, y=ys, sol=sol, t_events=t_events,
+    return OptimizeResult(t=ts, y=ys, sol=None, t_events=t_events,
                           y_events=y_events, nfev=solver.nfev,
                           njev=solver.njev, nlu=solver.nlu, status=status,
                           message=_MESSAGES.get(status, message),
@@ -188,8 +176,8 @@ def lsoda(rhs, jac, y0, ts, rtol, atol) -> np.ndarray:
     """The states at ``ts``, one row each, from ``scipy.integrate.odeint``.
 
     The same ODEPACK LSODA as :func:`solve_ivp`, stepped in Fortran rather
-    than in a Python loop, for integrations that need neither events nor
-    dense output.  ``tcrit`` keeps it from stepping past ``ts[-1]``, as
+    than in a Python loop, for integrations that need no events.  ``tcrit``
+    keeps it from stepping past ``ts[-1]``, as
     ``LSODA``'s ``t_bound`` does, so over ``ts = [0, T]`` the end state is
     :func:`solve_ivp`'s bit for bit.  Imported on the first call, like
     :func:`solve_ivp`.
@@ -292,23 +280,18 @@ def _clamped_state(x: float, u: float) -> State:
     return State(float(x), float(u))
 
 
-def _callbacks(p: ModelParams):
-    """The vector field and its Jacobian as LSODA callbacks ``f(t, y)``,
-    those of :func:`model._callbacks`."""
-    rhs, jac, _ = model._callbacks(p)
-    return rhs, jac
-
-
 def _solve(p: ModelParams, x0: float, u0: float, tau_end: float,
-           tol_rel: float, tol_abs: float, events: list, dense: bool = False,
+           tol_rel: float, tol_abs: float, events: list,
            t_eval: np.ndarray | None = None):
-    rhs, jac = _callbacks(p)
+    """:func:`solve_ivp` on the reactor field from (x0, u0) over
+    [0, tau_end], its output per step or at ``t_eval``.  A failed run raises
+    :class:`IntegrationFailure` with the output rows before the first state
+    that is not finite (None if fewer than two) and the last of them."""
+    rhs, jac, _ = model._callbacks(p)
     # An array, not a list: solve_ivp hands y0 itself to the events at t0.
     sol = solve_ivp(rhs, (0.0, tau_end), np.array([x0, u0]), rtol=tol_rel,
-                    atol=tol_abs, jac=jac, events=events, dense_output=dense,
-                    t_eval=t_eval)
+                    atol=tol_abs, jac=jac, events=events, t_eval=t_eval)
     if sol.status == -1:
-        # The rows before the first state that is not finite.
         bad = ~np.isfinite(sol.y).all(axis=0)
         k = int(np.argmax(bad)) if bad.any() else sol.t.size
         last = _clamped_state(*sol.y[:, k - 1]) if k else None
@@ -342,8 +325,9 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
 
     t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
     if not math.isfinite(p.u_boil):
+        rhs, jac, _ = model._callbacks(p)
         try:
-            states = lsoda(*_callbacks(p), (x0, u0), t_eval, tol_rel, tol_abs)
+            states = lsoda(rhs, jac, (x0, u0), t_eval, tol_rel, tol_abs)
         except IntegrationFailure as exc:
             last = exc.last_state
             raise IntegrationFailure(
@@ -388,7 +372,7 @@ def detect_runaway(traj: Trajectory, u_boil: float) -> TrajectoryEvent | None:
 
 def _extrema(sol, du) -> list[TrajectoryEvent]:
     """u's maxima and minima, in time order, from the roots of ``du``, the
-    last event of the dense run ``sol``.
+    last event of the run ``sol``.
 
     ``du`` is du/dt with a deadband that keeps it from ever being 0 or NaN,
     so its roots alternate between maxima and minima, beginning with a
@@ -404,12 +388,17 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
            tol_abs: float = 1e-14) -> AttractorReport:
     """Classify the long-time attractor reached from a starting state.
 
-    Integrates over ``horizon`` and inspects the final 10%%: a runaway is a
+    Integrates over ``horizon`` with a boiling event and an event on du/dt,
+    and decides from the steps and events of that run.  A runaway is a
     boiling-threshold crossing (a start at or above the threshold is one at
-    tau = 0, and is not integrated); a steady state varies by less than
-    1e-9; a cycle returns to a Poincare section (u = tail mean, increasing)
-    with period repeatable to 1e-6 relative.  Anything else is
-    reported as undetermined.
+    tau = 0, and is not integrated).  Otherwise the tail is the final 10%:
+    the state at its start, linearly interpolated between the two steps
+    around it, then every step state after it.  A steady state varies by
+    less than 1e-9 over the tail.  A cycle rises through the tail's mean u
+    again and again: each such excursion is stamped at the time of its
+    u-maximum, and at least three stamps must repeat with a period steady
+    to 1e-6 relative.  Its amplitude is the range of the extrema from the
+    second-to-last stamp on.  Anything else is reported as undetermined.
     """
     transient = 10.0 * p.eps / min(1.0, p.f)
     if horizon <= transient:
@@ -432,50 +421,38 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
 
     du.direction, du.terminal = 0, False
     events = [boil_event(p.u_boil), du] if math.isfinite(p.u_boil) else [du]
-    sol = _solve(p, x0, u0, horizon, tol_rel, tol_abs, events, dense=True)
+    sol = _solve(p, x0, u0, horizon, tol_rel, tol_abs, events)
     terminal = _clamped_state(sol.y[0, -1], sol.y[1, -1])
     if sol.status == 1:
         return AttractorReport("runaway", terminal)
 
-    t_end = float(sol.t[-1])
-    t_tail = t_end - 0.1 * horizon
-    ts = np.linspace(t_tail, t_end, 2001)
-    ys = sol.sol(ts)
+    # The interpolated first tail state keeps one long step across t_tail
+    # from hiding a drift.
+    t_tail = float(sol.t[-1]) - 0.1 * horizon
+    first = [np.interp(t_tail, sol.t, row) for row in sol.y]
+    ys = np.column_stack([first, sol.y[:, sol.t > t_tail]])
 
-    ref = ys[:, -1]
-    variation = float(np.max(np.abs(ys - ref[:, None])))
+    variation = float(np.max(np.abs(ys - ys[:, -1:])))
     if variation < STEADY_VARIATION:
         return AttractorReport("steady", terminal, amplitude=0.0)
 
-    u_tail = ys[1]
-    level = float(np.mean(u_tail))
-
-    def g(t):
-        return sol.sol(t)[1] - level
-
-    # Upward crossings of the section, each bracketed between a tail
-    # u-maximum and the minimum just before it, so that narrow spikes are
-    # not missed.
-    from scipy.optimize import brentq
-
+    # Each upward excursion through the level, from a minimum below it to a
+    # tail maximum at or above it, stamped at that maximum, so that narrow
+    # spikes are not missed.
+    level = float(np.mean(ys[1]))
     recs = _extrema(sol, du)
-    crossings = [brentq(g, lo.time, hi.time, xtol=1e-13, rtol=1e-15)
-                 for lo, hi in pairwise(recs)
-                 if hi.kind == "u_max" and hi.time >= t_tail
-                 and lo.u < level <= hi.u and hi.time > lo.time]
-    if len(crossings) >= 3:
-        gaps = np.diff(crossings)
-        k = min(5, len(gaps))
-        recent = gaps[-k:]
+    stamps = [hi.time for lo, hi in pairwise(recs)
+              if hi.kind == "u_max" and hi.time >= t_tail
+              and lo.u < level <= hi.u and hi.time > lo.time]
+    if len(stamps) >= 3:
+        recent = np.diff(stamps)[-5:]
         period = float(np.mean(recent))
         if period > 0 and float(np.max(np.abs(recent - period))) < PERIOD_REPEATABILITY * period:
-            t_lo = crossings[-1] - period
-            peaks = [e.u for e in recs if e.kind == "u_max" and e.time >= t_lo]
-            dips = [e.u for e in recs if e.kind == "u_min" and e.time >= t_lo]
-            if peaks and dips:
-                amp = float(max(peaks) - min(dips))
-            else:
-                amp = float(np.max(u_tail) - np.min(u_tail))
+            # From the maximum at stamps[-2] on: both stamped maxima and
+            # the minimum between them, so neither list is empty.
+            peaks = [e.u for e in recs if e.kind == "u_max" and e.time >= stamps[-2]]
+            dips = [e.u for e in recs if e.kind == "u_min" and e.time >= stamps[-2]]
+            amp = float(max(peaks) - min(dips))
             return AttractorReport("cycle", terminal, period=period, amplitude=amp)
 
     return AttractorReport("undetermined", terminal)

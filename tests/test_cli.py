@@ -237,8 +237,8 @@ class TestExitCodes:
         assert man["command"] == "loci"
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("command", ["rates", "simulate"])
-    @pytest.mark.parametrize("Ta", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["rates", "simulate", "calibrate"])
+    @pytest.mark.parametrize("Ta", ["abc", "nan", "inf", "282:296"])
     def test_single_Ta_must_be_a_finite_number(self, tmp_path, capsys,
                                                command, Ta):
         out = tmp_path / "o"
@@ -246,6 +246,23 @@ class TestExitCodes:
                     "-o", str(out)]) == 2
         man = failure_manifest(out, 2, "configuration error: Ta: ", capsys)
         assert man["command"] == command
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("max_orbits", ["1", "0", "-3"])
+    def test_cycle_branch_needs_its_two_germ_orbits(self, tmp_path, capsys,
+                                                    max_orbits):
+        out = tmp_path / "cb"
+        assert run(["cycle-branch", "--preset", "mic-tank610", "--Ta",
+                    "282:296", "--max-orbits", max_orbits, "-o", str(out)]) == 2
+        failure_manifest(out, 2, "configuration error: max_orbits: ", capsys)
+        assert not list(out.glob("*.csv"))
+
+    def test_cycle_branch_needs_ten_segments(self, tmp_path, capsys):
+        out = tmp_path / "cb"
+        assert run(["cycle-branch", "--preset", "mic-tank610", "--Ta",
+                    "282:296", "--segments", "4", "--max-orbits", "3",
+                    "-o", str(out)]) == 2
+        failure_manifest(out, 2, "configuration error: m: ", capsys)
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command, flag, lo, hi", [

@@ -51,6 +51,11 @@ class TestFindCycle:
         with pytest.raises(GermError):
             find_cycle(p, flat, m=12)
 
+    def test_fewer_than_ten_segments_rejected(self, mic, mic_h1):
+        p_off, seed = hopf_germ(mic.model, mic_h1, 1e-6)
+        with pytest.raises(ValidationError, match="^m: "):
+            find_cycle(p_off, seed, m=4)
+
     def test_floquet_only_on_the_returned_orbit(self, mic, mic_h1,
                                                monkeypatch):
         p_off, seed = hopf_germ(mic.model, mic_h1, 1e-6)

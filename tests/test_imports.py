@@ -78,8 +78,8 @@ def test_integrating_commands_load_scipy_integrate(argv, tmp_path):
 
 def test_integrations_go_through_the_module_forwarder(mic, mic_h1, monkeypatch):
     """Every integration calls one forwarder of its own module by name:
-    ``solve_ivp`` where it needs events or dense output, ``lsoda``
-    otherwise.  It does so once, with the RHS defined where the integration
+    ``solve_ivp`` where it needs events (``settle``, and ``integrate`` with
+    a boiling threshold), ``lsoda`` otherwise.  It does so once, with the RHS defined where the integration
     is, and the forwarder resolves scipy's driver (the ``LSODA`` solver
     that ``solve_ivp`` steps, or ``odeint``) at call time.  A tracer that
     wraps the module attributes therefore sees each integration exactly
