@@ -193,6 +193,7 @@ def cmd_steady_branch(args, res: Preset, man: ManifestWriter) -> int:
 def cmd_cycle_branch(args, res: Preset, man: ManifestWriter) -> int:
     p = res.model
     prange = _steady_range(args, res)
+    cycles.check_branch_options(args.segments, args.max_orbits)
     branch = steady.continue_branch(p, "u_a", prange)
     hopfs = [sp for sp in branch.specials if sp.kind == "hopf"]
     if not hopfs:

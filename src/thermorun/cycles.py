@@ -147,78 +147,76 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     ``sens`` is set, the sensitivity zeta (2) by u_a, whose field derivative
     is the constant row (0, loss/eps).
 
-    The work arrays are allocated once per closure, and each call refills
-    them with ``out=`` ufuncs in the order of operations of the allocating
-    form (``stacked_rhs_allocating`` in ``tests/conftest.py``), so the bits
-    are its.  The derivative returned is one of them, overwritten by the
-    next call: that is safe only because ``odeint`` (like scipy's
-    ``LSODA``) copies it before it calls again.  A caller that keeps one
-    must copy it.
+    The field and the Jacobian are linear in seven features of the state,
+    phi = (1, x - 1, u - u_a, r, r', x r, x r'), with r = sigma e^(-1/a),
+    r' = r / a^2 and a = max(u, ``U_FLOOR``) (``model._field_xu`` and
+    ``model._jac_xu`` for every finite u).  So one call fills the (7, m)
+    features with eight ufuncs and multiplies them by a (6, 7) coefficient
+    matrix, built once with h folded in, to get h (dx, du, J00, J01, J10,
+    J11) for every segment; two stacked 2 x 2 products then give h J M
+    and, with ``sens``, h J zeta, to which the constant h (0, loss/eps) is
+    added.  That is 13 numpy calls per evaluation with ``sens`` and 11
+    without, where one ufunc per operation of the field took 30 and 26:
+    at m = 12 the kernel is bound by numpy's per-call dispatch, not by
+    arithmetic.
+
+    BLAS, which the products go through, fixes no order of summation and
+    may fuse a multiply and an add, so the bits are not those of the
+    per-operation reference (``stacked_rhs_allocating`` in
+    ``tests/conftest.py``); each component is within the forward error
+    bound of a sum of rounded products of it.  The work arrays are
+    allocated once per closure.  The derivative returned is one of them,
+    overwritten by the next call: that is safe only because ``odeint``
+    (like scipy's ``LSODA``) copies it before it calls again.  A caller
+    that keeps one must copy it.
     """
     width = 8 if sens else 6
+    f, eps, loss = p.f, p.eps, p.loss
     # 0-d arrays, not floats: a ufunc converts a Python float operand anew
     # on every call.
-    f, eps, loss, u_a, sigma, h, one, minus_one, floor, floor2 = map(
-        np.array, (p.f, p.eps, p.loss, p.u_a, p.sigma, h, 1.0, -1.0, U_FLOOR,
-                   U_FLOOR * U_FLOOR))
-    dfdp = np.array([0.0, p.loss / p.eps])
-    a, e, r, rp, xr, xrp = work = np.empty((6, m))
-    rates, xrates = work[2:4], work[4:6]
-    # Columns of each segment's J, shape (m, 2, 1); J M and J zeta are the
-    # two-term sums einsum forms.
-    J0, J1 = np.empty((2, m, 2, 1))
-    J0c, J1c = J0[:, :, 0], J1[:, :, 0]
-    (j00, j10), (j01, j11) = J0c.T, J1c.T
-    JM0, JM1 = np.empty((2, m, 2, 2))
-    Jz0, Jz1 = np.empty((2, m, 2))
+    sigma, minus_one, floor = map(np.array, (p.sigma, -1.0, U_FLOOR))
+    # Rows h (dx, du, J00, J01, J10, J11) over the columns of phi.
+    coef = h * np.array([
+        [0.0, -f, 0.0, 0.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, -loss / eps, 0.0, 0.0, 1.0 / eps, 0.0],
+        [-f, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 0.0, 1.0 / eps, 0.0, 0.0, 0.0],
+        [-loss / eps, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / eps]])
+    shift = np.array([[1.0], [p.u_a]])
+    hdfdp = h * np.array([0.0, loss / eps])
+    phi = np.empty((7, m))
+    phi[0] = 1.0
+    r, rp = phi[3], phi[4]
+    a, e = np.empty((2, m))
+    field_jac = np.empty((6, m))
+    hJ = field_jac[2:6].T.reshape(m, 2, 2)
     out = np.empty((m, width))
-    dx, du = out[:, 0], out[:, 1]
-    # Views, as every reshape of a contiguous array is: M's and zeta's
-    # columns of the derivative.
+    # Views, as every reshape of a contiguous array is: the state's,
+    # M's and zeta's blocks of the derivative.
     pairs = out.reshape(m, width // 2, 2)
-    dM = pairs[:, 1:3]
+    dy, dM = pairs[:, 0].T, pairs[:, 1:3]
     dz = pairs[:, 3] if sens else None
+    dz_col = dz[:, :, None] if sens else None
     flat = out.reshape(m * width)
 
     def rhs(s, Y):
-        Z = Y.reshape(m, width)
-        x, u = Z[:, 0], Z[:, 1]
-        # The field and J of model._field_xu/_jac_xu on one Arrhenius
-        # evaluation, clamped instead of branched: the same bits for every
-        # finite u.  e = exp(-1 / max(u, U_FLOOR)), r = sigma e and
-        # rp = r / max(u u, U_FLOOR**2).
-        np.maximum(u, floor, out=a)
-        np.divide(minus_one, a, out=a)
-        np.exp(a, out=e)
+        Z = Y.reshape(m, width // 2, 2)
+        xu = Z[:, 0].T
+        np.maximum(xu[1], floor, out=a)
+        np.divide(minus_one, a, out=e)
+        np.exp(e, out=e)
         np.multiply(sigma, e, out=r)
-        np.multiply(u, u, out=a)
-        np.maximum(a, floor2, out=a)
+        np.multiply(a, a, out=a)
         np.divide(r, a, out=rp)
-        np.multiply(x, rates, out=xrates)       # x r, x rp; -(x r) == (-x) r
-        np.add(r, f, out=j00)                   # -(r + f)
-        np.negative(j00, out=j00)
-        np.divide(r, eps, out=j10)
-        np.negative(xrp, out=j01)
-        np.subtract(xrp, loss, out=j11)         # (x rp - loss) / eps
-        np.divide(j11, eps, out=j11)
-        np.subtract(one, x, out=a)              # -x r + f (1 - x)
-        np.multiply(f, a, out=a)
-        np.negative(xr, out=dx)
-        np.add(dx, a, out=dx)
-        np.subtract(u, u_a, out=a)              # (x r - loss (u - u_a)) / eps
-        np.multiply(loss, a, out=a)
-        np.subtract(xr, a, out=du)
-        np.divide(du, eps, out=du)
-        M = Z[:, 2:6].reshape(m, 2, 2)
-        np.multiply(J0, M[:, 0:1], out=JM0)
-        np.multiply(J1, M[:, 1:2], out=JM1)
-        np.add(JM0, JM1, out=dM)
+        np.subtract(xu, shift, out=phi[1:3])
+        np.multiply(xu[0], phi[3:5], out=phi[5:7])
+        np.matmul(coef, phi, out=field_jac)
+        np.copyto(dy, field_jac[0:2])
+        np.matmul(hJ, Z[:, 1:3], out=dM)
         if sens:
-            np.multiply(J0c, Z[:, 6:7], out=Jz0)
-            np.multiply(J1c, Z[:, 7:8], out=Jz1)
-            np.add(Jz0, Jz1, out=Jz0)
-            np.add(Jz0, dfdp, out=dz)
-        np.multiply(out, h, out=out)
+            np.matmul(hJ, Z[:, 3, :, None], out=dz_col)
+            np.add(dz, hdfdp, out=dz)
         return flat
 
     return rhs, width
@@ -683,6 +681,16 @@ def _cycle_problem(p0: ModelParams, m: int,
     return ContinuationProblem(residual, jacobian, scales, rebase)
 
 
+def check_branch_options(m: int, max_orbits: int) -> None:
+    """Raise :class:`ValidationError` for fewer than 10 segments ``m`` or a
+    ``max_orbits`` below the two germ orbits a cycle branch starts from."""
+    if m < 10:
+        raise ValidationError("m", f"need at least 10 segments, got {m}")
+    if max_orbits < 2:
+        raise ValidationError("max_orbits", "the branch starts from two germ "
+                              f"orbits, so need at least 2, got {max_orbits}")
+
+
 def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
                     prange: tuple[float, float], m: int = 12,
                     max_orbits: int = 120) -> CycleBranch:
@@ -704,11 +712,7 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     if from_hopf.param_name != "u_a":
         raise ValidationError("from_hopf", "cycle branches are continued in "
                               f"u_a, not in {from_hopf.param_name!r}")
-    if m < 10:
-        raise ValidationError("m", f"need at least 10 segments, got {m}")
-    if max_orbits < 2:
-        raise ValidationError("max_orbits", "the branch starts from two germ "
-                              f"orbits, so need at least 2, got {max_orbits}")
+    check_branch_options(m, max_orbits)
     p = p.with_(u_boil=math.inf)
     lo, hi = float(prange[0]), float(prange[1])
 

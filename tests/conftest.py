@@ -54,7 +54,8 @@ def param_derivative(p: ModelParams, x, u, name: str):
 # every call and the parameters read from ``p`` each time.  The callbacks,
 # which reuse their arrays, are tested against them bit for bit.
 def stacked_rhs_allocating(p: ModelParams, m: int, h: float, sens: bool):
-    """``cycles._stacked_rhs`` with its work arrays allocated per call."""
+    """The stacked shooting RHS one ufunc per operation, its arrays
+    allocated per call: the reference of ``cycles._stacked_rhs``."""
     width = 8 if sens else 6
     dfdp = np.array([0.0, p.loss / p.eps])
 

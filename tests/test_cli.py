@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -265,6 +268,17 @@ class TestExitCodes:
         failure_manifest(out, 2, "configuration error: m: ", capsys)
         assert not list(out.glob("*.csv"))
 
+    # 283:286 K holds no Hopf point: the options are checked before the
+    # steady walk that would find none.
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--segments", "4", "m"), ("--max-orbits", "1", "max_orbits")])
+    def test_cycle_branch_options_checked_before_the_steady_walk(
+            self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "cb"
+        assert run(["cycle-branch", "--preset", "mic-tank610", "--Ta",
+                    "283:286", flag, value, "-o", str(out)]) == 2
+        failure_manifest(out, 2, f"configuration error: {field}: ", capsys)
+
     @pytest.mark.parametrize("command, flag, lo, hi", [
         ("steady-branch", "--range", "0.036", "0.04"),
         ("loci", "--f-window", "0.5", "10")])
@@ -506,6 +520,29 @@ class TestDeterminism:
             outs.append(out)
         for fname in ("branch.csv", "specials.csv"):
             assert read(outs[0] / fname) == read(outs[1] / fname)
+
+
+    def test_cycles_csv_independent_of_blas_threads(self, tmp_path):
+        # The shooting kernel's products go through BLAS: one thread and two
+        # must sum them alike.  Each run is a fresh process, since BLAS reads
+        # its thread count when it loads.
+        src = str(ROOT / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            out = tmp_path / f"t{threads}"
+            res = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from thermorun import cli; sys.exit(cli.main())",
+                 "cycle-branch", "--preset", "mic-tank610", "--Ta", "282:296",
+                 "--max-orbits", "6", "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            outs.append((out / "cycles.csv").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestCompareOutputs:

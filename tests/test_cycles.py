@@ -164,7 +164,49 @@ def stacked_rhs_reference(p, m, h, sens, Y):
     return out.ravel()
 
 
+def stacked_rhs_magnitude(p, m, h, sens, Y):
+    """A of the forward error bound eps A of a sum of rounded products: the
+    stacked RHS with every factor and term replaced by its absolute value
+    and every rounded intermediate enlarged by lam, the smallest normal
+    number, since an operation that underflows errs by up to eps lam
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    sections 2.1 and 3.1).  An evaluation may apply h before the operation
+    that underflows (``_stacked_rhs`` folds it into its coefficients), so
+    that error is not scaled by h: inside, the enlargement is lam / h for
+    |h| < 1."""
+    lam = np.finfo(float).tiny
+    tiny = lam / min(1.0, abs(h))
+    width = 8 if sens else 6
+    Z = Y.reshape(m, width)
+    x, u = np.abs(Z[:, 0]), Z[:, 1]
+    r = p.sigma * model._arrhenius(u) + tiny
+    rp = r / np.maximum(u * u, model.U_FLOOR ** 2) + tiny
+    xr, xrp = x * r + tiny, x * rp + tiny
+    J = np.empty((m, 2, 2))
+    J[:, 0, 0] = r + p.f
+    J[:, 0, 1] = xrp
+    J[:, 1, 0] = r / p.eps
+    J[:, 1, 1] = (xrp + p.loss) / p.eps
+    J += tiny
+    out = np.empty_like(Z)
+    out[:, 0] = xr + p.f * (1.0 + x)
+    out[:, 1] = (xr + p.loss * (np.abs(u) + p.u_a)) / p.eps
+    out[:, 2:6] = (J @ np.abs(Z[:, 2:6]).reshape(m, 2, 2)).reshape(m, 4)
+    if sens:
+        out[:, 6:8] = (J @ np.abs(Z[:, 6:8, None]))[..., 0] + [0.0, p.loss / p.eps]
+    return abs(h) * (out.ravel() + tiny) + lam
+
+
+def assert_rounding_close(got, want, magnitude):
+    """|got - want| <= 16 eps A, component by component, for two evaluations
+    of a few rounded products and sums, each within a few units of eps A of
+    the exact value; A is ``stacked_rhs_magnitude``."""
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * magnitude)
+
+
 class TestStackedRhs:
+    # BLAS sums the kernel's products in an order of its own, so the bits
+    # are not the reference's; see stacked_rhs_magnitude.
     # Each id names the parameter the shoot differentiates by, if any.
     @pytest.mark.parametrize("sens", (False, True), ids=("None", "u_a"))
     def test_equals_array_kernel_reference(self, mic, rng, sens):
@@ -181,8 +223,9 @@ class TestStackedRhs:
             Y = Z.ravel()
             rhs, w = cycles._stacked_rhs(p, m, h, sens)
             assert w == width
-            assert np.array_equal(rhs(0.0, Y),
-                                  stacked_rhs_reference(p, m, h, sens, Y))
+            assert_rounding_close(rhs(0.0, Y),
+                                  stacked_rhs_reference(p, m, h, sens, Y),
+                                  stacked_rhs_magnitude(p, m, h, sens, Y))
 
 
 def branched_stacked_rhs(p, m, h, sens):
@@ -267,19 +310,122 @@ class TestStackedKernels:
            sens=st.booleans(), h=st.floats(0.01, 3.0))
     def test_bytes_equal_the_branched_and_per_segment_kernels(
             self, mic, segments, m, sens, h):
+        # The RHS within the rounding bound of the branched kernel (BLAS
+        # sums its products in an order of its own), the Jacobian bit for
+        # bit the per-segment one.
         p = mic.model
         width = 8 if sens else 6
         Y = np.resize(np.array(segments)[:, :width], (m, width)).ravel()
-        kernels = [(cycles._stacked_rhs(p, m, h, sens)[0],
-                    branched_stacked_rhs(p, m, h, sens)),
-                   (cycles._stacked_jac(p, m, h, sens),
-                    per_segment_stacked_jac(p, m, h, sens))]
+        rhs = cycles._stacked_rhs(p, m, h, sens)[0]
+        jac = cycles._stacked_jac(p, m, h, sens)
         # -1 / u overflows for subnormal u (exp gives the limit 0); any
         # other warning, 0 / 0 above all, is an error.
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            for got, want in kernels:
-                assert got(0.0, Y).tobytes() == want(0.0, Y).tobytes()
+            assert_rounding_close(rhs(0.0, Y),
+                                  branched_stacked_rhs(p, m, h, sens)(0.0, Y),
+                                  stacked_rhs_magnitude(p, m, h, sens, Y))
+            assert (jac(0.0, Y).tobytes()
+                    == per_segment_stacked_jac(p, m, h, sens)(0.0, Y).tobytes())
+
+
+def stacked_jac_magnitudes(p, m, h, sens, Y):
+    """Per segment, the diagonal block of ``_stacked_jac`` and the u column
+    of the RHS's third derivatives, with every factor and term replaced by
+    its absolute value; shapes (m, width, width) and (m, width)."""
+    width = 8 if sens else 6
+    Z = Y.reshape(m, width)
+    x, u = np.abs(Z[:, 0]), Z[:, 1]
+    M, z = np.abs(Z[:, 2:6]).reshape(m, 2, 2), np.abs(Z[:, 6:8, None])
+    r = p.sigma * np.exp(-1.0 / u)
+    # |d^k r / du^k| for r = sigma e^(-1/u): r / u^(2k) times a polynomial
+    # in u, here with the absolute values of its coefficients.
+    a = [r, r / u**2, r * (1 + 2 * u) / u**4, r * (1 + 6 * u + 6 * u**2) / u**6,
+         r * (1 + 12 * u + 36 * u**2 + 24 * u**3) / u**8]
+
+    def J(k):
+        """|d^k J / du^k|; for k = 0, J with its constant terms."""
+        out = np.empty((m, 2, 2))
+        out[:, 0, 0] = a[k] + (p.f if k == 0 else 0.0)
+        out[:, 0, 1] = x * a[k + 1]
+        out[:, 1, 0] = a[k] / p.eps
+        out[:, 1, 1] = (x * a[k + 1] + (p.loss if k == 0 else 0.0)) / p.eps
+        return out
+
+    J_x = np.zeros((m, 2, 2))
+    J_x[:, 0, 1] = a[1]
+    J_x[:, 1, 1] = a[1] / p.eps
+    blk = np.zeros((m, width, width))
+    third = np.zeros((m, width))
+    blk[:, 0:2, 0] = np.column_stack([a[0] + p.f, a[0] / p.eps])
+    blk[:, 0:2, 1] = np.column_stack([x * a[1], (x * a[1] + p.loss) / p.eps])
+    third[:, 0:2] = np.column_stack([x * a[3], x * a[3] / p.eps])
+    blk[:, 2:6, 0] = (J_x @ M).reshape(m, 4)
+    blk[:, 2:6, 1] = (J(1) @ M).reshape(m, 4)
+    third[:, 2:6] = (J(3) @ M).reshape(m, 4)
+    blk[:, 2:6, 2:6] = (J(0)[:, :, None, :, None]
+                        * np.eye(2)[:, None, :]).reshape(m, 4, 4)
+    if sens:
+        blk[:, 6:8, 0] = (J_x @ z)[..., 0]
+        blk[:, 6:8, 1] = (J(1) @ z)[..., 0]
+        third[:, 6:8] = (J(3) @ z)[..., 0]
+        blk[:, 6:8, 6:8] = J(0)
+    return abs(h) * blk, abs(h) * third
+
+
+class TestStackedJacobian:
+    """``_stacked_jac`` is the Jacobian of ``_stacked_rhs``, which computes
+    its field and J another way: each diagonal block against central
+    differences of the RHS, and nothing off the diagonal.
+
+    A central difference with step d errs by d^2/6 times the third
+    derivative, plus the rounding of the two RHS values over 2 d.  The RHS
+    is linear in x, M and zeta, so only the u column has the first term;
+    its step d = eta u^2 changes r by the factor e^(+-eta).  The rounding
+    of an RHS value is a few units of eps A (A as in
+    ``stacked_rhs_magnitude``), but for its error against the exact field
+    that of -1/u in r = sigma e^(-1/u) counts 1/u times.  The allowance is
+    each term's bound, twice, with 32 eps for the rounding of both sides."""
+
+    ETA = 2.0 ** -16
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=criterion5_params,
+           segments=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(0.015, 0.1),
+                                       *[kernel_entries] * 6),
+                             min_size=1, max_size=12),
+           m=st.sampled_from([10, 12, 24]), sens=st.booleans(),
+           h=st.floats(0.01, 3.0))
+    def test_blocks_are_central_differences_of_the_rhs(self, p, segments, m,
+                                                       sens, h):
+        width = 8 if sens else 6
+        Y = np.resize(np.array(segments)[:, :width], (m, width)).ravel()
+        rhs = cycles._stacked_rhs(p, m, h, sens)[0]
+        full = cycles._stacked_jac(p, m, h, sens)(0.0, Y).reshape(m, width, m, width)
+        seg = np.arange(m)
+        blocks = full[seg, :, seg, :].copy()
+        full[seg, :, seg, :] = 0.0
+        assert not full.any()
+        mag, third = stacked_jac_magnitudes(p, m, h, sens, Y)
+        Z = Y.reshape(m, width)
+        eps = np.finfo(float).eps
+        for k in range(width):
+            d = self.ETA * (Z[:, 1] ** 2 if k == 1 else
+                            np.maximum(1.0, np.abs(Z[:, k])))
+            up, down = Z.copy(), Z.copy()
+            up[:, k] += d
+            down[:, k] -= d
+            step = (up[:, k] - down[:, k])[:, None]
+            # The RHS returns one buffer from call to call.
+            diff = (rhs(0.0, up.ravel()).copy()
+                    - rhs(0.0, down.ravel())).reshape(m, width)
+            rounding = np.maximum(stacked_rhs_magnitude(p, m, h, sens, up.ravel()),
+                                  stacked_rhs_magnitude(p, m, h, sens, down.ravel()))
+            tol = 32 * eps * (mag[:, :, k] + rounding.reshape(m, width)
+                              * (1.0 + 1.0 / Z[:, 1:2]) / step)
+            if k == 1:
+                tol += 2 * d[:, None] ** 2 / 6 * third
+            assert np.all(np.abs(diff / step - blocks[:, :, k]) <= tol), k
 
 
 class _Captured(Exception):
@@ -308,9 +454,11 @@ kernel_rows = st.tuples(st.floats(-0.5, 1.5), kernel_us, *[kernel_entries] * 6)
 
 
 class TestBufferedCallbacks:
-    """The callbacks that keep their work arrays from call to call give the
-    bits of the allocating ones in ``conftest`` on every call, whatever the
-    call before left in them."""
+    """The callbacks that keep their work arrays from call to call give, on
+    every call and whatever the call before left in them, the bits of the
+    same callback built afresh and the values of the allocating ones in
+    ``conftest``: the bits for ``floquet``'s RHS, within the rounding bound
+    for the stacked RHS, whose BLAS products sum in an order of their own."""
 
     @settings(max_examples=200, deadline=None)
     @given(p=criterion5_params,
@@ -328,18 +476,29 @@ class TestBufferedCallbacks:
             warnings.simplefilter("error")
             for segments in draws:
                 Y = np.resize(np.array(segments)[:, :width], (m, width)).ravel()
-                assert rhs(0.0, Y).tobytes() == ref(0.0, Y).tobytes()
+                got = rhs(0.0, Y)
+                fresh = cycles._stacked_rhs(p, m, h, sens)[0](0.0, Y)
+                assert got.tobytes() == fresh.tobytes()
+                assert_rounding_close(got, ref(0.0, Y),
+                                      stacked_rhs_magnitude(p, m, h, sens, Y))
 
     # Each id names the parameter the shoot differentiates by, if any.
     @pytest.mark.parametrize("sens", (False, True), ids=("None", "u_a"))
     @pytest.mark.parametrize("m", [10, 12, 24])
     def test_shoot_bytes_equal_on_the_allocating_rhs(self, mic, mic_h1,
                                                      monkeypatch, m, sens):
-        # odeint reads the returned buffer; the shoot must not tell.
+        # odeint reads the returned buffer; the shoot must not tell it from
+        # a fresh array per call.
         p, seed = hopf_germ(mic.model, mic_h1, 1e-3)
         starts = seed.segment_starts(m)
         got = cycles._shoot(p, starts, seed.period, sens=sens)
-        monkeypatch.setattr(cycles, "_stacked_rhs", stacked_rhs_allocating)
+        stacked = cycles._stacked_rhs
+
+        def allocating(*args):
+            rhs, width = stacked(*args)
+            return (lambda s, Y: rhs(s, Y).copy()), width
+
+        monkeypatch.setattr(cycles, "_stacked_rhs", allocating)
         want = cycles._shoot(p, starts, seed.period, sens=sens)
         for g, w in zip(got, want):
             assert (g is None and w is None) or g.tobytes() == w.tobytes()
