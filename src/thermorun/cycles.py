@@ -15,7 +15,14 @@ monodromy matrix accumulated in legs around the orbit, each leg's ends on a
 uniform sample grid of the period, with the determinant identity against
 exp(integral of the Jacobian trace) kept as a consistency defect.  Every
 integration is an event-free ``simulate.lsoda`` run; an orbit's u extrema
-are located between its mesh samples by a Newton iteration in time.
+are located between its mesh samples by a Newton iteration in time.  Every
+run holds the states to the shooting tolerances ``SHOOT_RTOL`` and
+``SHOOT_ATOL``.  The stacked shoot's transition matrices and u_a
+sensitivity only build Newton's Jacobian and the continuation tangent, so
+they are held to the looser ``VARIATIONAL_RTOL`` and ``VARIATIONAL_ATOL``:
+an inexact Jacobian leaves the root where the state residual puts it.
+``floquet``'s legs, the orbit mesh and extremum runs and the sampled seeds
+are outputs, and keep the shooting tolerances throughout.
 Cycle branches are continued in the ambient temperature u_a alone: the
 branch emerging from the Hopf point of a u_a branch is traced by the shared
 pseudo-arclength engine (``solvers.continue_curve``) in (orbit, period, u_a),
@@ -55,6 +62,11 @@ LIOUVILLE_TOL = 1e-6
 FOLD_PARAM_TOL = 1e-8
 SHOOT_RTOL = 1e-11
 SHOOT_ATOL = 1e-13
+# The shoot's M and zeta rows, which only build Jacobians: an order inside
+# FOLD_PARAM_TOL keeps the tangents and the Hermite fold to it, at the
+# shooting tolerances' atol/rtol ratio.
+VARIATIONAL_RTOL = FOLD_PARAM_TOL / 10
+VARIATIONAL_ATOL = VARIATIONAL_RTOL * SHOOT_ATOL / SHOOT_RTOL
 MESH_SAMPLES = 256
 # Seed samples per period: hopf_germ's ellipse and seed_from_simulation's flow.
 GERM_SAMPLES = 64
@@ -127,11 +139,13 @@ class CycleBranch:
     stop_reason: str
 
 
-def _flow(rhs, jac, y0, ts, what: str) -> np.ndarray:
-    """``lsoda`` at the shooting tolerances; a failed integration is a
+def _flow(rhs, jac, y0, ts, what: str, rtol=SHOOT_RTOL,
+          atol=SHOOT_ATOL) -> np.ndarray:
+    """``lsoda`` at ``rtol`` and ``atol``, scalars or one per component, by
+    default the scalar shooting tolerances; a failed integration is a
     :class:`ConvergenceError` naming ``what``."""
     try:
-        return lsoda(rhs, jac, y0, ts, SHOOT_RTOL, SHOOT_ATOL)
+        return lsoda(rhs, jac, y0, ts, rtol, atol)
     except IntegrationFailure as exc:
         raise ConvergenceError(f"{what} failed: {exc}") from None
 
@@ -260,7 +274,14 @@ def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
 
 def _shoot(p: ModelParams, starts: np.ndarray, T: float, sens: bool = False):
     """Flow all segments over T/m; return endpoints and variational data,
-    with the sensitivities by u_a when ``sens`` is set."""
+    with the sensitivities by u_a when ``sens`` is set.
+
+    Each segment's state rows are held to ``SHOOT_RTOL`` and ``SHOOT_ATOL``:
+    the matching residual, and so the converged orbit, is made of them.
+    Its M and zeta rows only build Newton's Jacobian and the continuation
+    tangent, and are held to ``VARIATIONAL_RTOL`` and ``VARIATIONAL_ATOL``;
+    at the tighter tolerances they would set LSODA's step sizes.
+    """
     m = len(starts)
     h = T / m
     rhs, width = _stacked_rhs(p, m, h, sens)
@@ -269,8 +290,11 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, sens: bool = False):
     Y0[:, 0:2] = starts
     Y0[:, 2] = 1.0
     Y0[:, 5] = 1.0
-    Z = _flow(rhs, jac, Y0.ravel(), [0.0, 1.0],
-              "variational integration")[-1].reshape(m, width)
+    rtol = np.full((m, width), VARIATIONAL_RTOL)
+    atol = np.full((m, width), VARIATIONAL_ATOL)
+    rtol[:, 0:2], atol[:, 0:2] = SHOOT_RTOL, SHOOT_ATOL
+    Z = _flow(rhs, jac, Y0.ravel(), [0.0, 1.0], "variational integration",
+              rtol.ravel(), atol.ravel())[-1].reshape(m, width)
     ends = Z[:, 0:2].copy()
     Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
     zetas = Z[:, 6:8].copy() if sens else None

@@ -179,7 +179,10 @@ def lsoda(rhs, jac, y0, ts, rtol, atol) -> np.ndarray:
     than in a Python loop, for integrations that need no events.  ``tcrit``
     keeps it from stepping past ``ts[-1]``, as
     ``LSODA``'s ``t_bound`` does, so over ``ts = [0, T]`` the end state is
-    :func:`solve_ivp`'s bit for bit.  Imported on the first call, like
+    :func:`solve_ivp`'s bit for bit.  ``rtol`` and ``atol`` are scalars or
+    arrays with one entry per component, as both drivers accept them; the
+    cycle code's stacked shoot gives its transition-matrix rows looser
+    ones than its states.  Imported on the first call, like
     :func:`solve_ivp`.
 
     A failed integration raises :class:`IntegrationFailure` with odeint's

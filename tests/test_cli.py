@@ -591,3 +591,22 @@ class TestCompareOutputs:
         # A manifest's wall time is left out.
         assert tool["json_verdict"](a, b, tool["VOLATILE"]) == (
             "" if "wall_time_s" in base else verdict)
+
+    def test_wall_times_are_printed_but_not_compared(self, tmp_path):
+        tool = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))
+        for side, wall in (("base", 1.25), ("change", 2.5)):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "manifest.json").write_text(
+                json.dumps({"status": "ok", "wall_time_s": wall}))
+            (tmp_path / side / "a.csv").write_text("u\n1\n")
+        lines, differs = tool["report"]("cmd", tmp_path / "base",
+                                        tmp_path / "change")
+        assert lines == ["cmd/a.csv: byte-identical",
+                         "cmd/manifest.json: equal apart from wall_time_s",
+                         "cmd: wall_time_s 1.250 -> 2.500 (not compared)"]
+        assert not differs
+        # Without a manifest on one side there is no wall time to print.
+        (tmp_path / "change" / "manifest.json").unlink()
+        lines, differs = tool["report"]("cmd", tmp_path / "base",
+                                        tmp_path / "change")
+        assert lines[-1] == "cmd/manifest.json: only in base" and differs

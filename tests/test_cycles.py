@@ -516,8 +516,10 @@ class TestBufferedCallbacks:
 def shoot_reference(p, starts, T, sens=False, var=True):
     """``_shoot`` on ``solve_ivp(method="LSODA")``, the driver it replaced.
 
-    ``var=False`` integrates the segment states alone, as the plain shoot
-    the cycle corrector's line search once judged its trials on.
+    The state rows get the shooting tolerances and the M and zeta rows the
+    variational ones, as per-component arrays.  ``var=False`` integrates
+    the segment states alone, as the plain shoot the cycle corrector's line
+    search once judged its trials on.
     """
     from scipy.integrate import solve_ivp
     from scipy.linalg import block_diag
@@ -540,8 +542,12 @@ def shoot_reference(p, starts, T, sens=False, var=True):
             return block_diag(*(h * model._jac_xu(p, Z[:, 0], Z[:, 1])))
 
         width, Y0 = 2, starts
+    rtol = np.tile([cycles.SHOOT_RTOL] * 2
+                   + [cycles.VARIATIONAL_RTOL] * (width - 2), m)
+    atol = np.tile([cycles.SHOOT_ATOL] * 2
+                   + [cycles.VARIATIONAL_ATOL] * (width - 2), m)
     sol = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="LSODA",
-                    rtol=cycles.SHOOT_RTOL, atol=cycles.SHOOT_ATOL, jac=jac)
+                    rtol=rtol, atol=atol, jac=jac)
     assert sol.success
     Z = sol.y[:, -1].reshape(m, width)
     if not var:
@@ -586,6 +592,98 @@ class TestShootDriver:
             with pytest.raises(ConvergenceError, match="variational integration "
                                                        "failed: LSODA failed"):
                 cycles._shoot(p, starts, T, sens=True)
+
+
+def lsoda_tolerances(monkeypatch):
+    """(len(y0), rtol, atol) of every ``cycles.lsoda`` call from now on,
+    each call still made."""
+    calls, lsoda = [], cycles.lsoda
+
+    def recording(rhs, jac, y0, ts, rtol, atol):
+        calls.append((len(y0), np.asarray(rtol), np.asarray(atol)))
+        return lsoda(rhs, jac, y0, ts, rtol, atol)
+
+    monkeypatch.setattr(cycles, "lsoda", recording)
+    return calls
+
+
+class TestShootTolerances:
+    """The stacked shoot holds its segment states to the shooting
+    tolerances and its M and zeta rows, which only build Jacobians, to the
+    variational ones; every integration whose variational part or samples
+    are an output keeps the scalar shooting tolerances."""
+
+    # Each id names the parameter the shoot differentiates by, if any.
+    @pytest.mark.parametrize("sens", (False, True), ids=("None", "u_a"))
+    def test_shoot_state_rows_keep_the_shooting_tolerances(
+            self, germ_starts, monkeypatch, sens):
+        p, T, starts, _ = germ_starts
+        calls = lsoda_tolerances(monkeypatch)
+        cycles._shoot(p, starts, T, sens=sens)
+        width = 8 if sens else 6
+        [(n, rtol, atol)] = calls
+        assert n == len(starts) * width
+        rtol, atol = rtol.reshape(-1, width), atol.reshape(-1, width)
+        assert np.all(rtol[:, 0:2] == cycles.SHOOT_RTOL)
+        assert np.all(atol[:, 0:2] == cycles.SHOOT_ATOL)
+        assert np.all(rtol[:, 2:] == cycles.VARIATIONAL_RTOL)
+        assert np.all(atol[:, 2:] == cycles.VARIATIONAL_ATOL)
+
+    def test_output_integrations_keep_the_scalar_tolerances(
+            self, germ_starts, monkeypatch):
+        p, T, starts, _ = germ_starts
+        for run in (lambda: floquet(p, starts[0], T),
+                    lambda: cycles._finalize_orbit(p, starts[0], T),
+                    lambda: cycles._sample_flow(p, starts[0], T, 24)):
+            calls = lsoda_tolerances(monkeypatch)
+            run()
+            assert calls
+            for _, rtol, atol in calls:
+                assert rtol.ndim == 0 and rtol == cycles.SHOOT_RTOL
+                assert atol.ndim == 0 and atol == cycles.SHOOT_ATOL
+
+
+class TestJacobianTolerance:
+    """Loosening the shoot's M and zeta rows moves no converged orbit
+    beyond what ``find_cycle`` and the simulation resolve: the relaxation
+    cycle by ``find_cycle`` and a germ orbit by ``_solve_cycle_raw``, each
+    against the same solve with the variational rows at the shooting
+    tolerances."""
+
+    @staticmethod
+    def assert_same_orbit(got, want):
+        assert (abs(got.period - want.period)
+                <= cycles.FIND_CYCLE_PERIOD_RTOL * want.period)
+        assert (abs(got.amplitude - want.amplitude)
+                <= simulate.PERIOD_REPEATABILITY * want.amplitude)
+        assert got.segments == want.segments
+        assert got.stability == want.stability
+
+    @staticmethod
+    def at_shooting_tolerances(monkeypatch):
+        monkeypatch.setattr(cycles, "VARIATIONAL_RTOL", cycles.SHOOT_RTOL)
+        monkeypatch.setattr(cycles, "VARIATIONAL_ATOL", cycles.SHOOT_ATOL)
+
+    def test_relaxation_cycle(self, relaxation_seed, monkeypatch):
+        p, seed = relaxation_seed
+        got = find_cycle(p, seed, m=12)
+        self.at_shooting_tolerances(monkeypatch)
+        want = find_cycle(p, seed, m=12)
+        assert want.stability == "stable"
+        self.assert_same_orbit(got, want)
+
+    def test_germ_orbit(self, mic, mic_h1, monkeypatch):
+        p, seed = hopf_germ(mic.model, mic_h1, 1e-6)
+
+        def orbit():
+            starts, T, res = cycles._solve_cycle_raw(p, seed, 12)
+            return cycles._make_orbit(p, starts, T, res)
+
+        got = orbit()
+        self.at_shooting_tolerances(monkeypatch)
+        want = orbit()
+        assert want.stability == "unstable"
+        self.assert_same_orbit(got, want)
 
 
 def newton_cycle_reference(p, seed, m, tol=cycles.CYCLE_TOL):

@@ -16,8 +16,10 @@ says how much it moved: for a CSV, the rows changed and, for each column
 that moved, its largest relative difference or that a label in it changed;
 for a JSON file, each key that changed with both values and, for numbers,
 their relative difference; for both, the largest relative difference of a
-number and whether anything else (a label) changed.  Edit ``COMMANDS`` and
-``SCRIPTS`` for a partial run.
+number and whether anything else (a label) changed.  For each command
+whose two runs wrote a ``manifest.json``, one more line gives both
+``wall_time_s``, for information only: it never counts as a difference.
+Edit ``COMMANDS`` and ``SCRIPTS`` for a partial run.
 """
 
 from __future__ import annotations
@@ -230,6 +232,30 @@ def compare(base: Path, change: Path) -> list[tuple[str, str]]:
     return rows
 
 
+def wall_time(out: Path) -> float | None:
+    """The ``wall_time_s`` of the manifest in ``out``, if there is one."""
+    manifest = out / "manifest.json"
+    if not manifest.exists():
+        return None
+    return json.loads(manifest.read_text()).get("wall_time_s")
+
+
+def report(name: str, base: Path, change: Path) -> tuple[list[str], bool]:
+    """The lines printed for one command's two output directories, and
+    whether any file differs; the wall times are not compared."""
+    lines, differs = [], False
+    for fname, verdict in compare(base, change):
+        same = "equal apart from wall_time_s" if fname == "manifest.json" \
+            else "byte-identical"
+        lines.append(f"{name}/{fname}: {verdict or same}")
+        differs |= bool(verdict)
+    base_s, change_s = wall_time(base), wall_time(change)
+    if base_s is not None and change_s is not None:
+        lines.append(f"{name}: wall_time_s {base_s:.3f} -> {change_s:.3f} "
+                     "(not compared)")
+    return lines, differs
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path)
@@ -257,11 +283,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: exit code {codes['base']} -> {codes['change']}")
             differs = True
             continue
-        for fname, verdict in compare(dirs["base"], dirs["change"]):
-            same = "equal apart from wall_time_s" if fname == "manifest.json" \
-                else "byte-identical"
-            print(f"{name}/{fname}: {verdict or same}")
-            differs |= bool(verdict)
+        lines, moved = report(name, dirs["base"], dirs["change"])
+        print("\n".join(lines))
+        differs |= moved
     print(f"outputs in {work}")
     return 1 if differs else 0
 
