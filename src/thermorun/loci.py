@@ -145,7 +145,7 @@ def _hopf_curve(p: ModelParams, u: float, root: int):
     temperature u: f is the larger (``root`` = 1) or smaller root of
     2 eps f^2 + (3 eps r + ell - r') f + r (eps r + ell), r = sigma e^(-1/u),
     r' = r/u^2, where tr J vanishes on x = f/(f + r)."""
-    r = model._rates(p, u)[0]
+    r = p.sigma * model._expu(u)
     rp = r / (u * u)
     a, b, c = 2.0 * p.eps, 3.0 * p.eps * r + p.ell - rp, r * (p.eps * r + p.ell)
     disc = b * b - 4.0 * a * c

@@ -199,7 +199,7 @@ def rho(p: ModelParams, u):
 def _rho_derivs_raw(p: ModelParams, u: float) -> tuple[float, float, float, float]:
     r = p.sigma * math.exp(-1.0 / u) if u > 0 else 0.0
     if r == 0.0:
-        # The limit, as in _rates: for u below ~1.3e-3 exp(-1/u) is 0, and
+        # The limit, as in _jet: for u below ~1.3e-3 exp(-1/u) is 0, and
         # below ~5e-52 the powers of 1/u would divide 0 by an underflow.
         return 0.0, 0.0, 0.0, 0.0
     u2 = u * u
@@ -224,32 +224,35 @@ def _field_xu(p: ModelParams, x, u):
     return dx, du
 
 
-def _rates(p: ModelParams, u: float) -> tuple[float, float]:
-    """Scalar rate r = sigma * exp(-1/u) and dr/du, both zero for u <= 0.
+def _expu(u: float) -> float:
+    """exp(-1/u) at a float u > 0, its limit 0 at u <= 0.  ``np.exp`` on a
+    Python float matches the array path bit for bit; ``math.exp`` is one
+    ulp off on some u."""
+    return float(np.exp(-1.0 / u)) if u > 0 else 0.0
 
-    The scalar kernels of the steady and loci solvers use this instead of
-    the array kernels; the integrator callbacks of :func:`_callbacks`
-    inline the same arithmetic.  ``np.exp`` on a Python float matches the
-    array path bit for bit; ``math.exp`` differs from it by one ulp on some
-    u.  r is exactly 0 wherever u * u underflows, so dr/du never divides by
-    zero.
-    """
-    if u > 0:
-        r = p.sigma * float(np.exp(-1.0 / u))
-        return r, (r / (u * u) if r else 0.0)
-    return 0.0, 0.0
+
+def _jet(f: float, ell: float, eps: float, u_a: float, sigma: float,
+         x: float, u: float, expu: float) -> tuple[float, ...]:
+    """(fx, fu, a, b, c, d): the field and J = ((a, b), (c, d)) at (x, u)
+    from the parameter values and ``expu`` = ``_expu(u)``; the one copy of
+    the scalar formulas.  r = sigma * expu is 0 wherever u * u underflows,
+    so dr/du is never 0 / 0."""
+    r = sigma * expu
+    rp = r / (u * u) if r else 0.0
+    loss = eps * f + ell
+    return (-x * r + f * (1.0 - x), (x * r - loss * (u - u_a)) / eps,
+            -(r + f), -x * rp, r / eps, (x * rp - loss) / eps)
 
 
 def _field_scalar(p: ModelParams, x: float, u: float) -> tuple[float, float]:
     """``_field_xu`` for one state given as Python floats."""
-    r, _ = _rates(p, u)
-    return -x * r + p.f * (1.0 - x), (x * r - p.loss * (u - p.u_a)) / p.eps
+    return _jet(p.f, p.ell, p.eps, p.u_a, p.sigma, x, u, _expu(u))[:2]
 
 
 def _jac_scalar(p: ModelParams, x: float, u: float):
     """``_jac_xu`` for one state given as Python floats, as nested tuples."""
-    r, rp = _rates(p, u)
-    return ((-(r + p.f), -x * rp), (r / p.eps, (x * rp - p.loss) / p.eps))
+    _, _, a, b, c, d = _jet(p.f, p.ell, p.eps, p.u_a, p.sigma, x, u, _expu(u))
+    return ((a, b), (c, d))
 
 
 def _callbacks(p: ModelParams):
@@ -259,9 +262,10 @@ def _callbacks(p: ModelParams):
     ``rhs`` and ``jac`` are ``_field_scalar`` and ``_jac_scalar`` at the
     state ``y``; ``field_jac`` takes the state as two floats and returns
     the field and the Jacobian's rows flattened, (fx, fu, a, b, c, d), from
-    one exponential (``jac``, called once per LSODA Jacobian, reads it).  The arithmetic is ``_rates``' and theirs, so the bits
-    are the same; what is left out is the per-call work that depends on
-    ``p`` alone: the parameters are read, and ``loss`` summed, once here.
+    one exponential (``jac``, called once per LSODA Jacobian, reads it).
+    The arithmetic is :func:`_jet`'s, inlined, so the bits are the same;
+    what is left out is the per-call work that depends on ``p`` alone: the
+    parameters are read, and ``loss`` summed, once here.
     Every integrator callback of ``simulate`` and ``cycles`` is built on
     this, so a test that patches it changes the field of all of them.
     """
@@ -364,29 +368,34 @@ def trace_det(p: ModelParams, s) -> tuple[float, float]:
 CONTINUABLE_PARAMS = ("u_a", "f", "ell", "eps", "sigma")
 
 
-def _param_derivative_scalar(p: ModelParams, x: float, u: float,
-                             name: str) -> tuple[float, float]:
-    """d(vector field)/d(parameter ``name``) at one state given as Python
-    floats.
+def _dfdp(name: str, f: float, ell: float, eps: float, u_a: float,
+          sigma: float, x: float, u: float, expu: float) -> tuple[float, float]:
+    """d(vector field)/d(parameter ``name``) from :func:`_jet`'s arguments
+    (``expu`` is read for ``eps`` and ``sigma`` only).
 
     Its array twin, ``param_derivative`` in ``tests/conftest.py``, is the
     reference it is tested against; both share the expression order, so
-    the same bits: for ``eps`` the rate is (x * sigma) * exp(-1/u), not
-    x * ``_rates``' r.
+    the same bits: for ``eps`` the rate is (x * sigma) * expu, not x * r.
     """
     if name == "u_a":
-        return 0.0, p.loss / p.eps
+        return 0.0, (eps * f + ell) / eps
     if name == "f":
-        return 1.0 - x, -(u - p.u_a)
+        return 1.0 - x, -(u - u_a)
     if name == "ell":
-        return 0.0, -(u - p.u_a) / p.eps
-    expu = float(np.exp(-1.0 / u)) if u > 0 else 0.0
+        return 0.0, -(u - u_a) / eps
     if name == "eps":
-        return 0.0, -(x * p.sigma * expu - p.ell * (u - p.u_a)) / p.eps ** 2
+        return 0.0, -(x * sigma * expu - ell * (u - u_a)) / eps ** 2
     if name == "sigma":
-        return -x * expu, x * expu / p.eps
+        return -x * expu, x * expu / eps
     raise ValidationError(
         "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
+
+
+def _param_derivative_scalar(p: ModelParams, x: float, u: float,
+                             name: str) -> tuple[float, float]:
+    """:func:`_dfdp` at one state of ``p`` given as Python floats."""
+    expu = _expu(u) if name in ("eps", "sigma") else 0.0
+    return _dfdp(name, p.f, p.ell, p.eps, p.u_a, p.sigma, x, u, expu)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +409,9 @@ def reduced_balance(p: ModelParams, u):
     r_g = f*rho/(f + rho) and r_l = (eps*f + ell)*(u - u_a).
     """
     r = rho(p, u)
-    return p.f * r / (p.f + r) - p.loss * (np.asarray(u) - p.u_a)
+    # A float u skips the array machinery, as in rho.
+    w = u - p.u_a if isinstance(u, float) else np.asarray(u) - p.u_a
+    return p.f * r / (p.f + r) - p.loss * w
 
 
 def quasi_steady_x(p: ModelParams, u):

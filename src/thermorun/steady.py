@@ -24,7 +24,7 @@ import numpy as np
 from . import model
 from .errors import ConvergenceError, NotAHopfError, ValidationError
 from .model import ModelParams, State
-from .solvers import bisect_root, bracket_roots, damped_newton
+from .solvers import _solve, bisect_root, bracket_roots, damped_newton
 
 STEADY_TOL = 1e-12
 # continue_branch's largest scaled step, and step budget.
@@ -93,20 +93,19 @@ def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
     return (complex(trace / 2, r / 2), complex(trace / 2, -r / 2))
 
 
+def _steady_point(x: float, u: float, name: str, value: float, tr: float,
+                  det: float, fx: float, fu: float) -> SteadyPoint:
+    return SteadyPoint(State(min(max(x, 0.0), 1.0), u), name, value, tr, det,
+                       _eigenvalues(tr, det), classify_stability(tr, det),
+                       max(abs(fx), abs(fu)))
+
+
 def _make_point(p: ModelParams, x: float, u: float,
                 param_name: str = "u_a") -> SteadyPoint:
     x, u = float(x), float(u)
     tr, det = model.trace_det(p, (x, u))
-    fx, fu = model._field_scalar(p, x, u)
-    return SteadyPoint(
-        state=State(min(max(x, 0.0), 1.0), u),
-        param_name=param_name,
-        param_value=float(getattr(p, param_name)),
-        trace=tr, det=det,
-        eigenvalues=_eigenvalues(tr, det),
-        stability=classify_stability(tr, det),
-        residual=max(abs(fx), abs(fu)),
-    )
+    return _steady_point(x, u, param_name, float(getattr(p, param_name)),
+                         tr, det, *model._field_scalar(p, x, u))
 
 
 def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
@@ -127,7 +126,7 @@ def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
     # a root comes back unchanged.
     r = fn(y)
     try:
-        step = np.linalg.solve(jac(y), -r)
+        step = _solve(jac(y), -r)
     except np.linalg.LinAlgError:
         step = np.zeros(2)
     if abs(step[0]) > 1e-13 or abs(step[1]) > 1e-13 * y[1]:
@@ -156,47 +155,48 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
 # One-parameter branches
 
 
-def _f_quadratic(p: ModelParams, u: float) -> tuple[float, ...]:
-    """(a, b, c, discriminant, r): the heat balance at temperature u as
+def _f_quadratic(p: ModelParams, u: float, r: float) -> tuple[float, ...]:
+    """(a, b, c, discriminant): the heat balance at temperature u as
     a f^2 + b f + c = 0 in the flow rate, with r = sigma e^(-1/u)."""
-    r = model._rates(p, u)[0]
     w = u - p.u_a
     a, b, c = p.eps * w, (p.eps * r + p.ell) * w - r, p.ell * w * r
-    return a, b, c, b * b - 4.0 * a * c, r
+    return a, b, c, b * b - 4.0 * a * c
 
 
-def _curve(p: ModelParams, active: str, u: float, root: int) -> tuple[float, float]:
-    """(x, value of ``active``) of the steady state at temperature u, the
-    other parameters fixed at ``p``'s.
+def _curve(p: ModelParams, active: str, u: float,
+           root: int) -> tuple[float, float, float, float]:
+    """(x, value of ``active``, e^(-1/u), discriminant) of the steady state
+    at temperature u, the other parameters fixed at ``p``'s.
 
     The heat balance x r = (eps f + ell)(u - u_a), with x = f/(f + r) and
     r = sigma e^(-1/u), is linear in u_a, ell and eps, gives sigma through r,
     and is a quadratic in f; ``root`` = 1 takes its larger root, -1 the
-    smaller.
+    smaller; the discriminant is its (0 for the other parameters).
     """
+    expu = model._expu(u)
     w = u - p.u_a
     if active == "sigma":
         r = p.f * p.loss * w / (p.f - p.loss * w)
-        return p.f / (p.f + r), r * math.exp(1.0 / u)
+        return p.f / (p.f + r), r * math.exp(1.0 / u), expu, 0.0
+    r = p.sigma * expu
     if active == "f":
-        a, b, c, disc, r = _f_quadratic(p, u)
+        a, b, c, disc = _f_quadratic(p, u, r)
         q = 0.5 * (math.sqrt(max(disc, 0.0)) - b)
         f = q / a if root > 0 else c / q
-        return f / (f + r), f
-    r = model._rates(p, u)[0]
+        return f / (f + r), f, expu, disc
     x = p.f / (p.f + r)
     if active == "u_a":
-        return x, u - x * r / p.loss
+        return x, u - x * r / p.loss, expu, 0.0
     if active == "ell":
-        return x, x * r / w - p.eps * p.f
-    return x, (x * r / w - p.ell) / p.f
+        return x, x * r / w - p.eps * p.f, expu, 0.0
+    return x, (x * r / w - p.ell) / p.f, expu, 0.0
 
 
-def _slope(q: ModelParams, x: float, u: float, active: str) -> tuple[float, float]:
+def _tangent(active: str, args: tuple, jet: tuple) -> tuple[float, float]:
     """(dx/du, d(value of ``active``)/du) along the steady curve through the
-    steady state (x, u) of ``q``, by implicit differentiation."""
-    (a, b), (c, d) = model._jac_scalar(q, x, u)
-    e, g = model._param_derivative_scalar(q, x, u, active)
+    state of ``model._jet(*args)`` = ``jet``, by implicit differentiation."""
+    _, _, a, b, c, d = jet
+    e, g = model._dfdp(active, *args)
     m = a * g - e * c
     return (e * d - b * g) / m, (c * b - a * d) / m
 
@@ -218,8 +218,11 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     quadratic; where the two roots meet it moves onto the other and turns
     back in u.  Fold points are sign changes of det J between neighbouring
     points, Hopf points sign changes of the trace with det > 0 at the root;
-    both are bisected in u on the curve.  With the reaction off (sigma = 0),
-    an f, ell or eps branch is the state (1, u_a) at 101 evenly spaced values.
+    both are bisected in u on the curve.  Each evaluation takes one
+    e^(-1/u), shared by the curve, ``model._jet`` and :func:`_tangent` (a
+    sigma branch's value takes one more), and builds no parameter set.
+    With the reaction off (sigma = 0), an f, ell or eps branch is the state
+    (1, u_a) at 101 evenly spaced values.
     """
     if active not in ACTIVE_PARAMS:
         raise ValidationError("active", f"must be one of {ACTIVE_PARAMS}")
@@ -239,34 +242,47 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     if not seeds:
         raise ConvergenceError(f"no steady state found at {active} = {lo}")
 
-    def at(u, root):  # the parameter set and the state on the curve
-        x, value = _curve(p, active, u, root)
-        return p.with_(**{active: value}), (x, u)
+    vals = [p.f, p.ell, p.eps, p.u_a, p.sigma]  # model._jet's parameters
+    k = ("f", "ell", "eps", "u_a", "sigma").index(active)
+
+    def at(u, root, curve=None):
+        """(x, value, trace, det, model._jet's arguments and result) at u;
+        p.with_ is built only outside [lo, hi], where it may raise."""
+        x, value, expu, _ = curve or _curve(p, active, u, root)
+        if not lo <= value <= hi:
+            p.with_(**{active: value})
+        vals[k] = value
+        args = (*vals, x, u, expu)
+        jet = model._jet(*args)
+        _, _, a, b, c, d = jet
+        return x, value, a + d, a * d - b * c, args, jet
 
     def disc(u):
-        return _f_quadratic(p, u)[3]
+        return _f_quadratic(p, u, p.sigma * model._expu(u))[3]
 
     u = seeds[0].state.u  # and below, the root of f's quadratic through it
     root = min((1, -1), key=lambda k: abs(_curve(p, active, u, k)[1] - lo))
-    q, s = at(u, root)
-    points, roots = [_make_point(q, *s, active)], []
+    x, value, tr, det, args, jet = at(u, root)
+    points, roots = [_steady_point(x, u, active, value, tr, det, *jet[:2])], []
     u_scale = max(p.f / p.loss, 1e-6)
-    direction = 1.0 if _slope(q, *s, active)[1] >= 0 else -1.0
+    direction = 1.0 if _tangent(active, args, jet)[1] >= 0 else -1.0
     ds, du = ds0, 0.0  # du: a u-step set in advance, back from a turn
     stop_reason = "max steps"
     while len(points) <= BRANCH_MAX_STEPS:
         if not du:
-            dx, dv = _slope(q, *s, active)
+            dx, dv = _tangent(active, args, jet)
             du = ds / math.sqrt(dx * dx + u_scale ** -2 + (dv / (hi - lo)) ** 2)
         u_next, du = u + direction * du, 0.0
         if u_next == u:  # below u's resolution: u barely moves on the branch
             u_next = math.nextafter(u, direction * math.inf)
-        if active == "f" and disc(u_next) < 0:
+        curve = _curve(p, active, u_next, root)
+        if curve[3] < 0:
             # Past the roots' meeting point: step onto it, then back over
             # the same u-step on the other root.
             u_next = bisect_root(disc, u, u_next)
             du = abs(u_next - u)
-        value = _curve(p, active, u_next, root)[1]
+            curve = _curve(p, active, u_next, root)
+        value = curve[1]
         if not lo <= value <= hi:
             bound = lo if value < lo else hi
             u_next = bisect_root(
@@ -274,9 +290,10 @@ def continue_branch(p: ModelParams, active: str = "u_a",
             stop_reason = "window boundary"
             if u_next == u:  # u's resolution puts the crossing on the last point
                 break
+            curve = None
         u = u_next
-        q, s = at(u, root)
-        points.append(_make_point(q, *s, active))
+        x, value, tr, det, args, jet = at(u, root, curve)
+        points.append(_steady_point(x, u, active, value, tr, det, *jet[:2]))
         roots.append(root)
         if stop_reason == "window boundary":
             break
@@ -286,21 +303,18 @@ def continue_branch(p: ModelParams, active: str = "u_a",
 
     specials = []
     for i, (a, b) in enumerate(zip(points, points[1:])):
-        for kind, k, ends in (("hopf", 0, (a.trace, b.trace)),
-                              ("fold", 1, (a.det, b.det))):
+        for kind, j, ends in (("hopf", 2, (a.trace, b.trace)),
+                              ("fold", 3, (a.det, b.det))):
             if not min(ends) < 0 < max(ends):
                 continue
-            v = bisect_root(lambda v: model.trace_det(*at(v, roots[i]))[k],
-                            a.state.u, b.state.u)
-            q, s = at(v, roots[i])
-            tr, det = model.trace_det(q, s)
-            sp = SpecialPoint(kind, active, float(getattr(q, active)),
-                              State(min(max(s[0], 0.0), 1.0), v), tr, det,
-                              after_index=i)
+            v = bisect_root(lambda v: at(v, roots[i])[j], a.state.u, b.state.u)
+            x, value, tr, det, _, _ = at(v, roots[i])
+            sp = SpecialPoint(kind, active, value, State(min(max(x, 0.0), 1.0), v),
+                              tr, det, after_index=i)
             if kind == "fold":
                 specials.append(sp)
             elif det > 0:
-                l1 = lyapunov_first_coeff(q, sp)
+                l1 = lyapunov_first_coeff(p, sp)
                 specials.append(replace(
                     sp, l1=l1,
                     criticality="subcritical" if l1 > 0 else "supercritical"))

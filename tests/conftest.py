@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import strategies as st
 
 from thermorun import cycles, loci, model, steady
-from thermorun.errors import ValidationError
-from thermorun.model import CONTINUABLE_PARAMS, U_FLOOR, ModelParams, _arrhenius
+from thermorun.errors import ConvergenceError, ValidationError
+from thermorun.model import CONTINUABLE_PARAMS, U_FLOOR, ModelParams, State, _arrhenius
+from thermorun.solvers import bisect_root
 
 # Parameter distribution of acceptance criterion 5.
 criterion5_params = st.builds(
@@ -19,8 +21,8 @@ criterion5_params = st.builds(
 
 
 # The array form of ``model._param_derivative_scalar``: the reference for
-# its twin test, the stacked shooting kernels and the augmented loci
-# Jacobian.
+# its twin test, the stacked shooting kernels, the augmented loci Jacobian
+# and the steady walk's step direction.
 def param_derivative(p: ModelParams, x, u, name: str):
     """d(vector field)/d(parameter) at fixed state; broadcasts over arrays.
 
@@ -48,6 +50,97 @@ def param_derivative(p: ModelParams, x, u, name: str):
         raise ValidationError(
             "active", f"unknown parameter {name!r}; one of {CONTINUABLE_PARAMS}")
     return out
+
+
+def slope(q: ModelParams, x: float, u: float, active: str) -> tuple[float, float]:
+    """(dx/du, d(value of ``active``)/du) along the steady curve through the
+    steady state (x, u) of ``q``, by implicit differentiation, from the
+    array Jacobian and ``param_derivative``: the reference of
+    ``continue_branch``'s step direction."""
+    (a, b), (c, d) = model.jacobian(q, (x, u)).tolist()
+    e, g = param_derivative(q, x, u, active).tolist()
+    m = a * g - e * c
+    return (e * d - b * g) / m, (c * b - a * d) / m
+
+
+def reference_branch(p: ModelParams, active: str, prange, ds0: float = 1e-3):
+    """``steady.continue_branch``'s walk over a reaction that is on, with a
+    validated parameter set per evaluation: every point is
+    ``_make_point(p.with_(**{active: value}), x, u, active)``, every step
+    direction :func:`slope`, every special point a bisection on
+    ``model.trace_det(*at(v))``.  The reference of the walk, which takes
+    one exponential per point and builds no parameter set."""
+    p = p.with_(u_boil=math.inf)
+    lo, hi = float(prange[0]), float(prange[1])
+    q = p.with_(**{active: lo})
+    seeds = steady.reduced_scan(q, q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9), n=4000)
+    if not seeds:
+        raise ConvergenceError(f"no steady state found at {active} = {lo}")
+
+    def at(u, root):
+        x, value = steady._curve(p, active, u, root)[:2]
+        return p.with_(**{active: value}), (x, u)
+
+    def disc(u):
+        return steady._f_quadratic(p, u, model.rho(p, u))[3]
+
+    u = seeds[0].state.u
+    root = min((1, -1), key=lambda k: abs(steady._curve(p, active, u, k)[1] - lo))
+    q, s = at(u, root)
+    points, roots = [steady._make_point(q, *s, active)], []
+    u_scale = max(p.f / p.loss, 1e-6)
+    direction = 1.0 if slope(q, *s, active)[1] >= 0 else -1.0
+    ds, du = ds0, 0.0
+    stop_reason = "max steps"
+    while len(points) <= steady.BRANCH_MAX_STEPS:
+        if not du:
+            dx, dv = slope(q, *s, active)
+            du = ds / math.sqrt(dx * dx + u_scale ** -2 + (dv / (hi - lo)) ** 2)
+        u_next, du = u + direction * du, 0.0
+        if u_next == u:
+            u_next = math.nextafter(u, direction * math.inf)
+        if active == "f" and disc(u_next) < 0:
+            u_next = bisect_root(disc, u, u_next)
+            du = abs(u_next - u)
+        value = steady._curve(p, active, u_next, root)[1]
+        if not lo <= value <= hi:
+            bound = lo if value < lo else hi
+            u_next = bisect_root(
+                lambda v: steady._curve(p, active, v, root)[1] - bound, u, u_next)
+            stop_reason = "window boundary"
+            if u_next == u:
+                break
+        u = u_next
+        q, s = at(u, root)
+        points.append(steady._make_point(q, *s, active))
+        roots.append(root)
+        if stop_reason == "window boundary":
+            break
+        if du:
+            root, direction = -root, -direction
+        ds = min(steady.BRANCH_DS_MAX, ds * 1.4)
+
+    specials = []
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        for kind, k, ends in (("hopf", 0, (a.trace, b.trace)),
+                              ("fold", 1, (a.det, b.det))):
+            if not min(ends) < 0 < max(ends):
+                continue
+            v = bisect_root(lambda v: model.trace_det(*at(v, roots[i]))[k],
+                            a.state.u, b.state.u)
+            q, s = at(v, roots[i])
+            tr, det = model.trace_det(q, s)
+            sp = steady.SpecialPoint(kind, active, float(getattr(q, active)),
+                                     State(min(max(s[0], 0.0), 1.0), v), tr, det,
+                                     after_index=i)
+            if kind == "fold":
+                specials.append(sp)
+            elif det > 0:
+                l1 = steady.lyapunov_first_coeff(q, sp)
+                specials.append(dataclasses.replace(
+                    sp, l1=l1,
+                    criticality="subcritical" if l1 > 0 else "supercritical"))
+    return steady.Branch(active, tuple(points), tuple(specials), stop_reason)
 
 
 # Allocating forms of the integrator callbacks of ``cycles``: fresh arrays on

@@ -256,7 +256,8 @@ class TestScalarKernels:
 
     def test_tiny_u_gives_zero_rate_slope(self, mic):
         p = mic.model
-        assert model._rates(p, 1e-300) == (0.0, 0.0)
+        assert model._expu(1e-300) == 0.0
+        assert model._jac_scalar(p, 0.5, 1e-300) == ((-p.f, 0.0), (0.0, -p.loss / p.eps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # no 0 / 0 when u * u underflows
             J = model._jac_xu(p, 0.5, 1e-170)
@@ -592,3 +593,22 @@ class TestScalarRho:
         for arg in (math.nan, np.float64(math.nan), np.array(math.nan)):
             got = model.rho(mic.model, arg)
             assert type(got) is float and math.isnan(got)
+
+
+class TestScalarReducedBalance:
+    # bracket_roots bisects the reduced balance with float (np.float64)
+    # iterates, which skip np.asarray.
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params, u=st.one_of(st.floats(1e-3, 1.0), st.floats(1e-300, 0.1),
+                                       st.floats(0.02, 0.08)))
+    def test_same_bits_as_the_array_path(self, p, u):
+        want = np.float64(model.reduced_balance(p, np.array(u))).tobytes()
+        for arg in (u, np.float64(u)):
+            assert np.float64(model.reduced_balance(p, arg)).tobytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=valid_params, u=st.floats(max_value=0.0))
+    def test_nonpositive_u_raises(self, p, u):
+        for arg in (u, np.float64(u), np.array(u)):
+            with pytest.raises(DomainError):
+                model.reduced_balance(p, arg)

@@ -384,7 +384,7 @@ class TestSolveIvpOracle:
 
 
 def two_event_settle(p, s0, horizon, tol_rel=3e-12, tol_abs=1e-14,
-                     dense_rule=False, section_level=None):
+                     dense_rule=False, section_level=None, run=None):
     """``settle`` with u's maxima and minima found by two events on the same
     deadbanded du/dt, ``u_max`` (direction -1) and ``u_min`` (+1), each
     event a named ``g(t, x, u)`` and the records of all of them sorted by
@@ -396,7 +396,9 @@ def two_event_settle(p, s0, horizon, tol_rel=3e-12, tol_abs=1e-14,
     ``settle`` followed while it kept one: the tail is 2001 evenly spaced
     samples, and each excursion is stamped where u rises through the level
     (``section_level`` if given), by ``brentq`` between its minimum and
-    maximum.  Returns the records, the run and the report."""
+    maximum.  Returns the records, the run and the report.  ``run``, the
+    records and the run of an earlier call with the same inputs, is decided
+    again instead of integrated again."""
     from scipy.optimize import brentq
 
     floor = 1000.0 * tol_abs * max(1.0, p.loss / p.eps)
@@ -405,22 +407,25 @@ def two_event_settle(p, s0, horizon, tol_rel=3e-12, tol_abs=1e-14,
         v = model._field_scalar(p, x, u)[1]
         return v if abs(v) > floor else -floor
 
-    specs = [("u_max", du, -1, False), ("u_min", du, 1, False)]
-    if math.isfinite(p.u_boil):
-        specs.insert(0, ("boil", lambda t, x, u: u - p.u_boil, 1, True))
-    events = []
-    for _, fn, direction, terminal in specs:
-        def g(t, y, fn=fn):
-            return fn(t, *y.tolist())
-        g.direction, g.terminal = direction, terminal
-        events.append(g)
-    rhs, jac, _ = model._callbacks(p)
-    sol = scipy_solve_ivp(rhs, (0.0, horizon), np.array(s0, dtype=float),
-                          rtol=tol_rel, atol=tol_abs, jac=jac, events=events,
-                          dense_output=True)
-    recs = sorted((TrajectoryEvent(float(t), name, float(y[0]), float(y[1]))
-                   for (name, *_), ts, ys in zip(specs, sol.t_events, sol.y_events)
-                   for t, y in zip(ts, ys)), key=lambda e: e.time)
+    if run is None:
+        specs = [("u_max", du, -1, False), ("u_min", du, 1, False)]
+        if math.isfinite(p.u_boil):
+            specs.insert(0, ("boil", lambda t, x, u: u - p.u_boil, 1, True))
+        events = []
+        for _, fn, direction, terminal in specs:
+            def g(t, y, fn=fn):
+                return fn(t, *y.tolist())
+            g.direction, g.terminal = direction, terminal
+            events.append(g)
+        rhs, jac, _ = model._callbacks(p)
+        sol = scipy_solve_ivp(rhs, (0.0, horizon), np.array(s0, dtype=float),
+                              rtol=tol_rel, atol=tol_abs, jac=jac, events=events,
+                              dense_output=True)
+        recs = sorted((TrajectoryEvent(float(t), name, float(y[0]), float(y[1]))
+                       for (name, *_), ts, ys in zip(specs, sol.t_events, sol.y_events)
+                       for t, y in zip(ts, ys)), key=lambda e: e.time)
+    else:
+        recs, sol = run
     terminal = simulate._clamped_state(sol.y[0, -1], sol.y[1, -1])
     if any(e.kind == "boil" for e in recs):
         return recs, sol, AttractorReport("runaway", terminal)
@@ -704,9 +709,10 @@ class TestSettle:
         assert rep.kind == "cycle"
         assert rep.period is not None and rep.period > 0
         assert rep.amplitude is not None and rep.amplitude > 0.01
+        run = None  # one dense integration serves both section levels
         for frac in (0.2, 0.8):
-            _, _, alt = two_event_settle(p, (1.0, p.u_a), horizon=130.0,
-                                         dense_rule=True,
+            *run, alt = two_event_settle(p, (1.0, p.u_a), horizon=130.0,
+                                         dense_rule=True, run=run,
                                          section_level=p.u_a + frac * rep.amplitude)
             assert alt.kind == "cycle"
             assert abs(alt.period - rep.period) / rep.period < 1e-6

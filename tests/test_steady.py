@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from thermorun.steady import (continue_branch, lyapunov_first_coeff,
                               planar_lyapunov_coefficient, reduced_scan,
                               solve_steady)
 
-from conftest import criterion5_params
+from conftest import criterion5_params, reference_branch, slope
 
 
 def numerical_tensors(fun, x0: np.ndarray, step: float = 1e-3,
@@ -339,7 +340,7 @@ class TestContinueBranch:
         us = [pt.state.u for pt in br.points]
         top = int(np.argmax(us))
         assert 0 < top < len(us) - 1
-        _, b, _, disc, _ = steady._f_quadratic(p, us[top])
+        _, b, _, disc = steady._f_quadratic(p, us[top], model.rho(p, us[top]))
         assert abs(disc) <= 1e-12 * b * b
         assert us[top] == pytest.approx(0.0580215, rel=1e-6)
         assert br.points[top].param_value == pytest.approx(0.438785, rel=1e-6)
@@ -355,6 +356,87 @@ class TestContinueBranch:
             continue_branch(mic.model, "u_a", (0.04, 0.03))
         with pytest.raises(ValidationError):
             continue_branch(mic.model, "volume", (0.03, 0.04))
+
+
+def outcome(fn, *args) -> str:
+    """repr of ``fn(*args)``, or the type and message of what it raises:
+    floats' reprs round-trip, so equal reprs are equal bits."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestWalkOracle:
+    # The walk evaluates the curve, the field, the Jacobian and the next
+    # step's slope from one exponential per point and builds no parameter
+    # set; the reference builds a validated one per evaluation and takes
+    # the slope from the array kernels.
+
+    @settings(max_examples=120, deadline=None)
+    @given(p=criterion5_params, active=st.sampled_from(steady.ACTIVE_PARAMS))
+    def test_drawn_branches_equal_the_reference_bit_for_bit(self, p, active):
+        # The points, the specials or the exception are the reference's.
+        # Each step direction's arguments are p's parameters with the active
+        # one at its value, the state and e^(-1/u), and its bits are the
+        # reference slope's at that parameter set and state.
+        seen, tangent = [], steady._tangent
+
+        def spy(name, args, jet):
+            seen.append((args, tangent(name, args, jet)))
+            return seen[-1][1]
+
+        v = getattr(p, active)
+        prange = (0.75 * v, 1.35 * v) if active == "u_a" else (0.5 * v, 2.0 * v)
+        with mock.patch.object(steady, "_tangent", spy):
+            got = outcome(continue_branch, p, active, prange)
+        assert got == outcome(reference_branch, p, active, prange)
+        assert seen or not got.startswith("Branch(")
+        k = ("f", "ell", "eps", "u_a", "sigma").index(active)
+        for args, direction in seen:
+            x, u, expu = args[5:]
+            q = p.with_(**{active: args[k]})
+            assert args[:5] == (q.f, q.ell, q.eps, q.u_a, q.sigma)
+            assert repr(expu) == repr(model._expu(u))
+            assert repr(direction) == repr(slope(q, x, u, active))
+
+    @pytest.mark.parametrize("p, active, prange, raises", [
+        # f through the meeting point of its quadratic's roots
+        (ModelParams(f=0.35, ell=31.6, eps=4.19, u_a=0.0573, sigma=7.8e5),
+         "f", (0.35, 0.55), None),
+        # u a float at a time near u_a
+        (ModelParams(f=0.3, ell=1068.0, eps=2.0, u_a=0.025, sigma=math.exp(20.0)),
+         "f", (0.15, 0.6), None),
+        # the parameter set invalid at the first point, at the end point
+        (ModelParams(f=0.09665764756289588, ell=3152.0484977357596,
+                     eps=5.135563448164114, u_a=0.010262122079541235,
+                     sigma=438534328118.2095),
+         "eps", (6.852294616389673, 8.72559685358464), "ValidationError"),
+        (ModelParams(f=0.206344650662909, ell=1.3410396336244361,
+                     eps=76.6921301126315, u_a=0.10830025670847837,
+                     sigma=8364097740447362.0),
+         "sigma", (606079716426096.0, math.inf), "ValidationError"),
+        # the curve itself divides by zero
+        (ModelParams(f=18.05297338477237, ell=0.0, eps=0.8478421743121324,
+                     u_a=0.01914958215503102, sigma=49556.5289505221),
+         "f", (18.219593134329173, 50.47494034792793), "ZeroDivisionError"),
+    ])
+    def test_turns_and_failures_equal_the_reference(self, p, active, prange, raises):
+        got = outcome(continue_branch, p, active, prange)
+        assert got == outcome(reference_branch, p, active, prange)
+        assert got.startswith(raises or "Branch(")
+
+    def test_preset_branches_equal_the_reference(self, mic):
+        # Each holds a Hopf point with l1; sigma's rate is value * e^(-1/u).
+        p = mic.model
+        windows = {"u_a": (282.0 / mic.temp_scale, 296.0 / mic.temp_scale),
+                   **{a: (0.5 * getattr(p, a), 2.0 * getattr(p, a))
+                      for a in ("f", "ell", "eps")},
+                   "sigma": (0.3 * p.sigma, 3.0 * p.sigma)}
+        for active, prange in windows.items():
+            br = continue_branch(p, active, prange)
+            assert any(sp.kind == "hopf" and sp.l1 is not None for sp in br.specials)
+            assert repr(br) == repr(reference_branch(p, active, prange))
 
 
 class TestLyapunovCoefficient:
