@@ -157,9 +157,10 @@ def _flow(rhs, jac, y0, ts, what: str, rtol=SHOOT_RTOL,
 def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     """RHS of the stacked segment system on the unit interval.
 
-    Per-segment layout: y (2), flattened transition matrix M (4) and, when
-    ``sens`` is set, the sensitivity zeta (2) by u_a, whose field derivative
-    is the constant row (0, loss/eps).
+    Per-segment layout: y (2), then the rows of M, flattened, without
+    ``sens`` and the rows of [M | zeta] with it, (M00, M01, zeta0, M10,
+    M11, zeta1): zeta is the sensitivity by u_a, whose field derivative is
+    the constant row (0, loss/eps).
 
     The field and the Jacobian are linear in seven features of the state,
     phi = (1, x - 1, u - u_a, r, r', x r, x r'), with r = sigma e^(-1/a),
@@ -167,12 +168,12 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     ``model._jac_xu`` for every finite u).  So one call fills the (7, m)
     features with eight ufuncs and multiplies them by a (6, 7) coefficient
     matrix, built once with h folded in, to get h (dx, du, J00, J01, J10,
-    J11) for every segment; two stacked 2 x 2 products then give h J M
-    and, with ``sens``, h J zeta, to which the constant h (0, loss/eps) is
-    added.  That is 13 numpy calls per evaluation with ``sens`` and 11
-    without, where one ufunc per operation of the field took 30 and 26:
-    at m = 12 the kernel is bound by numpy's per-call dispatch, not by
-    arithmetic.
+    J11) for every segment; one stacked product of h J with the 2 x 2 M or
+    the 2 x 3 [M | zeta] gives h J M and h J zeta together, and with
+    ``sens`` the constant h loss/eps is added to the last component.  That
+    is 12 numpy calls per evaluation with ``sens`` and 11 without, where
+    one ufunc per operation of the field took 30 and 26: at m = 12 the
+    kernel is bound by numpy's per-call dispatch, not by arithmetic.
 
     BLAS, which the products go through, fixes no order of summation and
     may fuse a multiply and an add, so the bits are not those of the
@@ -198,7 +199,7 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
         [0.0, 0.0, 0.0, 1.0 / eps, 0.0, 0.0, 0.0],
         [-loss / eps, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / eps]])
     shift = np.array([[1.0], [p.u_a]])
-    hdfdp = h * np.array([0.0, loss / eps])
+    hdfdp = np.array(h * (loss / eps))
     phi = np.empty((7, m))
     phi[0] = 1.0
     r, rp = phi[3], phi[4]
@@ -206,17 +207,16 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
     field_jac = np.empty((6, m))
     hJ = field_jac[2:6].T.reshape(m, 2, 2)
     out = np.empty((m, width))
-    # Views, as every reshape of a contiguous array is: the state's,
-    # M's and zeta's blocks of the derivative.
-    pairs = out.reshape(m, width // 2, 2)
-    dy, dM = pairs[:, 0].T, pairs[:, 1:3]
-    dz = pairs[:, 3] if sens else None
-    dz_col = dz[:, :, None] if sens else None
+    # Views, as every split of a contiguous axis is: the state's block and
+    # the rows of M or [M | zeta] of the derivative.
+    cols = (width - 2) // 2
+    dy, dW = out[:, 0:2].T, out[:, 2:].reshape(m, 2, cols)
+    dz1 = out[:, 7] if sens else None
     flat = out.reshape(m * width)
 
     def rhs(s, Y):
-        Z = Y.reshape(m, width // 2, 2)
-        xu = Z[:, 0].T
+        Z = Y.reshape(m, width)
+        xu = Z[:, 0:2].T
         np.maximum(xu[1], floor, out=a)
         np.divide(minus_one, a, out=e)
         np.exp(e, out=e)
@@ -227,10 +227,9 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
         np.multiply(xu[0], phi[3:5], out=phi[5:7])
         np.matmul(coef, phi, out=field_jac)
         np.copyto(dy, field_jac[0:2])
-        np.matmul(hJ, Z[:, 1:3], out=dM)
+        np.matmul(hJ, Z[:, 2:].reshape(m, 2, cols), out=dW)
         if sens:
-            np.matmul(hJ, Z[:, 3, :, None], out=dz_col)
-            np.add(dz, hdfdp, out=dz)
+            np.add(dz1, hdfdp, out=dz1)
         return flat
 
     return rhs, width
@@ -240,11 +239,15 @@ def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
     """Jacobian of ``_stacked_rhs``: one block per segment on the diagonal.
 
     All blocks are formed at once and returned in a dense matrix; a banded
-    one would change the rounding of LSODA's LU.  The field derivative by
-    u_a is constant, so the sensitivity rows hold J and the Hessian term.
+    one would change the rounding of LSODA's LU.  The rows of M, or of
+    [M | zeta] with ``sens``, are W, whose derivative is J W plus, in the
+    last component, a constant: so the block holds the Hessian term
+    d(J W)/dy and kron(J, I) on W.
     """
     width = 8 if sens else 6
+    cols = (width - 2) // 2
     seg = np.arange(m)
+    eye = np.eye(cols)
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
@@ -255,16 +258,13 @@ def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
                       for xi, ui in zip(x.tolist(), u.tolist())])
         blk = np.zeros((m, width, width))
         blk[:, 0:2, 0:2] = h * J
-        # d(J M)/dy via the Hessian tensor.
-        dJM = np.einsum("mjla,mlk->mjka", B, Z[:, 2:6].reshape(m, 2, 2))
-        blk[:, 2:6, 0:2] = h * dJM.reshape(m, 4, 2)
+        # d(J W)/dy via the Hessian tensor.
+        dJW = np.einsum("mjla,mlk->mjka", B, Z[:, 2:].reshape(m, 2, cols))
+        blk[:, 2:, 0:2] = h * dJW.reshape(m, 2 * cols, 2)
         # kron(J, I) per segment; a product, as np.kron forms it, keeps the
         # signs of its zeros.
-        blk[:, 2:6, 2:6] = h * (J[:, :, None, :, None]
-                                * np.eye(2)[:, None, :]).reshape(m, 4, 4)
-        if sens:
-            blk[:, 6:8, 0:2] = h * np.einsum("mjla,ml->mja", B, Z[:, 6:8])
-            blk[:, 6:8, 6:8] = h * J
+        blk[:, 2:, 2:] = h * (J[:, :, None, :, None]
+                              * eye[:, None, :]).reshape(m, 2 * cols, 2 * cols)
         out = np.zeros((m * width, m * width))
         out.reshape(m, width, m, width)[seg, :, seg, :] = blk
         return out
@@ -280,24 +280,27 @@ def _shoot(p: ModelParams, starts: np.ndarray, T: float, sens: bool = False):
     the matching residual, and so the converged orbit, is made of them.
     Its M and zeta rows only build Newton's Jacobian and the continuation
     tangent, and are held to ``VARIATIONAL_RTOL`` and ``VARIATIONAL_ATOL``;
-    at the tighter tolerances they would set LSODA's step sizes.
+    at the tighter tolerances they would set LSODA's step sizes.  Each
+    segment's rows follow ``_stacked_rhs``: y, then the rows of M, or of
+    [M | zeta] with ``sens``, which start from [I | 0].
     """
     m = len(starts)
     h = T / m
     rhs, width = _stacked_rhs(p, m, h, sens)
     jac = _stacked_jac(p, m, h, sens)
+    cols = (width - 2) // 2
     Y0 = np.zeros((m, width))
     Y0[:, 0:2] = starts
-    Y0[:, 2] = 1.0
-    Y0[:, 5] = 1.0
+    Y0[:, 2:].reshape(m, 2, cols)[:, :, 0:2] = np.eye(2)
     rtol = np.full((m, width), VARIATIONAL_RTOL)
     atol = np.full((m, width), VARIATIONAL_ATOL)
     rtol[:, 0:2], atol[:, 0:2] = SHOOT_RTOL, SHOOT_ATOL
     Z = _flow(rhs, jac, Y0.ravel(), [0.0, 1.0], "variational integration",
               rtol.ravel(), atol.ravel())[-1].reshape(m, width)
+    W = Z[:, 2:].reshape(m, 2, cols)
     ends = Z[:, 0:2].copy()
-    Ms = Z[:, 2:6].reshape(m, 2, 2).copy()
-    zetas = Z[:, 6:8].copy() if sens else None
+    Ms = W[:, :, 0:2].copy()
+    zetas = W[:, :, 2].copy() if sens else None
     return ends, Ms, zetas
 
 
@@ -406,26 +409,25 @@ def floquet(p: ModelParams, y0: np.ndarray,
     samples, from the state where the leg before it ended (starting from
     the first run's state at that sample makes near-homoclinic orbits'
     multipliers up to 20 times less accurate).  A single interval over the
-    budget is cut the same way on its own uniform grid.  The monodromy matrix is the ordered product of the
-    legs, its determinant the product of well-conditioned leg determinants.
-    The defect reported is the relative mismatch between that determinant
-    and exp(integral of trace J), an identity in exact arithmetic.  Returns
-    ((trivial, nontrivial), defect), trivial being the multiplier closest to
-    unity.
+    budget is cut the same way on its own uniform grid.  The RHS works on
+    Python floats, with J M written out as sums of products: each entry is
+    within the forward error bound of a two-term dot product, as a matmul's
+    is, and the multipliers agree with a DOP853 reference as closely.  The
+    monodromy matrix is the ordered product of the legs, its determinant
+    the product of well-conditioned leg determinants.  The defect reported
+    is the relative mismatch between that determinant and exp(integral of
+    trace J), an identity in exact arithmetic.  Returns ((trivial,
+    nontrivial), defect), trivial being the multiplier closest to unity.
     """
     # State layout: y (2), M (4), q = int trace, qa = int |trace|.
     field_jac = model._callbacks(p)[2]
-    J = np.empty((2, 2))
 
     def rhs(t, Y):
-        x, u = Y[:2].tolist()
+        x, u, m00, m01, m10, m11, _, _ = Y.tolist()
         fx, fu, a, b, c, d = field_jac(x, u)
-        J[0, 0], J[0, 1], J[1, 0], J[1, 1] = a, b, c, d
         tr = a + d
-        # Keep the matmul: written-out sums round differently from it and
-        # move the Floquet multipliers.
-        Mdot = J @ Y[2:6].reshape(2, 2)
-        return [fx, fu, *Mdot.ravel().tolist(), tr, abs(tr)]
+        return (fx, fu, a * m00 + b * m10, a * m01 + b * m11,
+                c * m00 + d * m10, c * m01 + d * m11, tr, abs(tr))
 
     def jac(t, Y):
         x, u = float(Y[0]), float(Y[1])
@@ -566,6 +568,45 @@ def _hopf_crossing(p: ModelParams, hopf: SpecialPoint) -> tuple[float, float]:
     return l1, (tr_p - tr_m) / (4 * dp)
 
 
+def _germ_seeds(p: ModelParams, hopf: SpecialPoint):
+    """The seeds near the Hopf point ``hopf`` of a branch of ``p``:
+    ``(germ, delta0)``, where ``germ(delta)`` is :func:`hopf_germ` at the
+    offset ``delta`` and ``delta0`` the offset whose germ radius is
+    ``GERM_RADIUS``.  The Lyapunov coefficient and the crossing speed, two
+    steady solves, are computed once for every germ.
+    """
+    p = p.with_(u_boil=math.inf)
+    name = hopf.param_name
+    p_h = p.with_(**{name: hopf.param_value})
+    s_h = (hopf.state.x, hopf.state.u)
+    omega = math.sqrt(hopf.det)
+    l1, re_lam_prime = _hopf_crossing(p, hopf)
+
+    def germ(delta: float) -> tuple[ModelParams, CycleSeed]:
+        if delta <= 0:
+            raise GermError("germ offset must be positive")
+        if re_lam_prime == 0:
+            raise GermError("eigenvalues do not cross transversally")
+        side = -math.copysign(1.0, re_lam_prime * l1)
+        mu = re_lam_prime * side * delta
+        r2 = -mu / (omega * l1)
+        if r2 <= 0:
+            raise GermError("normal form predicts no cycle on this side")
+        r = math.sqrt(r2)
+        if 2 * r < 1e-8:
+            raise GermError(f"germ amplitude {2*r:.2e} below 1e-8")
+        qv, _ = _complex_pair(model.jacobian(p_h, s_h), omega)
+        period = 2 * math.pi / omega
+        ts = np.linspace(0.0, period, GERM_SAMPLES, endpoint=False)
+        z = r * np.exp(1j * omega * ts)
+        states = np.array(s_h)[None, :] + 2 * np.real(z[:, None] * qv[None, :])
+        p_off = p.with_(**{name: hopf.param_value + side * delta})
+        return p_off, CycleSeed(ts, states, period)
+
+    delta0 = GERM_RADIUS ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
+    return germ, delta0
+
+
 def hopf_germ(p: ModelParams, hopf: SpecialPoint,
               delta: float) -> tuple[ModelParams, CycleSeed]:
     """Small-amplitude elliptic seed near a Hopf point, offset by ``delta``.
@@ -577,34 +618,7 @@ def hopf_germ(p: ModelParams, hopf: SpecialPoint,
     """
     if hopf.kind != "hopf":
         raise NotAHopfError("germ requires a hopf special point")
-    if delta <= 0:
-        raise GermError("germ offset must be positive")
-    p = p.with_(u_boil=math.inf)
-    name = hopf.param_name
-    p_h = p.with_(**{name: hopf.param_value})
-    s_h = (hopf.state.x, hopf.state.u)
-    omega = math.sqrt(hopf.det)
-    l1, re_lam_prime = _hopf_crossing(p, hopf)
-    if re_lam_prime == 0:
-        raise GermError("eigenvalues do not cross transversally")
-
-    side = -math.copysign(1.0, re_lam_prime * l1)
-    mu = re_lam_prime * side * delta
-    r2 = -mu / (omega * l1)
-    if r2 <= 0:
-        raise GermError("normal form predicts no cycle on this side")
-    r = math.sqrt(r2)
-    if 2 * r < 1e-8:
-        raise GermError(f"germ amplitude {2*r:.2e} below 1e-8")
-
-    A = model.jacobian(p_h, s_h)
-    qv, _ = _complex_pair(A, omega)
-    period = 2 * math.pi / omega
-    ts = np.linspace(0.0, period, GERM_SAMPLES, endpoint=False)
-    z = r * np.exp(1j * omega * ts)
-    states = np.array(s_h)[None, :] + 2 * np.real(z[:, None] * qv[None, :])
-    p_off = p.with_(**{name: hopf.param_value + side * delta})
-    return p_off, CycleSeed(ts, states, period)
+    return _germ_seeds(p, hopf)[0](delta)
 
 
 def _sample_flow(p: ModelParams, y0, period: float, n: int) -> CycleSeed:
@@ -741,12 +755,10 @@ def continue_cycles(p: ModelParams, from_hopf: SpecialPoint,
     lo, hi = float(prange[0]), float(prange[1])
 
     # Germ offset sized so the first orbit has a workable radius.
-    omega = math.sqrt(from_hopf.det)
-    l1, re_lam_prime = _hopf_crossing(p, from_hopf)
-    delta0 = GERM_RADIUS ** 2 * omega * abs(l1) / max(abs(re_lam_prime), 1e-300)
+    seeds, delta0 = _germ_seeds(p, from_hopf)
 
     def germ(delta):
-        p_off, seed = hopf_germ(p, from_hopf, delta)
+        p_off, seed = seeds(delta)
         starts, T, res = _solve_cycle_raw(p_off, seed, m)
         orbit = _make_orbit(p_off, starts, T, res)
         return orbit, np.concatenate([starts.ravel(), [T, orbit.param_value]])

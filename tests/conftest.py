@@ -143,12 +143,37 @@ def reference_branch(p: ModelParams, active: str, prange, ds0: float = 1e-3):
     return steady.Branch(active, tuple(points), tuple(specials), stop_reason)
 
 
+# The stacked shoot's sensitivity layout keeps each segment's rows as y, then
+# the rows of [M | zeta], (M00, M01, zeta0, M10, M11, zeta1); the stacked
+# kernels' references keep y, M (4), zeta (2).  Entry i is the reference
+# position of the shoot's component i.  Without the sensitivity both are
+# y, M (4).
+KERNEL_ORDER = (0, 1, 2, 3, 6, 4, 5, 7)
+
+
+def kernel_layout(a, sens: bool, axes=(-1,), back: bool = False):
+    """``a`` with each of ``axes``, which runs over one segment's
+    components, from the references' order to the stacked kernels' (to the
+    references' with ``back``).  A 1-d ``a`` is a stacked state or
+    derivative, m segments of 8 components in a row."""
+    a = np.asarray(a)
+    if not sens:
+        return a
+    if a.ndim == 1:
+        return kernel_layout(a.reshape(-1, 8), sens, back=back).ravel()
+    order = np.argsort(KERNEL_ORDER) if back else np.array(KERNEL_ORDER)
+    for axis in axes:
+        a = np.take(a, order, axis=axis)
+    return a
+
+
 # Allocating forms of the integrator callbacks of ``cycles``: fresh arrays on
 # every call and the parameters read from ``p`` each time.  The callbacks,
 # which reuse their arrays, are tested against them bit for bit.
 def stacked_rhs_allocating(p: ModelParams, m: int, h: float, sens: bool):
     """The stacked shooting RHS one ufunc per operation, its arrays
-    allocated per call: the reference of ``cycles._stacked_rhs``."""
+    allocated per call, in the references' layout: the reference of
+    ``cycles._stacked_rhs`` through :func:`kernel_layout`."""
     width = 8 if sens else 6
     dfdp = np.array([0.0, p.loss / p.eps])
 
@@ -181,13 +206,15 @@ def stacked_rhs_allocating(p: ModelParams, m: int, h: float, sens: bool):
 
 def floquet_rhs_allocating(p: ModelParams):
     """The RHS of ``cycles.floquet``'s variational legs, J built per call
-    from ``model._jac_scalar`` and the field from ``model._field_scalar``."""
+    from ``model._jac_scalar`` and the field from ``model._field_scalar``,
+    J M as the sums of products written out in its order."""
     def rhs(t, Y):
         x, u = Y[:2].tolist()
+        M = Y[2:6].reshape(2, 2).tolist()
         J = model._jac_scalar(p, x, u)
+        JM = [J[i][0] * M[0][k] + J[i][1] * M[1][k] for i in (0, 1) for k in (0, 1)]
         tr = J[0][0] + J[1][1]
-        Mdot = np.array(J) @ Y[2:6].reshape(2, 2)
-        return [*model._field_scalar(p, x, u), *Mdot.ravel().tolist(), tr, abs(tr)]
+        return [*model._field_scalar(p, x, u), *JM, tr, abs(tr)]
 
     return rhs
 

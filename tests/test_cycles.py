@@ -12,8 +12,8 @@ from thermorun import cycles, model, simulate, steady
 from thermorun.cycles import CycleSeed, find_cycle, floquet, hopf_germ
 from thermorun.errors import ConvergenceError, GermError, ValidationError
 
-from conftest import (criterion5_params, floquet_rhs_allocating, param_derivative,
-                      stacked_rhs_allocating)
+from conftest import (criterion5_params, floquet_rhs_allocating, kernel_layout,
+                      param_derivative, stacked_rhs_allocating)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,8 @@ class TestSeedPeriod:
 
 
 def stacked_rhs_reference(p, m, h, sens, Y):
-    """The stacked RHS on the array kernels: field, J via einsum, b."""
+    """The stacked RHS on the array kernels, field, J via einsum, b, in the
+    references' layout (``conftest.kernel_layout``)."""
     width = 8 if sens else 6
     Z = Y.reshape(m, width)
     x, u = Z[:, 0], Z[:, 1]
@@ -173,7 +174,7 @@ def stacked_rhs_magnitude(p, m, h, sens, Y):
     sections 2.1 and 3.1).  An evaluation may apply h before the operation
     that underflows (``_stacked_rhs`` folds it into its coefficients), so
     that error is not scaled by h: inside, the enlargement is lam / h for
-    |h| < 1."""
+    |h| < 1.  In the references' layout (``conftest.kernel_layout``)."""
     lam = np.finfo(float).tiny
     tiny = lam / min(1.0, abs(h))
     width = 8 if sens else 6
@@ -223,14 +224,16 @@ class TestStackedRhs:
             Y = Z.ravel()
             rhs, w = cycles._stacked_rhs(p, m, h, sens)
             assert w == width
-            assert_rounding_close(rhs(0.0, Y),
+            got = rhs(0.0, kernel_layout(Y, sens))
+            assert_rounding_close(kernel_layout(got, sens, back=True),
                                   stacked_rhs_reference(p, m, h, sens, Y),
                                   stacked_rhs_magnitude(p, m, h, sens, Y))
 
 
 def branched_stacked_rhs(p, m, h, sens):
     """``_stacked_rhs`` as it was before the clamps: ``model._arrhenius``
-    with its branches, a guard on u * u and h applied per term."""
+    with its branches, a guard on u * u and h applied per term, in the
+    references' layout (``conftest.kernel_layout``)."""
     width = 8 if sens else 6
 
     def rhs(s, Y):
@@ -260,11 +263,13 @@ def branched_stacked_rhs(p, m, h, sens):
 
 def per_segment_stacked_jac(p, m, h, sens):
     """``_stacked_jac`` as it was before batching: one block per segment,
-    joined by ``scipy.linalg.block_diag``.  The sensitivity rows add the
-    state Jacobian of the field derivative by u_a, a zero matrix."""
+    joined by ``scipy.linalg.block_diag``, in the kernels' layout.  W holds
+    the rows of M, or of [M | zeta] with the sensitivity, whose field
+    derivative by u_a has a zero state Jacobian."""
     from scipy.linalg import block_diag
 
     width = 8 if sens else 6
+    cols = (width - 2) // 2
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
@@ -273,17 +278,12 @@ def per_segment_stacked_jac(p, m, h, sens):
             x, u = float(Z[i, 0]), float(Z[i, 1])
             J = model._jac_xu(p, x, u)
             B = model._hessian_xu(p, x, u)
-            Mi = Z[i, 2:6].reshape(2, 2)
+            W = Z[i, 2:].reshape(2, cols)
             blk = np.zeros((width, width))
             blk[0:2, 0:2] = h * J
-            dJM = np.einsum("jla,lk->jka", B, Mi)
-            blk[2:6, 0:2] = h * dJM.reshape(4, 2)
-            blk[2:6, 2:6] = h * np.kron(J, np.eye(2))
-            if sens:
-                zeta = Z[i, 6:8]
-                dJz = np.einsum("jla,l->ja", B, zeta)
-                blk[6:8, 0:2] = h * (dJz + np.zeros((2, 2)))
-                blk[6:8, 6:8] = h * J
+            dJW = np.einsum("jla,lk->jka", B, W)
+            blk[2:, 0:2] = h * dJW.reshape(2 * cols, 2)
+            blk[2:, 2:] = h * np.kron(J, np.eye(cols))
             blocks.append(blk)
         return block_diag(*blocks)
 
@@ -322,9 +322,10 @@ class TestStackedKernels:
         # other warning, 0 / 0 above all, is an error.
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_rounding_close(rhs(0.0, Y),
-                                  branched_stacked_rhs(p, m, h, sens)(0.0, Y),
-                                  stacked_rhs_magnitude(p, m, h, sens, Y))
+            ref_Y = kernel_layout(Y, sens, back=True)
+            assert_rounding_close(kernel_layout(rhs(0.0, Y), sens, back=True),
+                                  branched_stacked_rhs(p, m, h, sens)(0.0, ref_Y),
+                                  stacked_rhs_magnitude(p, m, h, sens, ref_Y))
             assert (jac(0.0, Y).tobytes()
                     == per_segment_stacked_jac(p, m, h, sens)(0.0, Y).tobytes())
 
@@ -332,7 +333,8 @@ class TestStackedKernels:
 def stacked_jac_magnitudes(p, m, h, sens, Y):
     """Per segment, the diagonal block of ``_stacked_jac`` and the u column
     of the RHS's third derivatives, with every factor and term replaced by
-    its absolute value; shapes (m, width, width) and (m, width)."""
+    its absolute value; shapes (m, width, width) and (m, width), in the
+    references' layout (``conftest.kernel_layout``)."""
     width = 8 if sens else 6
     Z = Y.reshape(m, width)
     x, u = np.abs(Z[:, 0]), Z[:, 1]
@@ -406,7 +408,11 @@ class TestStackedJacobian:
         blocks = full[seg, :, seg, :].copy()
         full[seg, :, seg, :] = 0.0
         assert not full.any()
-        mag, third = stacked_jac_magnitudes(p, m, h, sens, Y)
+        # The magnitudes are in the references' layout, the blocks and the
+        # perturbed components in the kernels'.
+        mag, third = stacked_jac_magnitudes(p, m, h, sens,
+                                            kernel_layout(Y, sens, back=True))
+        mag, third = kernel_layout(mag, sens, axes=(1, 2)), kernel_layout(third, sens)
         Z = Y.reshape(m, width)
         eps = np.finfo(float).eps
         for k in range(width):
@@ -419,8 +425,10 @@ class TestStackedJacobian:
             # The RHS returns one buffer from call to call.
             diff = (rhs(0.0, up.ravel()).copy()
                     - rhs(0.0, down.ravel())).reshape(m, width)
-            rounding = np.maximum(stacked_rhs_magnitude(p, m, h, sens, up.ravel()),
-                                  stacked_rhs_magnitude(p, m, h, sens, down.ravel()))
+            rounding = kernel_layout(np.maximum(
+                *(stacked_rhs_magnitude(p, m, h, sens,
+                                        kernel_layout(v.ravel(), sens, back=True))
+                  for v in (up, down))), sens)
             tol = 32 * eps * (mag[:, :, k] + rounding.reshape(m, width)
                               * (1.0 + 1.0 / Z[:, 1:2]) / step)
             if k == 1:
@@ -479,8 +487,10 @@ class TestBufferedCallbacks:
                 got = rhs(0.0, Y)
                 fresh = cycles._stacked_rhs(p, m, h, sens)[0](0.0, Y)
                 assert got.tobytes() == fresh.tobytes()
-                assert_rounding_close(got, ref(0.0, Y),
-                                      stacked_rhs_magnitude(p, m, h, sens, Y))
+                ref_Y = kernel_layout(Y, sens, back=True)
+                assert_rounding_close(kernel_layout(got, sens, back=True),
+                                      ref(0.0, ref_Y),
+                                      stacked_rhs_magnitude(p, m, h, sens, ref_Y))
 
     # Each id names the parameter the shoot differentiates by, if any.
     @pytest.mark.parametrize("sens", (False, True), ids=("None", "u_a"))
@@ -517,7 +527,9 @@ def shoot_reference(p, starts, T, sens=False, var=True):
     """``_shoot`` on ``solve_ivp(method="LSODA")``, the driver it replaced.
 
     The state rows get the shooting tolerances and the M and zeta rows the
-    variational ones, as per-component arrays.  ``var=False`` integrates
+    variational ones, as per-component arrays.  The start is built and the
+    end read in the references' layout, y, M (4), zeta (2), and integrated
+    in the kernels' (``conftest.kernel_layout``).  ``var=False`` integrates
     the segment states alone, as the plain shoot the cycle corrector's line
     search once judged its trials on.
     """
@@ -532,6 +544,7 @@ def shoot_reference(p, starts, T, sens=False, var=True):
         Y0 = np.zeros((m, width))
         Y0[:, 0:2] = starts
         Y0[:, 2] = Y0[:, 5] = 1.0
+        Y0 = kernel_layout(Y0, sens)
     else:
         def rhs(s, Y):
             Z = Y.reshape(m, 2)
@@ -552,6 +565,7 @@ def shoot_reference(p, starts, T, sens=False, var=True):
     Z = sol.y[:, -1].reshape(m, width)
     if not var:
         return Z, None, None
+    Z = kernel_layout(Z, sens, back=True)
     return Z[:, 0:2], Z[:, 2:6].reshape(m, 2, 2), Z[:, 6:8] if sens else None
 
 
@@ -839,18 +853,19 @@ class TestOrbitAccuracy:
     own start: the amplitude to the simulation's period repeatability, the
     nontrivial multiplier to 1e-6.  The worst amplitude error, 3.0e-7, is
     orbit 15's, next to the cycle fold; it is the mesh run's LSODA error,
-    not the extremum search's."""
+    not the extremum search's.  The branch orbits run up to the fold,
+    where the multiplier errors grow to 1.6e-7 (orbit 15), and one past
+    it."""
 
-    @pytest.mark.parametrize("k", [1, 15, 16])
+    @pytest.mark.parametrize("k", [1, 8, 12, 13, 14, 15, 16])
     def test_branch_orbit(self, mic, mic_cycle_branch, k):
         orbit = mic_cycle_branch.orbits[k - 1]
         p = mic.model.with_(u_a=orbit.param_value, u_boil=math.inf)
         lo, hi, nontrivial = dop853_orbit(p, orbit.mesh[0], orbit.period)
         assert (abs(orbit.amplitude - (hi - lo))
                 <= simulate.PERIOD_REPEATABILITY * (hi - lo))
-        if k in (1, 15):
-            assert (abs(orbit.nontrivial_multiplier - nontrivial)
-                    <= 1e-6 * abs(nontrivial))
+        assert (abs(orbit.nontrivial_multiplier - nontrivial)
+                <= 1e-6 * abs(nontrivial))
 
     def test_relaxation_cycle(self, relaxation_seed):
         p, seed = relaxation_seed
@@ -1008,6 +1023,39 @@ class TestCycleBranch:
                            match="could not start the cycle branch from the germ"):
             cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12)
         assert len(calls) == 2
+
+    def test_one_hopf_crossing_per_branch(self, mic, mic_h1, mic_window,
+                                          monkeypatch):
+        # The first germ is forced to fail, so the branch starts from the
+        # fallback scale 4 and its second germ at 8; all three germs are
+        # hopf_germ's, from one crossing computation.
+        crossing, solve = cycles._hopf_crossing, cycles._solve_cycle_raw
+        calls, seeds = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return crossing(*args)
+
+        def first_fails(p, seed, m):
+            seeds.append((p, seed))
+            if len(seeds) == 1:
+                raise GermError("forced failure")
+            return solve(p, seed, m)
+
+        monkeypatch.setattr(cycles, "_solve_cycle_raw", first_fails)
+        delta0 = cycles._germ_seeds(mic.model, mic_h1)[1]
+        want = [hopf_germ(mic.model, mic_h1, scale * delta0) for scale in (1, 4, 8)]
+        monkeypatch.setattr(cycles, "_hopf_crossing", counting)
+        cb = cycles.continue_cycles(mic.model, mic_h1, mic_window, m=12,
+                                    max_orbits=2)
+        assert len(calls) == 1
+        assert len(cb.orbits) == 2
+        assert len(seeds) == 3
+        for (p, seed), (want_p, want_seed) in zip(seeds, want):
+            assert p == want_p
+            assert seed.times.tobytes() == want_seed.times.tobytes()
+            assert seed.states.tobytes() == want_seed.states.tobytes()
+            assert float(seed.period).hex() == float(want_seed.period).hex()
 
     def test_hopf_point_of_another_parameter_is_rejected(self, mic):
         # Cycle branches are continued in u_a alone; the Hopf point of the

@@ -500,6 +500,37 @@ def splice_integrate(p, s0, tau_end, tol_rel, tol_abs, n_samples):
     return Trajectory(times[keep], states[keep], tuple(recs))
 
 
+def settle_keeping_runs(p, s0, horizon, **tol):
+    """``settle``'s report and the (events, result) of each
+    ``simulate.solve_ivp`` run it made."""
+    runs = []
+    solve = simulate.solve_ivp
+
+    def keeping(fun, t_span, y0, **kwargs):
+        sol = solve(fun, t_span, y0, **kwargs)
+        runs.append((kwargs["events"], sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "solve_ivp", keeping)
+        report = simulate.settle(p, s0, horizon, **tol)
+    return report, runs
+
+
+@pytest.fixture(scope="session")
+def cycle_130(mic):
+    """The ``cycle-130`` case of :class:`TestOneExtremumEvent`, integrated
+    once per session for it and for
+    ``TestSettle.test_cycle_detection_and_section_independence``: the
+    inputs, ``settle``'s report and runs, and the records and dense run of
+    ``two_event_settle``, which either rule decides again."""
+    p, s0, horizon, tol, _ = TestOneExtremumEvent.case(mic, "cycle-130")
+    report, runs = settle_keeping_runs(p, s0, horizon, **tol)
+    recs, sol, _ = two_event_settle(p, s0, horizon, **tol)
+    return {"inputs": (p, s0, horizon), "report": report, "runs": runs,
+            "reference": (recs, sol)}
+
+
 class TestOneExtremumEvent:
     """``settle``'s one two-way du/dt event and ``integrate``'s appended
     boiling row give what the two-event and splice-loop forms give, bit for
@@ -527,21 +558,16 @@ class TestOneExtremumEvent:
 
     @pytest.mark.parametrize("name", ["steady", "runaway", "runaway-fill",
                                       "cycle-101", "cycle-130"])
-    def test_settle_matches_two_events(self, mic, monkeypatch, name):
+    def test_settle_matches_two_events(self, mic, request, name):
         p, s0, horizon, tol, kinds = self.case(mic, name)
-        want_recs, want_sol, want = two_event_settle(p, s0, horizon, **tol)
+        if name == "cycle-130":
+            shared = request.getfixturevalue("cycle_130")
+            got, runs, run = shared["report"], shared["runs"], shared["reference"]
+        else:
+            got, runs = settle_keeping_runs(p, s0, horizon, **tol)
+            run = None
+        want_recs, want_sol, want = two_event_settle(p, s0, horizon, run=run, **tol)
         assert want.kind == name.split("-")[0]
-
-        runs = []
-        solve = simulate.solve_ivp
-
-        def keeping(fun, t_span, y0, **kwargs):
-            sol = solve(fun, t_span, y0, **kwargs)
-            runs.append((kwargs["events"], sol))
-            return sol
-
-        monkeypatch.setattr(simulate, "solve_ivp", keeping)
-        got = simulate.settle(p, s0, horizon, **tol)
         [(events, sol)] = runs
         *boil, du = events
         assert len(boil) == math.isfinite(p.u_boil) and du.direction == 0
@@ -702,18 +728,21 @@ class TestSettle:
         assert rep.kind == "runaway"
         assert rep.period is None
 
-    def test_cycle_detection_and_section_independence(self, mic):
+    def test_cycle_detection_and_section_independence(self, mic, cycle_130):
         ts = mic.temp_scale
         p = mic.model.with_(u_a=290.15 / ts * 1.0002, u_boil=math.inf)
-        rep = simulate.settle(p, (1.0, p.u_a), horizon=130.0)
+        # settle and the dense reference run once, shared with
+        # TestOneExtremumEvent's cycle-130 case.
+        assert cycle_130["inputs"] == (p, (1.0, p.u_a), 130.0)
+        rep = cycle_130["report"]
         assert rep.kind == "cycle"
         assert rep.period is not None and rep.period > 0
         assert rep.amplitude is not None and rep.amplitude > 0.01
-        run = None  # one dense integration serves both section levels
+        run = cycle_130["reference"]  # serves both section levels
         for frac in (0.2, 0.8):
-            *run, alt = two_event_settle(p, (1.0, p.u_a), horizon=130.0,
-                                         dense_rule=True, run=run,
-                                         section_level=p.u_a + frac * rep.amplitude)
+            *_, alt = two_event_settle(p, (1.0, p.u_a), horizon=130.0,
+                                       dense_rule=True, run=run,
+                                       section_level=p.u_a + frac * rep.amplitude)
             assert alt.kind == "cycle"
             assert abs(alt.period - rep.period) / rep.period < 1e-6
 
