@@ -164,11 +164,12 @@ def _stacked_rhs(p: ModelParams, m: int, h: float, sens: bool):
 
     The field and the Jacobian are linear in seven features of the state,
     phi = (1, x - 1, u - u_a, r, r', x r, x r'), with r = sigma e^(-1/a),
-    r' = r / a^2 and a = max(u, ``U_FLOOR``) (``model._field_xu`` and
-    ``model._jac_xu`` for every finite u).  So one call fills the (7, m)
-    features with eight ufuncs and multiplies them by a (6, 7) coefficient
-    matrix, built once with h folded in, to get h (dx, du, J00, J01, J10,
-    J11) for every segment; one stacked product of h J with the 2 x 2 M or
+    r' = r / a^2 and a = max(u, ``U_FLOOR``) (``model._jet``'s r and r' for
+    every finite u, where ``model._expu`` branches instead of clamping).
+    So one call fills the (7, m) features with eight ufuncs and multiplies
+    them by a (6, 7) coefficient matrix, built once with h folded in, to
+    get h (dx, du, J00, J01, J10, J11) for every segment, as ``model._jet``
+    gives them for one; one stacked product of h J with the 2 x 2 M or
     the 2 x 3 [M | zeta] gives h J M and h J zeta together, and with
     ``sens`` the constant h loss/eps is added to the last component.  That
     is 12 numpy calls per evaluation with ``sens`` and 11 without, where
@@ -248,14 +249,18 @@ def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
     cols = (width - 2) // 2
     seg = np.arange(m)
     eye = np.eye(cols)
+    field_jac = model._callbacks(p)[2]
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
-        x, u = Z[:, 0], Z[:, 1]
-        J = model._jac_xu(p, x, u)                                   # (m, 2, 2)
-        # Per segment: the Hessian keeps rho_derivs' math.exp bits.
-        B = np.array([model._hessian_xu(p, xi, ui)
-                      for xi, ui in zip(x.tolist(), u.tolist())])
+        # Per segment: J from the scalar kernel, and the Hessian, which
+        # keeps rho_derivs' math.exp bits.
+        Js, Bs = [], []
+        for x, u in Z[:, 0:2].tolist():
+            Js.append(field_jac(x, u)[2:])
+            Bs.append(model._hessian_xu(p, x, u))
+        J = np.array(Js).reshape(m, 2, 2)
+        B = np.array(Bs)
         blk = np.zeros((m, width, width))
         blk[:, 0:2, 0:2] = h * J
         # d(J W)/dy via the Hessian tensor.
@@ -333,8 +338,7 @@ def _bvp_jacobian(p: ModelParams, starts: np.ndarray, ends: np.ndarray,
 
 
 def _fields_at(p: ModelParams, states: np.ndarray) -> np.ndarray:
-    fx, fu = model._field_xu(p, states[:, 0], states[:, 1])
-    return np.column_stack([fx, fu])
+    return np.array([model._field_scalar(p, x, u) for x, u in states.tolist()])
 
 
 def _shooting_system(m: int, params_at: Callable[[np.ndarray], ModelParams],
@@ -431,7 +435,7 @@ def floquet(p: ModelParams, y0: np.ndarray,
 
     def jac(t, Y):
         x, u = float(Y[0]), float(Y[1])
-        J = model._jac_xu(p, x, u)
+        J = np.array(field_jac(x, u)[2:]).reshape(2, 2)
         B = model._hessian_xu(p, x, u)
         M = Y[2:6].reshape(2, 2)
         out = np.zeros((8, 8))
@@ -564,7 +568,7 @@ def _hopf_crossing(p: ModelParams, hopf: SpecialPoint) -> tuple[float, float]:
     dp = 1e-7 * max(abs(hopf.param_value), 1e-3)
     s_h = (hopf.state.x, hopf.state.u)
     tr_p, tr_m = (solve_steady(p.with_(**{name: hopf.param_value + sgn * dp}),
-                               s_h, param_name=name).trace for sgn in (+1, -1))
+                               s_h).trace for sgn in (+1, -1))
     return l1, (tr_p - tr_m) / (4 * dp)
 
 

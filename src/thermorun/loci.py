@@ -29,6 +29,8 @@ LOCUS_DS_MAX = 0.05
 LOCUS_MAX_STEPS = 4000
 CLOSURE_TOL = 1e-6
 BOUNDARY_TOL = 1e-8
+# Points of the u grid on which fold roots and the Hopf seed are bracketed.
+U_GRID_POINTS = 2000
 
 OSCILLATORY = "oscillatory-runaway"
 BISTABLE = "bistable"
@@ -250,7 +252,7 @@ def _hopf_seed(p: ModelParams, window: Window) -> np.ndarray | None:
         r = model.rho(p, u)
         return -(r + p.f) + (p.f / (p.f + r) * r / (u * u) - p.loss) / p.eps
 
-    grid = np.linspace(window.u_a[0], window.u_a[1] + p.f / p.loss, 2000)
+    grid = np.linspace(window.u_a[0], window.u_a[1] + p.f / p.loss, U_GRID_POINTS)
     for u in bracket_roots(trace, grid):
         r = model.rho(p, u)
         x = p.f / (p.f + r)
@@ -274,11 +276,10 @@ def _fold_condition(p: ModelParams, u):
     return p.f ** 2 * d1 / (p.f + r) ** 2 - p.loss
 
 
-def _fold_roots_at_f(p: ModelParams, f: float, window: Window,
-                     n: int = 2000) -> list[np.ndarray]:
+def _fold_roots_at_f(p: ModelParams, f: float, window: Window) -> list[np.ndarray]:
     """Fold points (x, u, u_a, ln f) at a fixed flow rate, inside the window."""
     q = p.with_(f=f, u_boil=math.inf)
-    grid = np.linspace(window.u_a[0], window.u_a[1] + f / q.loss, n)
+    grid = np.linspace(window.u_a[0], window.u_a[1] + f / q.loss, U_GRID_POINTS)
     out = []
     for u in bracket_roots(lambda v: _fold_condition(q, v), grid):
         r = model.rho(q, u)
@@ -377,8 +378,7 @@ def _label_row(uas: np.ndarray, f: float, loci: dict[str, Locus]) -> list[str]:
                                             hopf_odd.tolist())]
 
 
-def classify_point(u_a: float, f: float, loci: dict[str, Locus],
-                   window: Window | None = None) -> str:
+def classify_point(u_a: float, f: float, loci: dict[str, Locus]) -> str:
     """Regime label at a parameter point, from ray parity against the loci.
 
     Inside the fold wedge the regime is bistable; otherwise inside the Hopf
@@ -386,8 +386,6 @@ def classify_point(u_a: float, f: float, loci: dict[str, Locus],
     oscillatory; otherwise a unique stable steady state prevails.  Points
     within 1e-8 (scaled) of a locus are labelled as boundary.
     """
-    if window is not None and not window.contains(u_a, f):
-        raise ValidationError("point", "outside the computed window")
     return _label_row(np.array([u_a], dtype=float), float(f), loci)[0]
 
 

@@ -162,21 +162,10 @@ def _as_state(s) -> tuple[float, float]:
 
 
 U_FLOOR = 1e-3
-"""exp(-1/u) is exactly 0 for every u at or below this, so clamping u to it
-changes no rate; clamping u * u to its square keeps 0 / 0 from arising
-where the square underflows."""
-
-
-def _arrhenius(u):
-    """exp(-1/u) extended smoothly by zero for u <= 0 (and for NaN).
-
-    The extension is C-infinity at u = 0+ and keeps internal solver
-    iterations total when a trial state briefly leaves the physical domain.
-    Clamping u to ``U_FLOOR`` gives the zero without a branch, and keeps
-    -1/u finite for subnormal u; ``fmax`` sends NaN to the floor too.
-    """
-    out = np.exp(-1.0 / np.fmax(u, U_FLOOR))
-    return float(out) if out.ndim == 0 else out
+"""exp(-1/u) is exactly 0 for every u at or below this, so the stacked
+shooting RHS (``cycles._stacked_rhs``) clamps u to it without changing a
+rate, where :func:`_expu` branches on u > 0; clamping u * u to its square
+keeps 0 / 0 from arising where the square underflows."""
 
 
 def rho(p: ModelParams, u):
@@ -216,18 +205,13 @@ def rho_derivs(p: ModelParams, u: float) -> tuple[float, float, float, float]:
     return _rho_derivs_raw(p, u)
 
 
-def _field_xu(p: ModelParams, x, u):
-    """Vectorized right-hand side over plain arrays (no validation)."""
-    r = p.sigma * _arrhenius(u)
-    dx = -x * r + p.f * (1.0 - x)
-    du = (x * r - p.loss * (u - p.u_a)) / p.eps
-    return dx, du
-
-
 def _expu(u: float) -> float:
-    """exp(-1/u) at a float u > 0, its limit 0 at u <= 0.  ``np.exp`` on a
-    Python float matches the array path bit for bit; ``math.exp`` is one
-    ulp off on some u."""
+    """exp(-1/u) at a float u > 0, its limit 0 at u <= 0 (and at NaN).
+
+    The extension is C-infinity at u = 0+ and keeps internal solver
+    iterations total when a trial state briefly leaves the physical domain.
+    ``np.exp`` on a Python float matches numpy's array path bit for bit;
+    ``math.exp`` is one ulp off on some u."""
     return float(np.exp(-1.0 / u)) if u > 0 else 0.0
 
 
@@ -235,8 +219,9 @@ def _jet(f: float, ell: float, eps: float, u_a: float, sigma: float,
          x: float, u: float, expu: float) -> tuple[float, ...]:
     """(fx, fu, a, b, c, d): the field and J = ((a, b), (c, d)) at (x, u)
     from the parameter values and ``expu`` = ``_expu(u)``; the one copy of
-    the scalar formulas.  r = sigma * expu is 0 wherever u * u underflows,
-    so dr/du is never 0 / 0."""
+    the formulas, which :func:`_callbacks` inlines and
+    ``cycles._stacked_rhs`` batches over segments.  r = sigma * expu is 0
+    wherever u * u underflows, so dr/du is never 0 / 0."""
     r = sigma * expu
     rp = r / (u * u) if r else 0.0
     loss = eps * f + ell
@@ -245,12 +230,14 @@ def _jet(f: float, ell: float, eps: float, u_a: float, sigma: float,
 
 
 def _field_scalar(p: ModelParams, x: float, u: float) -> tuple[float, float]:
-    """``_field_xu`` for one state given as Python floats."""
+    """(dx/dtau, du/dtau) at one state given as Python floats, from
+    :func:`_jet` (no validation)."""
     return _jet(p.f, p.ell, p.eps, p.u_a, p.sigma, x, u, _expu(u))[:2]
 
 
 def _jac_scalar(p: ModelParams, x: float, u: float):
-    """``_jac_xu`` for one state given as Python floats, as nested tuples."""
+    """The Jacobian at one state given as Python floats, as nested tuples,
+    from :func:`_jet` (no validation)."""
     _, _, a, b, c, d = _jet(p.f, p.ell, p.eps, p.u_a, p.sigma, x, u, _expu(u))
     return ((a, b), (c, d))
 
@@ -298,25 +285,7 @@ def vector_field(p: ModelParams, s) -> tuple[float, float]:
     x, u = _as_state(s)
     if u <= 0:
         raise DomainError("vector_field requires u > 0")
-    dx, du = _field_xu(p, x, u)
-    return float(dx), float(du)
-
-
-def _jac_xu(p: ModelParams, x, u) -> np.ndarray:
-    """Vectorized Jacobian entries; returns shape (..., 2, 2)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r = p.sigma * _arrhenius(u)
-    # Guarding on u * u, not u: below u ~ 2e-162 the square underflows and
-    # r / (u * u) would be 0 / 0 instead of its limit 0.
-    uu = u * u
-    rp = np.where(u > 0, r / np.where(uu > 0, uu, 1.0), 0.0)
-    J = np.empty(np.broadcast(x, u).shape + (2, 2))
-    J[..., 0, 0] = -(r + p.f)
-    J[..., 0, 1] = -x * rp
-    J[..., 1, 0] = r / p.eps
-    J[..., 1, 1] = (x * rp - p.loss) / p.eps
-    return J
+    return _field_scalar(p, x, u)
 
 
 def jacobian(p: ModelParams, s) -> np.ndarray:
@@ -324,7 +293,7 @@ def jacobian(p: ModelParams, s) -> np.ndarray:
     x, u = _as_state(s)
     if u <= 0:
         raise DomainError("jacobian requires u > 0")
-    return _jac_xu(p, x, u)
+    return np.array(_jac_scalar(p, x, u))
 
 
 def second_derivatives(p: ModelParams, s) -> np.ndarray:
@@ -565,10 +534,11 @@ def calibrate_sigma(template: ModelParams, target_T_steady: float,
     return candidates[0][1]
 
 
-def _reduced_roots(p: ModelParams, n: int = 20000) -> list[float]:
-    """All roots of the reduced balance in the window [u_a, u_a + f/loss]."""
+def _reduced_roots(p: ModelParams) -> list[float]:
+    """All roots of the reduced balance in the window [u_a, u_a + f/loss],
+    bracketed on a 20000-point grid."""
     lo, hi = p.u_a, p.u_a + p.f / p.loss * (1.0 + 1e-12)
-    return bracket_roots(lambda u: reduced_balance(p, u), np.linspace(lo, hi, n))
+    return bracket_roots(lambda u: reduced_balance(p, u), np.linspace(lo, hi, 20000))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +578,8 @@ class Preset:
 
     ``name`` is the registry name, None for inputs read from a config;
     ``placeholders`` names fields whose values are stand-ins rather than
-    vetted data.  ``dim`` is None when no kinetic constants are given.  It
+    vetted data.  ``temp_scale``, when given, must be finite and positive.
+    ``dim`` is None when no kinetic constants are given.  It
     is kept true to ``model``: ``temp_scale`` is its E/R (one off by more
     than 1e-12 relative is an error), ``T_a`` follows ``u_a``, and the block
     is dropped when ``f``, ``ell`` or ``eps`` differ from what it
@@ -622,6 +593,9 @@ class Preset:
     placeholders: tuple[str, ...] = ()
 
     def __post_init__(self):
+        ts = self.temp_scale
+        _require(ts is None or (math.isfinite(ts) and ts > 0), "temp_scale_K",
+                 f"must be finite and positive, got {ts!r}")
         dim = self.dim
         if dim is None:
             return

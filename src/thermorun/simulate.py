@@ -304,6 +304,23 @@ def _solve(p: ModelParams, x0: float, u0: float, tau_end: float,
     return sol
 
 
+def _checked_start(s0, span: str, length: float, tol_rel: float,
+                   tol_abs: float) -> tuple[float, float]:
+    """The start (x0, u0) of a run over ``length``, the argument ``span``;
+    raises :class:`ValidationError` unless the length and both tolerances
+    are finite and positive and the start is finite, with x in [0, 1] and
+    u > 0."""
+    for field, v in ((span, length), ("tol_rel", tol_rel), ("tol_abs", tol_abs)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValidationError(field, f"must be finite and positive, got {v!r}")
+    x0, u0 = model._as_state(s0)
+    if not 0.0 <= x0 <= 1.0:
+        raise ValidationError("x0", f"must lie in [0, 1], got {x0!r}")
+    if not (math.isfinite(u0) and u0 > 0):
+        raise ValidationError("u0", f"must be finite and positive, got {u0!r}")
+    return x0, u0
+
+
 def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
               tol_abs: float = 1e-10, n_samples: int = 1000) -> Trajectory:
     """Integrate the reactor equations with adaptive implicit stepping.
@@ -316,17 +333,17 @@ def integrate(p: ModelParams, s0, tau_end: float, tol_rel: float = 1e-8,
     or above the threshold is such a crossing at tau = 0, and the
     trajectory is that one row.  With an infinite threshold the run goes
     through :func:`lsoda`, which returns exactly the sample times.
+    :func:`_checked_start` checks the inputs, and ``n_samples`` must be at
+    least 2.
     """
-    if tau_end <= 0:
-        raise ValidationError("tau_end", "integration horizon must be positive")
-    if tol_rel <= 0 or tol_abs <= 0:
-        raise ValidationError("tol_rel", "tolerances must be positive")
-    x0, u0 = model._as_state(s0)
+    x0, u0 = _checked_start(s0, "tau_end", tau_end, tol_rel, tol_abs)
+    if n_samples < 2:
+        raise ValidationError("n_samples", f"need at least 2, got {n_samples!r}")
     if u0 >= p.u_boil:
         return Trajectory(np.zeros(1), np.array([[x0, u0]]),
                           (TrajectoryEvent(0.0, "boil", x0, u0),))
 
-    t_eval = np.linspace(0.0, tau_end, max(2, n_samples))
+    t_eval = np.linspace(0.0, tau_end, n_samples)
     if not math.isfinite(p.u_boil):
         rhs, jac, _ = model._callbacks(p)
         try:
@@ -402,14 +419,13 @@ def settle(p: ModelParams, s0, horizon: float, tol_rel: float = 3e-12,
     u-maximum, and at least three stamps must repeat with a period steady
     to 1e-6 relative.  Its amplitude is the range of the extrema from the
     second-to-last stamp on.  Anything else is reported as undetermined.
+    :func:`_checked_start` checks the inputs.
     """
+    x0, u0 = _checked_start(s0, "horizon", horizon, tol_rel, tol_abs)
     transient = 10.0 * p.eps / min(1.0, p.f)
     if horizon <= transient:
         raise ValidationError(
             "horizon", f"must exceed the transient estimate {transient:.3g}")
-    if tol_rel <= 0 or tol_abs <= 0:
-        raise ValidationError("tol_rel", "tolerances must be positive")
-    x0, u0 = model._as_state(s0)
     if u0 >= p.u_boil:
         return AttractorReport("runaway", _clamped_state(x0, u0))
 

@@ -25,8 +25,7 @@ def _opposite(a: float, b: float) -> bool:
     return a < 0 < b or b < 0 < a
 
 
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                max_iter: int = 2100) -> float:
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection to machine precision; lo/hi must bracket a sign change.
 
     2100 halvings take any finite bracket down to adjacent floats, a root
@@ -39,7 +38,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         return hi
     if not _opposite(flo, fhi):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+    for _ in range(2100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

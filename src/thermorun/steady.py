@@ -41,14 +41,15 @@ ACTIVE_PARAMS = model.CONTINUABLE_PARAMS
 
 @dataclass(frozen=True)
 class SteadyPoint:
-    """A converged steady state with its linearization data."""
+    """A converged steady state with its linearization data: the trace and
+    determinant of J, which fix its eigenvalues, and the stability label
+    they give."""
 
     state: State
     param_name: str
     param_value: float
     trace: float
     det: float
-    eigenvalues: tuple[complex, complex]
     stability: str
     residual: float
 
@@ -84,20 +85,10 @@ def classify_stability(trace: float, det: float) -> str:
     return STABLE if trace < 0 else UNSTABLE
 
 
-def _eigenvalues(trace: float, det: float) -> tuple[complex, complex]:
-    disc = trace * trace - 4.0 * det
-    if disc >= 0:
-        r = math.sqrt(disc)
-        return (complex((trace + r) / 2), complex((trace - r) / 2))
-    r = math.sqrt(-disc)
-    return (complex(trace / 2, r / 2), complex(trace / 2, -r / 2))
-
-
 def _steady_point(x: float, u: float, name: str, value: float, tr: float,
                   det: float, fx: float, fu: float) -> SteadyPoint:
     return SteadyPoint(State(min(max(x, 0.0), 1.0), u), name, value, tr, det,
-                       _eigenvalues(tr, det), classify_stability(tr, det),
-                       max(abs(fx), abs(fu)))
+                       classify_stability(tr, det), max(abs(fx), abs(fu)))
 
 
 def _make_point(p: ModelParams, x: float, u: float,
@@ -108,8 +99,9 @@ def _make_point(p: ModelParams, x: float, u: float,
                          tr, det, *model._field_scalar(p, x, u))
 
 
-def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
-    """Damped Newton (halving line search) to residual < 1e-12."""
+def solve_steady(p: ModelParams, guess) -> SteadyPoint:
+    """Damped Newton (halving line search) to residual < 1e-12; the point is
+    labelled by its u_a."""
     x0, u0 = model._as_state(guess)
 
     def fn(y):
@@ -133,12 +125,13 @@ def solve_steady(p: ModelParams, guess, param_name: str = "u_a") -> SteadyPoint:
         polished = y + step
         if np.max(np.abs(fn(polished))) <= np.max(np.abs(r)):
             y = polished
-    return _make_point(p, y[0], y[1], param_name)
+    return _make_point(p, y[0], y[1])
 
 
 def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
-                 n: int = 10000, param_name: str = "u_a") -> list[SteadyPoint]:
-    """All steady states in a temperature window, by bracketing + bisection.
+                 n: int = 10000) -> list[SteadyPoint]:
+    """All steady states in a temperature window, by bracketing + bisection,
+    each labelled by its u_a.
 
     Works on the reduced balance h(u) with the concentration eliminated at
     its quasi-steady value; independent of the Newton path.
@@ -147,8 +140,7 @@ def reduced_scan(p: ModelParams, u_lo: float, u_hi: float,
         raise ValidationError("u_lo", "window must satisfy u_lo < u_hi")
     roots = bracket_roots(lambda u: model.reduced_balance(p, u),
                           np.linspace(u_lo, u_hi, n))
-    return [_make_point(p, float(model.quasi_steady_x(p, u)), u, param_name)
-            for u in roots]
+    return [_make_point(p, float(model.quasi_steady_x(p, u)), u) for u in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +214,15 @@ def continue_branch(p: ModelParams, active: str = "u_a",
     e^(-1/u), shared by the curve, ``model._jet`` and :func:`_tangent` (a
     sigma branch's value takes one more), and builds no parameter set.
     With the reaction off (sigma = 0), an f, ell or eps branch is the state
-    (1, u_a) at 101 evenly spaced values.
+    (1, u_a) at 101 evenly spaced values.  A ``ds0`` that is not finite and
+    positive raises :class:`ValidationError`.
     """
     if active not in ACTIVE_PARAMS:
         raise ValidationError("active", f"must be one of {ACTIVE_PARAMS}")
     if prange is None or prange[0] >= prange[1]:
         raise ValidationError("prange", "need a (lo, hi) range with lo < hi")
+    if not (math.isfinite(ds0) and ds0 > 0):
+        raise ValidationError("ds0", f"must be finite and positive, got {ds0!r}")
     # The boiling threshold constrains simulations, not steady analysis.
     p = p.with_(u_boil=math.inf)
     lo, hi = float(prange[0]), float(prange[1])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from thermorun import cycles, loci, model, steady
 from thermorun.errors import ConvergenceError, ValidationError
-from thermorun.model import CONTINUABLE_PARAMS, U_FLOOR, ModelParams, State, _arrhenius
+from thermorun.model import CONTINUABLE_PARAMS, U_FLOOR, ModelParams, State
 from thermorun.solvers import bisect_root
 
 # Parameter distribution of acceptance criterion 5.
@@ -18,6 +20,61 @@ criterion5_params = st.builds(
         f=f, ell=ell, eps=eps, u_a=u_a, sigma=math.exp(ln_sigma)),
     st.floats(0.3, 4.0), st.floats(50.0, 1500.0), st.floats(2.0, 25.0),
     st.floats(0.025, 0.055), st.floats(20.0, 32.0))
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# The array forms of the field and its Jacobian, which ``model._jet`` gives
+# at one state: the references of the stacked shooting kernels and the
+# augmented loci Jacobian, and of the scalar kernel itself, bit for bit.
+def _arrhenius(u):
+    """exp(-1/u) extended smoothly by zero for u <= 0 (and for NaN).
+
+    The extension is C-infinity at u = 0+ and keeps internal solver
+    iterations total when a trial state briefly leaves the physical domain.
+    Clamping u to ``U_FLOOR`` gives the zero without a branch, and keeps
+    -1/u finite for subnormal u; ``fmax`` sends NaN to the floor too.
+    """
+    out = np.exp(-1.0 / np.fmax(u, U_FLOOR))
+    return float(out) if out.ndim == 0 else out
+
+
+def _field_xu(p: ModelParams, x, u):
+    """Vectorized right-hand side over plain arrays (no validation)."""
+    r = p.sigma * _arrhenius(u)
+    dx = -x * r + p.f * (1.0 - x)
+    du = (x * r - p.loss * (u - p.u_a)) / p.eps
+    return dx, du
+
+
+def _jac_xu(p: ModelParams, x, u) -> np.ndarray:
+    """Vectorized Jacobian entries; returns shape (..., 2, 2)."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    r = p.sigma * _arrhenius(u)
+    # Guarding on u * u, not u: below u ~ 2e-162 the square underflows and
+    # r / (u * u) would be 0 / 0 instead of its limit 0.
+    uu = u * u
+    rp = np.where(u > 0, r / np.where(uu > 0, uu, 1.0), 0.0)
+    J = np.empty(np.broadcast(x, u).shape + (2, 2))
+    J[..., 0, 0] = -(r + p.f)
+    J[..., 0, 1] = -x * rp
+    J[..., 1, 0] = r / p.eps
+    J[..., 1, 1] = (x * rp - p.loss) / p.eps
+    return J
 
 
 # The array form of ``model._param_derivative_scalar``: the reference for

@@ -18,6 +18,8 @@ from thermorun import cli, model, steady
 from thermorun.model import DimensionalParams
 from thermorun.output import ManifestWriter
 
+from conftest import time_limit
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -302,6 +304,39 @@ class TestExitCodes:
         failure_manifest(out, 2, "configuration error: window: ", capsys)
         assert not list(out.glob("*.csv"))
 
+    # Inputs no integration can run on, each a configuration error within
+    # seconds: integrated, a NaN horizon would never return.
+    @pytest.mark.parametrize("flag, field", [
+        ("--tau-end=nan", "tau_end"), ("--tau-end=inf", "tau_end"),
+        ("--x0=nan", "x0"), ("--u0=nan", "u0"),
+        ("--x0=2", "x0"), ("--u0=-1", "u0"), ("--u0=inf", "u0"),
+        ("--tol-rel=nan", "tol_rel"), ("--tol-abs=inf", "tol_abs"),
+        ("--samples=1", "n_samples"), ("--samples=0", "n_samples"),
+        ("--samples=-5", "n_samples")])
+    def test_simulate_rejects_what_it_cannot_integrate(self, tmp_path, capsys,
+                                                      flag, field):
+        out = tmp_path / "s"
+        with time_limit(20):
+            code = run(["simulate", "--preset", "mic-tank610", "--Ta", "286",
+                        flag, "-o", str(out)])
+        assert code == 2
+        man = failure_manifest(out, 2, f"configuration error: {field}: ", capsys)
+        assert man["command"] == "simulate"
+        assert not list(out.glob("*.csv"))
+
+    # A first step of 0 would walk 3000 steps in place, past the range's
+    # Hopf point.
+    @pytest.mark.parametrize("ds0", ["0", "-1e-3", "nan", "inf"])
+    def test_steady_branch_step_must_be_finite_and_positive(self, tmp_path,
+                                                            capsys, ds0):
+        out = tmp_path / "sb"
+        with time_limit(20):
+            code = run(["steady-branch", "--preset", "mic-tank610", "--Ta",
+                        "282:296", f"--ds0={ds0}", "-o", str(out)])
+        assert code == 2
+        failure_manifest(out, 2, "configuration error: ds0: ", capsys)
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_outdir_keeps_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -370,6 +405,11 @@ class TestConfigHandling:
         ([VALID], "config: "),
         ("{not json", "config: "),
         (None, "config: "),                  # --config names a directory
+        # A temperature scale must be finite and positive.
+        ({"params": VALID, "temp_scale_K": math.nan}, "temp_scale_K: "),
+        ({"params": VALID, "temp_scale_K": 0.0}, "temp_scale_K: "),
+        ({"params": VALID, "temp_scale_K": -7697.86}, "temp_scale_K: "),
+        ({"params": VALID, "temp_scale_K": math.inf}, "temp_scale_K: "),
     ])
     def test_malformed_config_leaves_failure_manifest(self, tmp_path, capsys,
                                                       payload, field):
@@ -610,3 +650,15 @@ class TestCompareOutputs:
         lines, differs = tool["report"]("cmd", tmp_path / "base",
                                         tmp_path / "change")
         assert lines[-1] == "cmd/manifest.json: only in base" and differs
+
+    def test_line_counts_are_printed_but_not_compared(self, tmp_path):
+        tool = runpy.run_path(str(ROOT / "tools" / "compare_outputs.py"))
+        for side, n in (("base", 3), ("change", 5)):
+            for d in ("src/thermorun", "tests", "tools"):    # tools not counted
+                (tmp_path / side / d / "sub").mkdir(parents=True)
+                (tmp_path / side / d / "a.py").write_text("x = 1\n" * n)
+                (tmp_path / side / d / "sub" / "b.py").write_text("y = 2\n")
+                (tmp_path / side / d / "notes.txt").write_text("not code\n" * 9)
+        assert tool["line_counts"](tmp_path / "base", tmp_path / "change") == [
+            "src/thermorun: 4 -> 6 lines (not compared)",
+            "tests: 4 -> 6 lines (not compared)"]

@@ -12,8 +12,9 @@ from thermorun import cycles, model, simulate, steady
 from thermorun.cycles import CycleSeed, find_cycle, floquet, hopf_germ
 from thermorun.errors import ConvergenceError, GermError, ValidationError
 
-from conftest import (criterion5_params, floquet_rhs_allocating, kernel_layout,
-                      param_derivative, stacked_rhs_allocating)
+from conftest import (_arrhenius, _field_xu, _jac_xu, criterion5_params,
+                      floquet_rhs_allocating, kernel_layout, param_derivative,
+                      stacked_rhs_allocating)
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +150,14 @@ class TestSeedPeriod:
 
 
 def stacked_rhs_reference(p, m, h, sens, Y):
-    """The stacked RHS on the array kernels, field, J via einsum, b, in the
+    """The stacked RHS on conftest's array kernels, field, J via einsum, b, in the
     references' layout (``conftest.kernel_layout``)."""
     width = 8 if sens else 6
     Z = Y.reshape(m, width)
     x, u = Z[:, 0], Z[:, 1]
     out = np.empty_like(Z)
-    out[:, 0:2] = h * np.column_stack(model._field_xu(p, x, u))
-    J = model._jac_xu(p, x, u)
+    out[:, 0:2] = h * np.column_stack(_field_xu(p, x, u))
+    J = _jac_xu(p, x, u)
     M = Z[:, 2:6].reshape(m, 2, 2)
     out[:, 2:6] = (h * np.einsum("mij,mjk->mik", J, M)).reshape(m, 4)
     if sens:
@@ -180,7 +181,7 @@ def stacked_rhs_magnitude(p, m, h, sens, Y):
     width = 8 if sens else 6
     Z = Y.reshape(m, width)
     x, u = np.abs(Z[:, 0]), Z[:, 1]
-    r = p.sigma * model._arrhenius(u) + tiny
+    r = p.sigma * _arrhenius(u) + tiny
     rp = r / np.maximum(u * u, model.U_FLOOR ** 2) + tiny
     xr, xrp = x * r + tiny, x * rp + tiny
     J = np.empty((m, 2, 2))
@@ -231,7 +232,7 @@ class TestStackedRhs:
 
 
 def branched_stacked_rhs(p, m, h, sens):
-    """``_stacked_rhs`` as it was before the clamps: ``model._arrhenius``
+    """``_stacked_rhs`` as it was before the clamps: conftest's ``_arrhenius``
     with its branches, a guard on u * u and h applied per term, in the
     references' layout (``conftest.kernel_layout``)."""
     width = 8 if sens else 6
@@ -239,7 +240,7 @@ def branched_stacked_rhs(p, m, h, sens):
     def rhs(s, Y):
         Z = Y.reshape(m, width)
         x, u = Z[:, 0], Z[:, 1]
-        r = p.sigma * model._arrhenius(u)
+        r = p.sigma * _arrhenius(u)
         uu = u * u
         rp = r / np.where(uu > 0, uu, 1.0)
         xr, xrp = x * r, x * rp
@@ -276,7 +277,7 @@ def per_segment_stacked_jac(p, m, h, sens):
         blocks = []
         for i in range(m):
             x, u = float(Z[i, 0]), float(Z[i, 1])
-            J = model._jac_xu(p, x, u)
+            J = _jac_xu(p, x, u)
             B = model._hessian_xu(p, x, u)
             W = Z[i, 2:].reshape(2, cols)
             blk = np.zeros((width, width))
@@ -548,11 +549,11 @@ def shoot_reference(p, starts, T, sens=False, var=True):
     else:
         def rhs(s, Y):
             Z = Y.reshape(m, 2)
-            return (h * np.column_stack(model._field_xu(p, Z[:, 0], Z[:, 1]))).ravel()
+            return (h * np.column_stack(_field_xu(p, Z[:, 0], Z[:, 1]))).ravel()
 
         def jac(s, Y):
             Z = Y.reshape(m, 2)
-            return block_diag(*(h * model._jac_xu(p, Z[:, 0], Z[:, 1])))
+            return block_diag(*(h * _jac_xu(p, Z[:, 0], Z[:, 1])))
 
         width, Y0 = 2, starts
     rtol = np.tile([cycles.SHOOT_RTOL] * 2

@@ -12,7 +12,7 @@ from thermorun.loci import Window, classify_point, continue_fold_locus, \
     continue_hopf_locus
 from thermorun.model import ModelParams
 
-from conftest import criterion5_params, param_derivative
+from conftest import _field_xu, _jac_xu, criterion5_params, param_derivative
 
 
 def augmented_residual(p: ModelParams, locus: loci.Locus, row: int) -> float:
@@ -287,8 +287,7 @@ class TestRegionMapOracle:
         window, loci_map = mic_loci
         u_a = window.u_a[0] + s * (window.u_a[1] - window.u_a[0])
         f = min(window.f[0] * (window.f[1] / window.f[0]) ** t, window.f[1])
-        assert classify_point(u_a, f, loci_map, window) == \
-            ref_classify(u_a, f, loci_map)
+        assert classify_point(u_a, f, loci_map) == ref_classify(u_a, f, loci_map)
 
     def test_vertices_and_vertex_flow_rates(self, mic_loci):
         # On a vertex the label is boundary; along the row through it, the
@@ -331,13 +330,14 @@ class TestRegionMapOracle:
 
 
 def augmented_reference(p: ModelParams, y: np.ndarray):
-    """Residual and Jacobian of the fold locus system on the array kernels."""
+    """Residual and Jacobian of the fold locus system on conftest's array
+    kernels."""
     q = p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
     x, u = float(y[0]), float(y[1])
     _, det, g = loci._test_functions(q, x, u)
-    res = np.array([*model._field_xu(q, x, u), det])
+    res = np.array([*_field_xu(q, x, u), det])
     J = np.zeros((3, 4))
-    J[:2, :2] = model._jac_xu(q, x, u)
+    J[:2, :2] = _jac_xu(q, x, u)
     J[:2, 2] = param_derivative(q, x, u, "u_a")
     J[:2, 3] = q.f * param_derivative(q, x, u, "f")
     J[2, :3] = g[:3]
@@ -634,12 +634,6 @@ class TestClassification:
             for ua, f, label in loci.region_map(loci_map, window, n, n):
                 if abs(f - f_row) < 1e-2 and label != loci.BOUNDARY:
                     assert label == steady_state_label(mic.model, ua, f), (n, ua, f)
-
-    def test_outside_window_rejected(self, mic_loci):
-        window, loci_map = mic_loci
-        from thermorun.errors import ValidationError
-        with pytest.raises(ValidationError):
-            classify_point(window.u_a[0] - 1.0, 1.7, loci_map, window=window)
 
 
 class TestCumenePlaceholder:

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermorun import model
+from thermorun import cycles, model
 from thermorun.errors import CalibrationError, DomainError, ValidationError
 from thermorun.model import ModelParams, R_GAS, State
 from thermorun.solvers import bisect_root
 
-from conftest import param_derivative
+from conftest import (_arrhenius, _field_xu, _jac_xu, criterion5_params,
+                      param_derivative)
 
 E_MIC = 64000.0
 
@@ -212,14 +213,37 @@ class TestScalarKernels:
     def test_bit_identical_to_array_kernels(self, p, states):
         x, u = np.array(states).T
         with np.errstate(over="ignore"):
-            fx, fu = model._field_xu(p, x, u)
-            J = model._jac_xu(p, x, u)
+            fx, fu = _field_xu(p, x, u)
+            J = _jac_xu(p, x, u)
         for i, (xi, ui) in enumerate(states):
             assert model._field_scalar(p, xi, ui) == (fx[i], fu[i])
             assert np.array_equal(np.array(model._jac_scalar(p, xi, ui)), J[i])
             if ui > 0:
                 (a, b), (c, d) = J[i]
                 assert model.trace_det(p, (xi, ui)) == (a + d, a * d - b * c)
+
+    # The public forms' domain, u > 0: at, just below and far below U_FLOOR,
+    # where u * u underflows (below ~2e-162), subnormal, and the model's
+    # temperatures.
+    public_us = st.sampled_from(
+        [5e-324, 1e-310, 1e-300, 1e-170, 1.5e-162, 1e-4,
+         math.nextafter(model.U_FLOOR, 0.0), model.U_FLOOR, 0.0013]) \
+        | st.floats(0.02, 0.08) | st.floats(5e-324, 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=criterion5_params,
+           states=st.lists(st.tuples(st.floats(0.0, 1.0), public_us),
+                           min_size=1, max_size=24))
+    def test_public_forms_bit_identical_to_array_kernels(self, p, states):
+        # vector_field, jacobian and the shoot's field rows come from
+        # model._jet; the array forms they replaced are the reference.
+        x, u = np.array(states).T
+        want = np.column_stack(_field_xu(p, x, u))
+        J = _jac_xu(p, x, u)
+        assert cycles._fields_at(p, np.array(states)).tobytes() == want.tobytes()
+        for i, s in enumerate(states):
+            assert np.array(model.vector_field(p, s)).tobytes() == want[i].tobytes()
+            assert model.jacobian(p, s).tobytes() == J[i].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(p=valid_params, states=states)
@@ -260,8 +284,8 @@ class TestScalarKernels:
         assert model._jac_scalar(p, 0.5, 1e-300) == ((-p.f, 0.0), (0.0, -p.loss / p.eps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # no 0 / 0 when u * u underflows
-            J = model._jac_xu(p, 0.5, 1e-170)
-        assert np.array_equal(J, np.array(model._jac_scalar(p, 0.5, 1e-170)))
+            J = model.jacobian(p, (0.5, 1e-170))
+        assert np.array_equal(J, _jac_xu(p, 0.5, 1e-170))
         assert J[0, 1] == 0.0 and J[1, 1] == -p.loss / p.eps
 
 
@@ -301,7 +325,7 @@ class TestParamDerivatives:
         v = getattr(p, name)
         h = 1e-6 * v
         fd = central_difference(
-            lambda w: model._field_xu(p.with_(**{name: w}), x, u), v, h)
+            lambda w: model.vector_field(p.with_(**{name: w}), (x, u)), v, h)
         exact = np.array(model._param_derivative_scalar(p, x, u, name))
         floor = 1e-14 * field_scale(p, x, u) / h
         assert np.all(np.abs(fd - exact) <= 1e-6 * np.abs(exact) + floor)
@@ -495,7 +519,8 @@ class TestPresets:
 
 
 def parent_arrhenius(u):
-    """``model._arrhenius`` as it was before the clamp: two branches."""
+    """The rate's exponential as the array kernel once had it, before its
+    clamp: two branches."""
     u = np.asarray(u, dtype=float)
     safe = np.where(u > 0, u, 1.0)
     out = np.where(u > 0, np.exp(-1.0 / safe), 0.0)
@@ -503,6 +528,10 @@ def parent_arrhenius(u):
 
 
 class TestArrheniusClamp:
+    """``model._expu``, the exponential of every scalar form of the field,
+    branches on u > 0; the array reference ``conftest._arrhenius`` clamps u
+    to ``U_FLOOR``.  Both give the two-branch form's bits."""
+
     edge_us = [-0.01, -0.0, 0.0, 1e-3, 0.0013, 1e-170, 1e-310, 5e-324,
                math.nan, math.inf, -math.inf]
 
@@ -510,23 +539,20 @@ class TestArrheniusClamp:
         us = np.concatenate([self.edge_us, np.linspace(0.02, 0.08, 20001)])
         with np.errstate(over="ignore"):        # -1/u for subnormal u
             want = parent_arrhenius(us)
-            scalars = [parent_arrhenius(u) for u in self.edge_us]
-        assert model._arrhenius(us).tobytes() == want.tobytes()
-        for u, w in zip(self.edge_us, scalars):
-            got = model._arrhenius(u)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(w).tobytes()
+        assert _arrhenius(us).tobytes() == want.tobytes()
+        got = np.array([model._expu(u) for u in us.tolist()])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("u", (5e-324, 1e-310, 1e-170))
     def test_subnormal_u_warns_nowhere(self, mic, u):
-        # Before the clamp, -1/u overflowed in a divide for subnormal u.
+        # -1/u overflows to -inf for subnormal u, and must not warn.
         p, x = mic.model, 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert model._arrhenius(u) == 0.0
-            for arg in (u, np.array([u, 0.04])):
-                model._field_xu(p, x, arg)
-                model._jac_xu(p, x, arg)
+            assert model._expu(u) == 0.0
+            assert model.vector_field(p, (x, u)) == (p.f * (1.0 - x),
+                                                     -p.loss * (u - p.u_a) / p.eps)
+            model.jacobian(p, (x, u))
             for name in model.CONTINUABLE_PARAMS:
                 model._param_derivative_scalar(p, x, u, name)
             dfds = model._param_derivative_scalar(p, x, u, "sigma")

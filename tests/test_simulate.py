@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import math
 import re
-import signal
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from thermorun.errors import ConvergenceError, IntegrationFailure, ValidationErr
 from thermorun.model import ModelParams
 from thermorun.simulate import AttractorReport, Trajectory, TrajectoryEvent
 
-from conftest import criterion5_params
+from conftest import criterion5_params, time_limit
 
 
 def linear_params(u_a=0.0379):
@@ -595,21 +593,6 @@ class TestOneExtremumEvent:
         assert_bits(got.states, want.states)
 
 
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block once it has run ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 class TestInfiniteField:
     """On a field that turns infinite LSODA either takes zero-length steps
     forever or runs on in NaN under a successful status; every integration
@@ -792,6 +775,14 @@ class TestSettle:
     def test_horizon_precondition(self, mic):
         with pytest.raises(ValidationError):
             simulate.settle(mic.model, (1.0, mic.model.u_a), horizon=1.0)
+
+    @pytest.mark.parametrize("horizon, start", [
+        (math.nan, (1.0, 0.04)), (math.inf, (1.0, 0.04)),
+        (101.0, (math.nan, 0.04)), (101.0, (1.0, math.nan)),
+        (101.0, (-0.1, 0.04)), (101.0, (1.0, 0.0))])
+    def test_inputs_it_cannot_integrate(self, mic, horizon, start):
+        with time_limit(20), pytest.raises(ValidationError):
+            simulate.settle(mic.model, start, horizon)
 
     @pytest.mark.parametrize("tol", [{"tol_rel": 0.0}, {"tol_abs": -1e-14}])
     def test_tolerance_precondition(self, mic, tol):

@@ -321,8 +321,7 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
     v = getattr(p, active)
     lo, hi = 0.5 * v, 2.0 * v
     q = p.with_(**{active: lo})
-    seeds = steady.reduced_scan(q, q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9),
-                                n=4000, param_name=active)
+    seeds = steady.reduced_scan(q, q.u_a, q.u_a + q.f / q.loss * (1 + 1e-9), n=4000)
     if not seeds:
         return None
     y0 = np.array([seeds[0].state.x, seeds[0].state.u, lo])

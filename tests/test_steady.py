@@ -236,7 +236,7 @@ class TestContinueBranch:
                 i = sp.after_index
                 a = mic_branch.points[i]
                 b = mic_branch.points[i + 1]
-                assert a.eigenvalues[0].real * b.eigenvalues[0].real < 0
+                assert a.trace * b.trace < 0
             else:
                 assert abs(sp.det) < 1e-8
 

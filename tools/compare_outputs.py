@@ -19,7 +19,9 @@ their relative difference; for both, the largest relative difference of a
 number and whether anything else (a label) changed.  For each command
 whose two runs wrote a ``manifest.json``, one more line gives both
 ``wall_time_s``, for information only: it never counts as a difference.
-Edit ``COMMANDS`` and ``SCRIPTS`` for a partial run.
+The last lines give the number of lines of the ``.py`` files under
+``src/thermorun`` and under ``tests`` in both checkouts, for information
+only too.  Edit ``COMMANDS`` and ``SCRIPTS`` for a partial run.
 """
 
 from __future__ import annotations
@@ -256,6 +258,19 @@ def report(name: str, base: Path, change: Path) -> tuple[list[str], bool]:
     return lines, differs
 
 
+LINE_COUNTED = ("src/thermorun", "tests")
+
+
+def line_counts(base: Path, change: Path) -> list[str]:
+    """One line per directory of ``LINE_COUNTED``: the lines of its ``.py``
+    files, as ``wc -l`` counts them, in both checkouts; never compared."""
+    def lines(root: Path) -> int:
+        return sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
+
+    return [f"{d}: {lines(base / d)} -> {lines(change / d)} lines (not compared)"
+            for d in LINE_COUNTED]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path)
@@ -286,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         lines, moved = report(name, dirs["base"], dirs["change"])
         print("\n".join(lines))
         differs |= moved
+    print("\n".join(line_counts(args.base, args.change)))
     print(f"outputs in {work}")
     return 1 if differs else 0
 
