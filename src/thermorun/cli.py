@@ -242,7 +242,8 @@ def cmd_loci(args, res: Preset, man: ManifestWriter) -> int:
     kelvin = _kelvin_header(res, "T_a_kelvin")
 
     def locus_rows(locus):
-        for (ua, f_val, x, u), ex in zip(locus.points, locus.extra):
+        for (ua, f_val, x, u), ex in zip(locus.points.tolist(),
+                                         locus.extra.tolist()):
             yield ([locus.kind, ua] + _maybe_kelvin_row(res, ua)
                    + [f_val, x, u, ex])
 

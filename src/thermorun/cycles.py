@@ -250,17 +250,20 @@ def _stacked_jac(p: ModelParams, m: int, h: float, sens: bool):
     seg = np.arange(m)
     eye = np.eye(cols)
     field_jac = model._callbacks(p)[2]
+    sigma, eps = p.sigma, p.eps
 
     def jac(s, Y):
         Z = Y.reshape(m, width)
-        # Per segment: J from the scalar kernel, and the Hessian, which
-        # keeps rho_derivs' math.exp bits.
+        # Per segment: J from the scalar kernel, and the Hessian's entries,
+        # filled as model._hessian_xu fills them, from rho_derivs' math.exp
+        # bits; then one array of each.
         Js, Bs = [], []
         for x, u in Z[:, 0:2].tolist():
             Js.append(field_jac(x, u)[2:])
-            Bs.append(model._hessian_xu(p, x, u))
+            _, d1, d2, _ = model._rho_derivs_raw(sigma, u)
+            Bs.append((0.0, -d1, -d1, -x * d2, 0.0, d1 / eps, d1 / eps, x * d2 / eps))
         J = np.array(Js).reshape(m, 2, 2)
-        B = np.array(Bs)
+        B = np.array(Bs).reshape(m, 2, 2, 2)
         blk = np.zeros((m, width, width))
         blk[:, 0:2, 0:2] = h * J
         # d(J W)/dy via the Hessian tensor.

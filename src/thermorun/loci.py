@@ -11,14 +11,13 @@ assigns regime labels to points of the plane by ray-parity against them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .model import ModelParams
 from .solvers import ContinuationProblem, bisect_root, bracket_roots, continue_curve
 
@@ -74,40 +73,66 @@ class Locus:
         return len(self.points)
 
 
-def _test_functions(p: ModelParams, x: float, u: float):
+def _test_functions(f: float, ell: float, eps: float, u_a: float,
+                    sigma: float, x: float, u: float):
     """Trace of the Jacobian, and its determinant with the gradient w.r.t.
-    (x, u, u_a, f), from one ``rho_derivs`` evaluation."""
-    r, d1, _, _ = model.rho_derivs(p, u)
+    (x, u, u_a, f), at ``model._jet``'s parameter values (u_a is not
+    read), from one ``rho_derivs`` evaluation."""
+    if u <= 0:
+        raise DomainError("rho requires u > 0")
+    r, d1, _, _ = model._rho_derivs_raw(sigma, u)
+    loss = eps * f + ell
     dd1 = r / u**4 - 2 * r / u**3  # d/du of rho/u^2
-    tr = -(r + p.f) + (x * d1 - p.loss) / p.eps
-    det = (p.loss * (r + p.f) - p.f * x * d1) / p.eps
-    det_grad = (-p.f * d1 / p.eps,
-                (p.loss * d1 - p.f * x * dd1) / p.eps,
+    tr = -(r + f) + (x * d1 - loss) / eps
+    det = (loss * (r + f) - f * x * d1) / eps
+    det_grad = (-f * d1 / eps,
+                (loss * d1 - f * x * dd1) / eps,
                 0.0,
-                (p.eps * (r + p.f) + p.loss - x * d1) / p.eps)
+                (eps * (r + f) + loss - x * d1) / eps)
     return tr, det, det_grad
 
 
+def _params_at(p: ModelParams, u_a: float, f: float) -> tuple[float, ...]:
+    """``model._jet``'s parameter values of ``p`` at (u_a, f).  Builds no
+    parameter set where ``p.with_(u_a=u_a, f=f)`` would be valid, and
+    builds it, to raise what it raises, everywhere else."""
+    if not (0 < u_a < p.u_boil and f > 0):
+        p.with_(u_a=u_a, f=f)
+    return f, p.ell, p.eps, u_a, p.sigma
+
+
 def _augmented_problem(p: ModelParams, scales: np.ndarray) -> ContinuationProblem:
-    """{F = 0, det J = 0} over y = (x, u, u_a, ln f)."""
-    at = functools.cache(lambda u_a, ln_f: p.with_(u_a=u_a, f=math.exp(ln_f)))
+    """{F = 0, det J = 0} over y = (x, u, u_a, ln f).
+
+    Residual and Jacobian share one evaluation per iterate, kept for the
+    last y by its bytes: ``model._jet``, :func:`_test_functions` and the
+    two ``model._dfdp`` rows, at :func:`_params_at`'s values.
+    """
+    last = {"key": None}
+
+    def at(y):
+        key = y.tobytes()
+        if last["key"] != key:
+            x, u, u_a, ln_f = y.tolist()
+            args = (*_params_at(p, u_a, math.exp(ln_f)), x, u)
+            last.update(key=key, args=args, tests=_test_functions(*args),
+                        jet=model._jet(*args, model._expu(u)))
+        return last
 
     def residual(y):
-        x, u, u_a, ln_f = y.tolist()
-        q = at(u_a, ln_f)
-        fx, fu = model._field_scalar(q, x, u)
-        return np.array([fx, fu, _test_functions(q, x, u)[1]])
+        ev = at(y)
+        fx, fu = ev["jet"][:2]
+        return np.array([fx, fu, ev["tests"][1]])
 
     def jacobian(y):
-        x, u, u_a, ln_f = y.tolist()
-        q = at(u_a, ln_f)
-        (a, b), (c, d) = model._jac_scalar(q, x, u)
-        a0, a1 = model._param_derivative_scalar(q, x, u, "u_a")
-        f0, f1 = model._param_derivative_scalar(q, x, u, "f")
-        g = _test_functions(q, x, u)[2]
-        return np.array([[a, b, a0, q.f * f0],
-                         [c, d, a1, q.f * f1],
-                         [g[0], g[1], g[2], q.f * g[3]]])
+        ev = at(y)
+        args, (_, _, a, b, c, d), g = ev["args"], ev["jet"], ev["tests"][2]
+        f = args[0]
+        a0, a1 = model._dfdp("u_a", *args, 0.0)
+        f0, f1 = model._dfdp("f", *args, 0.0)
+        return np.array([[a, b, a0, f * f0],
+                         [c, d, a1, f * f1],
+                         [g[0], g[1], g[2], f * g[3]]])
 
     return ContinuationProblem(residual, jacobian, scales)
 
@@ -173,7 +198,8 @@ def continue_hopf_locus(p: ModelParams, window: Window) -> Locus:
                       f"window's flow rates {window.f[0]:g}:{window.f[1]:g}")
         return Locus("hopf", np.empty((0, 4)), np.empty(0), empty_reason=reason)
     x0, u0, u_a0, _ = y0.tolist()
-    seed = (u_a0, p.f, x0, u0, _test_functions(p, x0, u0)[1])
+    seed = (u_a0, p.f, x0, u0,
+            _test_functions(p.f, p.ell, p.eps, p.u_a, p.sigma, x0, u0)[1])
     root0 = min((1, -1), key=lambda k: abs(_hopf_curve(p, u0, k)[0][1] - p.f))
     scales = np.array([1.0, max(p.f / p.loss, 1e-4), window.u_a[1] - window.u_a[0], 1.0])
 
@@ -240,7 +266,7 @@ def continue_fold_locus(p: ModelParams, window: Window) -> Locus:
                      f_threshold=f_star)
     pts, reasons = _trace_locus(p, seed, window)
     rows = [[u_a, math.exp(ln_f), x, u] for x, u, u_a, ln_f in np.array(pts).tolist()]
-    extra = [_test_functions(p.with_(u_a=u_a, f=f), x, u)[0] for u_a, f, x, u in rows]
+    extra = [_test_functions(*_params_at(p, u_a, f), x, u)[0] for u_a, f, x, u in rows]
     return Locus("fold", np.array(rows), np.array(extra), reasons, f_threshold=f_star)
 
 
@@ -257,7 +283,8 @@ def _hopf_seed(p: ModelParams, window: Window) -> np.ndarray | None:
         r = model.rho(p, u)
         x = p.f / (p.f + r)
         u_a = u - x * r / p.loss
-        if window.contains(u_a, p.f) and _test_functions(p, x, u)[1] > 0:
+        if (window.contains(u_a, p.f) and _test_functions(
+                p.f, p.ell, p.eps, p.u_a, p.sigma, x, u)[1] > 0):
             return np.array([x, u, u_a, math.log(p.f)])
     return None
 
@@ -343,8 +370,11 @@ def _row_hits(locus: Locus | None, uas: np.ndarray, f: float):
     taken with f scaled by max(1, |f|); ``odd`` marks points whose ray
     towards lower u_a crosses it an odd number of times.  A segment is
     crossed when f lies in its half-open f-span, so a ray through a vertex
-    counts once.  All of ``uas`` are done at once, so temporaries are
-    len(uas) x segments.
+    counts once.  The distance is taken only to the segments whose scaled
+    f-span reaches within 2 BOUNDARY_TOL of the row: on a finite polyline
+    every other one is farther than its f-gap alone, far above rounding.
+    All of ``uas`` are done at once, so temporaries are len(uas) x those
+    segments.
     """
     if locus is None or len(locus) < 2:
         flat = np.zeros(len(uas), dtype=bool)
@@ -357,8 +387,14 @@ def _row_hits(locus: Locus | None, uas: np.ndarray, f: float):
     odd = np.count_nonzero(a_cross < uas[:, None], axis=1) % 2 == 1
 
     scale = max(1.0, abs(f))
-    fs, sb1 = f / scale, b1 / scale
-    da, db = a2 - a1, b2 / scale - sb1
+    fs, sb = f / scale, b / scale
+    sb1, sb2 = sb[:-1], sb[1:]
+    gap = 2.0 * BOUNDARY_TOL
+    close = ~((fs < np.minimum(sb1, sb2) - gap) | (fs > np.maximum(sb1, sb2) + gap))
+    if not close.any():
+        return np.zeros(len(uas), dtype=bool), odd
+    a1, sb1 = a1[close], sb1[close]
+    da, db = a2[close] - a1, sb2[close] - sb1
     denom = da * da + db * db
     pu, pf = uas[:, None] - a1, fs - sb1
     t = np.clip((pu * da + pf * db) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)

@@ -185,8 +185,10 @@ def rho(p: ModelParams, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _rho_derivs_raw(p: ModelParams, u: float) -> tuple[float, float, float, float]:
-    r = p.sigma * math.exp(-1.0 / u) if u > 0 else 0.0
+def _rho_derivs_raw(sigma: float, u: float) -> tuple[float, float, float, float]:
+    """:func:`rho_derivs` at the rate prefactor ``sigma``, without its
+    domain check."""
+    r = sigma * math.exp(-1.0 / u) if u > 0 else 0.0
     if r == 0.0:
         # The limit, as in _jet: for u below ~1.3e-3 exp(-1/u) is 0, and
         # below ~5e-52 the powers of 1/u would divide 0 by an underflow.
@@ -202,7 +204,7 @@ def rho_derivs(p: ModelParams, u: float) -> tuple[float, float, float, float]:
     """rho and its first three u-derivatives at a scalar u."""
     if u <= 0:
         raise DomainError("rho requires u > 0")
-    return _rho_derivs_raw(p, u)
+    return _rho_derivs_raw(p.sigma, u)
 
 
 def _expu(u: float) -> float:
@@ -303,7 +305,7 @@ def second_derivatives(p: ModelParams, s) -> np.ndarray:
 
 
 def _hessian_xu(p: ModelParams, x: float, u: float) -> np.ndarray:
-    _, d1, d2, _ = _rho_derivs_raw(p, u)
+    _, d1, d2, _ = _rho_derivs_raw(p.sigma, u)
     B = np.zeros((2, 2, 2))
     B[0, 0, 1] = B[0, 1, 0] = -d1
     B[0, 1, 1] = -x * d2

@@ -27,6 +27,13 @@ MANIFEST_SCHEMA = "thermorun-manifest/1"
 
 
 def format_value(v) -> str:
+    """A CSV cell: floats at 17 significant digits, integers in decimal,
+    booleans as true/false, None empty, anything else by ``str``.  Exact
+    Python floats and strings, nearly every cell, are tested first."""
+    if type(v) is float:
+        return f"{v:.17g}"
+    if type(v) is str:
+        return v
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -69,7 +76,7 @@ def write_csv(path: Path, header: list[str], rows) -> int:
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(",".join(map(format_value, row)) + "\n")
             n += 1
     return n
 

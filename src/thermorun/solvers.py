@@ -156,8 +156,15 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
     is non-finite (or above 1e6 in plain mode), the Jacobian is singular,
     the residual or Jacobian raises ``FAILED_ITERATE``, the line search
     stalls, or ``max_iter`` steps pass.
+
+    A plain step that lands on the bytes of an earlier iterate raises at
+    once, with that iterate's norm: residual and Jacobian being functions
+    of ``y`` alone, the iterates cycle from there, none of them below
+    ``tol``, so the loop could only end on ``max_iter``.  (A damped step
+    lowers the norm, so it cannot repeat an iterate.)
     """
     norm = math.inf
+    seen = {}
     try:
         r = residual(y)
         for step in range(max_iter + 1):
@@ -170,7 +177,11 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 break
             dx = _solve(jacobian(y), -r)
             if not damped:
+                seen[y.tobytes()] = norm
                 y += dx
+                key = y.tobytes()
+                if key in seen:
+                    raise ConvergenceError("Newton iterates repeat", y, seen[key])
                 r = residual(y)
                 continue
             lam = 1.0

@@ -276,6 +276,44 @@ def floquet_rhs_allocating(p: ModelParams):
     return rhs
 
 
+# ``output.format_value`` before its exact-type fast paths, verbatim: the
+# reference of the CSV cell strings.
+def format_value_reference(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+# ``loci._row_hits`` before the boundary test skipped far segments,
+# verbatim: the reference of its ``near`` and ``odd`` flags.
+def row_hits_unpruned(locus, uas: np.ndarray, f: float):
+    if locus is None or len(locus) < 2:
+        flat = np.zeros(len(uas), dtype=bool)
+        return flat, flat
+    a, b = locus.points[:, 0], locus.points[:, 1]
+    a1, a2, b1, b2 = a[:-1], a[1:], b[:-1], b[1:]
+    span = ((b1 <= f) & (f < b2)) | ((b2 <= f) & (f < b1))
+    a1s, b1s = a1[span], b1[span]
+    a_cross = a1s + (f - b1s) / (b2[span] - b1s) * (a2[span] - a1s)
+    odd = np.count_nonzero(a_cross < uas[:, None], axis=1) % 2 == 1
+
+    scale = max(1.0, abs(f))
+    fs, sb1 = f / scale, b1 / scale
+    da, db = a2 - a1, b2 / scale - sb1
+    denom = da * da + db * db
+    pu, pf = uas[:, None] - a1, fs - sb1
+    t = np.clip((pu * da + pf * db) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
+    du, df = a1 + t * da - uas[:, None], sb1 + t * db - fs
+    near = np.sqrt(du * du + df * df).min(axis=1) < loci.BOUNDARY_TOL
+    return near, odd
+
+
 @pytest.fixture(scope="session")
 def mic():
     return model.preset("mic-tank610")

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermorun import loci, model, simulate, steady
-from thermorun.errors import DomainError
+from thermorun.errors import DomainError, ValidationError
 from thermorun.loci import Window, classify_point, continue_fold_locus, \
     continue_hopf_locus
 from thermorun.model import ModelParams
 
-from conftest import _field_xu, _jac_xu, criterion5_params, param_derivative
+from conftest import _field_xu, _jac_xu, criterion5_params, param_derivative, \
+    row_hits_unpruned
 
 
 def augmented_residual(p: ModelParams, locus: loci.Locus, row: int) -> float:
@@ -329,12 +330,71 @@ class TestRegionMapOracle:
                 assert_row_matches_reference(uas, f, variant)
 
 
+@st.composite
+def polyline_rows(draw):
+    """A polyline in (u_a, f) with f from 1e-2 to 1e3, some segments flat
+    in f; a row through a vertex, just past one, through a segment or
+    anywhere; and u_a values on a grid and at (1 +- 1e-3) BOUNDARY_TOL
+    (scaled) from the drawn segment and from its ends."""
+    n = draw(st.integers(2, 12))
+    a = draw(st.lists(st.floats(0.02, 0.06), min_size=n, max_size=n))
+    b = [10.0 ** draw(st.floats(-2.0, 3.0))]
+    for _ in range(n - 1):
+        b.append(b[-1] if draw(st.booleans()) and draw(st.booleans())
+                 else 10.0 ** draw(st.floats(-2.0, 3.0)))
+    k = draw(st.integers(0, n - 2))
+    w = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["vertex", "past vertex", "segment", "free"]))
+    if kind == "vertex":
+        f = b[draw(st.sampled_from([k, k + 1]))]
+    elif kind == "past vertex":  # a scaled f-gap below or about BOUNDARY_TOL
+        v = b[draw(st.sampled_from([k, k + 1]))]
+        gap = draw(st.sampled_from([0.5, 1 - 1e-3, 1 + 1e-3, 2.0]))
+        f = v + draw(st.sampled_from([-1.0, 1.0])) * gap * loci.BOUNDARY_TOL * max(1.0, v)
+    elif kind == "segment":
+        f = b[k] + w * (b[k + 1] - b[k])
+    else:
+        f = 10.0 ** draw(st.floats(-2.5, 3.5))
+    scale = max(1.0, abs(f))
+    da, db = a[k + 1] - a[k], (b[k + 1] - b[k]) / scale
+    at = a[k] + ((f - b[k]) / (b[k + 1] - b[k]) * da if db else w * da)
+    # The u_a offset that is a scaled distance d from the segment's line.
+    stretch = math.hypot(da, db) / abs(db) if db else 1.0
+    tol = loci.BOUNDARY_TOL
+    uas = list(np.linspace(0.015, 0.065, 9))
+    for base, mult in ((at, stretch), (a[k], 1.0), (a[k + 1], 1.0)):
+        for d in (1 - 1e-3, 1 + 1e-3, 0.5, 0.0):
+            uas += [base + d * mult * tol, base - d * mult * tol]
+    locus = loci.Locus("fold", np.array([[ai, bi, 0.5, 0.04] for ai, bi in zip(a, b)]),
+                       np.zeros(n))
+    return locus, np.array(uas), float(f)
+
+
+class TestRowHitsPruning:
+    @settings(max_examples=400, deadline=None)
+    @given(case=polyline_rows())
+    def test_flags_equal_the_unpruned_reference(self, case):
+        locus, uas, f = case
+        near, odd = loci._row_hits(locus, uas, f)
+        want_near, want_odd = row_hits_unpruned(locus, uas, f)
+        assert near.tolist() == want_near.tolist()
+        assert odd.tolist() == want_odd.tolist()
+
+    def test_mic_grid_rows_equal_the_unpruned_reference(self, mic_loci):
+        window, loci_map = mic_loci
+        uas = np.linspace(window.u_a[0], window.u_a[1], 50)
+        for f in np.geomspace(window.f[0], window.f[1], 50).tolist():
+            for locus in loci_map.values():
+                got, want = loci._row_hits(locus, uas, f), row_hits_unpruned(locus, uas, f)
+                assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def augmented_reference(p: ModelParams, y: np.ndarray):
     """Residual and Jacobian of the fold locus system on conftest's array
     kernels."""
     q = p.with_(u_a=float(y[2]), f=float(math.exp(y[3])))
     x, u = float(y[0]), float(y[1])
-    _, det, g = loci._test_functions(q, x, u)
+    _, det, g = loci._test_functions(q.f, q.ell, q.eps, q.u_a, q.sigma, x, u)
     res = np.array([*_field_xu(q, x, u), det])
     J = np.zeros((3, 4))
     J[:2, :2] = _jac_xu(q, x, u)
@@ -360,19 +420,38 @@ class TestLocusSystems:
         assert np.array_equal(prob.residual(y), res)
         assert np.array_equal(prob.jacobian(y), J)
 
-    def test_one_parameter_set_per_point(self, mic, monkeypatch):
+    def test_one_evaluation_per_iterate(self, mic, monkeypatch):
+        # Residual and Jacobian at one y share one evaluation; a new y, or
+        # a return to an earlier one, is evaluated again, and no parameter
+        # set is built where u_a and f are in range.
         p = mic.model.with_(u_boil=math.inf)
         prob = loci._augmented_problem(p, np.ones(4))
-        built = []
-        with_ = ModelParams.with_
+        built, jets = [], []
+        with_, jet = ModelParams.with_, model._jet
         monkeypatch.setattr(ModelParams, "with_",
                             lambda q, **kw: built.append(kw) or with_(q, **kw))
+        monkeypatch.setattr(model, "_jet",
+                            lambda *args: jets.append(args) or jet(*args))
         y1 = np.array([0.5, 0.04, 0.038, 0.5])
         y2 = np.array([0.5, 0.04, 0.039, 0.5])
         for y in (y1, y2, y1):
             prob.residual(y)
-            prob.jacobian(y)
-        assert len(built) == 2
+            prob.jacobian(y.copy())
+        assert len(jets) == 3 and built == []
+
+    @pytest.mark.parametrize("u_a, ln_f", [(0.0, 0.5), (-0.01, 0.5),
+                                           (math.nan, 0.5), (math.inf, 0.5),
+                                           (0.038, -800.0), (0.038, math.nan)])
+    def test_out_of_range_parameters_raise_as_with_(self, mic, u_a, ln_f):
+        p = mic.model.with_(u_boil=math.inf)
+        prob = loci._augmented_problem(p, np.ones(4))
+        y = np.array([0.5, 0.04, u_a, ln_f])
+        with pytest.raises(ValidationError) as want:
+            p.with_(u_a=u_a, f=math.exp(ln_f))
+        for fn in (prob.residual, prob.jacobian):
+            with pytest.raises(ValidationError) as got:
+                fn(y)
+            assert str(got.value) == str(want.value)
 
     @settings(max_examples=300, deadline=None)
     @given(y=locus_states)
@@ -383,7 +462,8 @@ class TestLocusSystems:
         x, u, u_a, ln_f = y
 
         def fn(p, x, u):
-            return loci._test_functions(p, x, u)[1:]
+            return loci._test_functions(p.f, p.ell, p.eps, p.u_a, p.sigma,
+                                        x, u)[1:]
 
         p = mic.model.with_(u_a=u_a, f=math.exp(ln_f), u_boil=math.inf)
         _, g = fn(p, x, u)

@@ -1,10 +1,30 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thermorun.output import ManifestWriter, write_csv
+from thermorun.output import ManifestWriter, format_value, write_csv
+
+from conftest import format_value_reference
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 2.225073858507201e-308, 1.0e-310]
+# Every type a CSV cell takes, with infinities, NaN, -0.0 and subnormals.
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from(SPECIAL_FLOATS).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.none(),
+    st.text(alphabet=st.characters(blacklist_characters=",\n\r")))
 
 
 def rows_then_fail(n: int):
@@ -47,3 +67,19 @@ class TestAtomicWrites:
         assert json.loads(before)["outputs"] == [{"file": "extra.json"}]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "extra.json", "manifest.json"]
+
+
+class TestCellFormat:
+    @settings(max_examples=500, deadline=None)
+    @given(v=cells)
+    def test_cells_equal_the_reference(self, v):
+        assert format_value(v) == format_value_reference(v)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.lists(cells, min_size=3, max_size=3), max_size=8))
+    def test_csv_equals_the_reference_cells(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        assert write_csv(path, ["a", "b", "c"], rows) == len(rows)
+        want = "a,b,c\n" + "".join(
+            ",".join(format_value_reference(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode("utf-8")

@@ -225,6 +225,27 @@ def test_newton_counts_steps(n):
     assert calls == ["residual"] + ["jacobian", "residual"] * n
 
 
+def test_newton_stops_at_a_repeated_iterate():
+    # Full steps 0 -> 1 -> 2 -> 1: the third lands on the second iterate,
+    # so the iterates alternate between 1 and 2 and never converge.  The
+    # loop stops there, after 3 residuals, where the reference runs all 12.
+    steps = {0.0: -1.0, 1.0: -1.0, 2.0: 1.0}
+    calls = []
+
+    def residual(y):
+        calls.append(float(y[0]))
+        return np.array([steps[float(y[0])]])
+
+    with pytest.raises(ConvergenceError, match="Newton iterates repeat") as err:
+        solvers._newton(residual, lambda y: np.eye(1), np.zeros(1), 1e-10, 11)
+    assert calls == [0.0, 1.0, 2.0]
+    assert err.value.last_iterate.tolist() == [1.0] and err.value.residual == 1.0
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="no convergence in 12 "):
+        reference_newton(residual, lambda y: np.eye(1), np.zeros(1), 1e-10, 12)
+    assert len(calls) == 12
+
+
 def test_continue_curve_rebases_each_point_before_its_jacobian():
     calls: list = []
     run = solvers.continue_curve(
@@ -341,6 +362,55 @@ def branch_run(p: ModelParams, active: str, reference: bool, ds_max: float):
             prob, y0, np.array([0.0, 0.0, 1.0]), ds0=1e-3,
             ds_min=1e-6, ds_max=ds_max, max_steps=600, tol=1e-10,
             stop=stop)
+
+
+def fold_locus_runs(name: str, reference: bool):
+    """The two continuation runs of ``name``'s fold locus over its default
+    window, on the library's corrector or, with ``reference``, on this
+    file's; and the messages of the library corrector's failures."""
+    p = model.preset(name).model
+    runs, failures = [], []
+    newton = solvers._newton
+
+    def recording_curve(*args, **kwargs):
+        runs.append(solvers.continue_curve(*args, **kwargs))
+        return runs[-1]
+
+    def recording_newton(*args, **kwargs):
+        try:
+            return newton(*args, **kwargs)
+        except ConvergenceError as exc:
+            failures.append(str(exc))
+            raise
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(loci, "continue_curve",
+                                              recording_curve))
+        if reference:
+            stack.enter_context(mock.patch.object(solvers, "_correct",
+                                                  reference_correct))
+        else:
+            stack.enter_context(mock.patch.object(solvers, "_newton",
+                                                  recording_newton))
+        loci.continue_fold_locus(p, loci.default_window(p))
+    return runs, failures
+
+
+@pytest.mark.parametrize("name", ["mic-tank610", "cumene-hydroperoxide"])
+def test_fold_locus_runs_equal_the_reference_corrector(name):
+    # Both right arms stall just above LOCUS_TOL (mic's from f ~ 179), where
+    # the corrector's iterates repeat: stopping there changes no point,
+    # tangent, residual or stop reason.
+    runs, failures = fold_locus_runs(name, False)
+    ref, _ = fold_locus_runs(name, True)
+    assert any("Newton iterates repeat" in msg for msg in failures)
+    assert len(runs) == len(ref) == 2
+    for run, want in zip(runs, ref):
+        assert run.stop_reason == want.stop_reason
+        for got, exp in ((run.points, want.points), (run.tangents, want.tangents)):
+            assert len(got) == len(exp)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, exp))
+        assert np.array(run.residuals).tobytes() == np.array(want.residuals).tobytes()
 
 
 class TestEngineOracle:

@@ -93,6 +93,9 @@ COMMANDS = {
     # The second preset's continuation and loci.
     "steady-branch-cumene": ["steady-branch"] + CUMENE + ["--Ta", "282:296"],
     "loci-cumene": ["loci"] + CUMENE + ["--grid", "40x40"],
+    "loci-cumene-default": ["loci"] + CUMENE,
+    # A window without the template's flow rate: no Hopf locus at all.
+    "loci-f-window": ["loci"] + PRESET + ["--f-window", "5:50", "--grid", "8x8"],
     # Up to the 24th orbit, the first one past the cycle fold.
     "cycle-branch-cumene": ["cycle-branch"] + CUMENE + ["--Ta", "282:296",
                                                         "--max-orbits", "24"],
